@@ -1,0 +1,6 @@
+"""Make ``pytest bench`` import the program from the checkout's ``src/``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
