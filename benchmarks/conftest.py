@@ -98,7 +98,7 @@ def _benchmark_timing(fixture):
 
 
 # ---------------------------------------------------------------------------
-# Parallel-scaling telemetry: arm timings -> BENCH_parallel.json
+# Result-cache telemetry: cold/warm arm timings -> BENCH_parallel.json
 # ---------------------------------------------------------------------------
 
 _PARALLEL: list[dict] = []
@@ -106,10 +106,10 @@ _PARALLEL: list[dict] = []
 
 @pytest.fixture(scope="session")
 def record_parallel():
-    """Collector for the parallel-scaling benchmarks.
+    """Collector for the result-cache benchmarks.
 
-    Each call records one benchmark entry (name + timing arms + speedup);
-    the session hook below schema-checks and writes them all to
+    Each call records one benchmark entry (name + cold/warm timing arms +
+    speedup); the session hook below schema-checks and writes them all to
     ``BENCH_parallel.json`` (``REPRO_BENCH_PARALLEL`` overrides the path).
     """
 

@@ -83,16 +83,16 @@ def main() -> None:
         sorted({item.row["name"] for item in low.all_items()}),
     )
 
-    # 6. The same program, executed morsel-parallel with the result cache
-    #    (docs/PARALLELISM.md): a second engine — a slaved viewer, say — is
+    # 6. The same program, executed with the result cache
+    #    (docs/RESULT_CACHE.md): a second engine — a slaved viewer, say — is
     #    served the materialized rows without re-executing the plan.
     result_cache().clear()
-    fast = Engine(session.program, db, workers=4)
+    fast = Engine(session.program, db, cache=True)
     rows = fast.output_of(restrict).rows.force()
-    slaved = Engine(session.program, db, workers=4)
+    slaved = Engine(session.program, db, cache=True)
     slaved.output_of(restrict).rows.force()
     stats = result_cache().stats()
-    print(f"\nparallel engine (workers=4): {len(rows)} rows; result cache "
+    print(f"\ncached engine: {len(rows)} rows; result cache "
           f"hits={stats['hits']} misses={stats['misses']}")
 
     # 7. Everything is a program: save it in the database for next time.

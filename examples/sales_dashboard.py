@@ -131,17 +131,16 @@ def main() -> None:
     print(f"dashboard image -> {out.name}")
 
     # ------------------------------------------------------------------
-    # Dashboards re-render constantly; run the plans morsel-parallel and
-    # let the shared result cache serve the repeat demands
-    # (docs/PARALLELISM.md).
+    # Dashboards re-render constantly; let the shared result cache serve
+    # the repeat demands (docs/RESULT_CACHE.md).
     # ------------------------------------------------------------------
     result_cache().clear()
-    parallel = Engine(session.program, db, workers=4)
-    rows = parallel.output_of(switch, "true").rows.force()
-    mirror = Engine(session.program, db, workers=4)
+    cached = Engine(session.program, db, cache=True)
+    rows = cached.output_of(switch, "true").rows.force()
+    mirror = Engine(session.program, db, cache=True)
     mirror.output_of(switch, "true").rows.force()
     stats = result_cache().stats()
-    print(f"parallel engine (workers=4): {len(rows)} big-ticket rows; "
+    print(f"cached engine: {len(rows)} big-ticket rows; "
           f"result cache hits={stats['hits']} misses={stats['misses']}")
 
     # ------------------------------------------------------------------

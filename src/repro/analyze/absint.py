@@ -793,7 +793,7 @@ def env_from_stats(
 #: Unary plan ops that only drop or reorder rows: child facts pass through.
 _ROW_SUBSET_OPS = frozenset((
     "SampleNode", "LimitNode", "OrderByNode", "DistinctNode",
-    "ToColumnsNode", "ToRowsNode", "ParallelMapNode",
+    "ToColumnsNode", "ToRowsNode",
     "ColumnarLimitNode", "ColumnarDistinctNode", "ColumnarOrderByNode",
 ))
 
@@ -996,18 +996,17 @@ def absint_rewrite_plan(
       every operator that cannot manufacture tuples from nothing.
 
     Runs inside :func:`repro.dbms.plan_rewrite.optimize_plan` (when the
-    interpreter is enabled) *before* parallelization/columnarization, and
+    interpreter is enabled) *before* columnarization, and
     the optimizer's existing schema check + plan verifier re-certify the
     rewritten tree."""
     log = log if log is not None else []
 
     def walk(node: P.PlanNode) -> P.PlanNode:
-        # Leaves end the recursion; compiled regions (columnar kernels,
-        # parallel operators) hold internal templates besides ``children``
-        # and are left untouched — this pass runs before those rewrites.
+        # Leaves end the recursion; columnar kernels hold internal
+        # templates besides ``children`` and are left untouched — this
+        # pass runs before that rewrite.
         if isinstance(node, (P.ScanNode, P.CacheNode)) or \
-                node.backend != "row" or \
-                type(node).__name__.startswith("Parallel"):
+                node.backend != "row":
             return node
         node._children = tuple(walk(child) for child in node.children)
 

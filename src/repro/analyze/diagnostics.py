@@ -70,7 +70,6 @@ for _code, _summary in (
     ("T2-E109", "bad or missing box parameter"),
     ("T2-E110", "duplicate or conflicting attribute definition"),
     ("T2-E111", "plan-IR structural invariant violated"),
-    ("T2-E112", "effect violation in a parallel region"),
     ("T2-W201", "dead box: no path to any demanded output"),
     ("T2-W202", "program has no demanded output (no viewer or sink)"),
     ("T2-W203", "overlay combines composites of different dimensions"),

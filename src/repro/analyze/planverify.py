@@ -13,13 +13,7 @@ reporting violations as ``T2-E111`` diagnostics:
   aggregate names);
 - backend regions are well formed: a columnar kernel's inputs are columnar
   (entered only through a ``ToColumns`` adapter), and a columnar region is
-  consumed only through a ``ToRows`` adapter — no bare backend crossings;
-- parallel regions are race-free by declaration (``T2-E112``): every morsel
-  template inside a :class:`~repro.dbms.plan_parallel.ParallelMapNode` must
-  be *declared* pure (:func:`repro.dbms.plan.declared_effect`), the
-  partitioned leaf declared a source, and any sample seeded.  The effect
-  table uses exact-class lookup, so a subclass that overrides behaviour
-  without declaring its own effect is rejected rather than trusted.
+  consumed only through a ``ToRows`` adapter — no bare backend crossings.
 
 Constructors check these once; rewrites (:mod:`repro.dbms.plan_rewrite`)
 mutate ``_children`` in place, so a buggy rewrite is exactly what this
@@ -34,7 +28,6 @@ import os
 
 from repro.analyze.diagnostics import Diagnostic, Report
 from repro.dbms import plan as P
-from repro.dbms import plan_parallel as PP
 from repro.dbms import types as T
 from repro.errors import SchemaError, StaticAnalysisError, TiogaError
 
@@ -49,57 +42,6 @@ def _fail(report: Report, node, message: str, hint: str | None = None) -> None:
             hint=hint,
         )
     )
-
-
-def _race(report: Report, node, message: str, hint: str | None = None) -> None:
-    report.add(
-        Diagnostic(
-            "T2-E112",
-            f"{node.describe()}: {message}",
-            hint=hint,
-        )
-    )
-
-
-def _check_parallel_region(report: Report, node) -> None:
-    """Effect/race lint for one morsel-parallel region (``T2-E112``).
-
-    Morsel workers run every chain template concurrently over disjoint row
-    ranges; that is only sound when each template is *declared* pure in
-    :data:`repro.dbms.plan.NODE_EFFECTS` and operates on the row backend.
-    Declarations do not inherit, so an undeclared subclass (e.g. a test
-    double with a side effect) has effect ``None`` and is rejected here
-    even if ``parallelize_plan`` was somehow talked into accepting it.
-    """
-    for template in node._chain:
-        effect = P.declared_effect(template)
-        if effect != P.EFFECT_PURE:
-            _race(
-                report, node,
-                f"morsel template {template.describe()} has declared effect "
-                f"{effect!r}, want {P.EFFECT_PURE!r}",
-                hint="declare_effect(cls, EFFECT_PURE) only for operators "
-                "that are safe to run concurrently per-morsel",
-            )
-        if template.backend != "row":
-            _race(
-                report, node,
-                f"morsel template {template.describe()} is on the "
-                f"{template.backend!r} backend, want 'row'",
-            )
-    if node._sample is not None and node._sample._seed is None:
-        _race(
-            report, node,
-            "unseeded sample inside a parallel region is nondeterministic",
-            hint="seed the sample, or leave it serial",
-        )
-    leaf_effect = P.declared_effect(node._leaf)
-    if leaf_effect != P.EFFECT_SOURCE:
-        _race(
-            report, node,
-            f"partitioned leaf {node._leaf.describe()} has declared effect "
-            f"{leaf_effect!r}, want {P.EFFECT_SOURCE!r}",
-        )
 
 
 def _check_predicate(report: Report, node, predicate, schema, what: str) -> None:
@@ -192,29 +134,6 @@ def _check_backend_edges(report: Report, node) -> None:
 
 def _verify_node(report: Report, node) -> None:
     """Dispatch on node class; unknown classes get only generic checks."""
-    if isinstance(node, PP.ParallelMapNode):
-        if not _expect_children(report, node, 1):
-            return
-        _expect_schema(report, node, node.children[0].schema)
-        # The child is the serial template chain the morsel builders were
-        # cloned from; every template (and the partitioned leaf) must still
-        # be on that chain, or folded stats and EXPLAIN would lie.
-        on_chain = []
-        cursor = node.children[0]
-        while cursor is not None:
-            on_chain.append(cursor)
-            cursor = cursor.children[0] if cursor.children else None
-        for template in node._chain:
-            if template not in on_chain:
-                _fail(
-                    report, node,
-                    f"morsel template {template.describe()} is not on the "
-                    "serial chain child",
-                )
-        if node._leaf not in on_chain:
-            _fail(report, node, "partitioned leaf is not on the serial chain")
-        _check_parallel_region(report, node)
-        return
     if isinstance(node, P.ScanNode):
         _expect_children(report, node, 0)
         source = node._source

@@ -7,7 +7,7 @@ Import from here::
     db = open_db()                     # empty database
     db = open_db("weather")           # the paper's synthetic weather data
     session = Session(db)
-    engine = Engine(program, db, workers=4)   # morsel-parallel + result cache
+    engine = Engine(program, db, cache=True)  # reuse plan results
 
 Everything re-exported below is **supported**: names, signatures, and
 observable behaviour are kept compatible across releases of this repo,
@@ -16,10 +16,10 @@ from a deep module path (``repro.dbms.plan``, ``repro.render.scene``,
 …) is an **internal** and may change in any commit — see ``docs/API.md``
 for the full contract.
 
-New in this release: keyword-only ``workers=`` / ``cache=`` knobs on
-:class:`Engine` (and the ``REPRO_PARALLEL`` environment variable) turning
-on partition-parallel plan execution with a process-wide result cache —
-see ``docs/PARALLELISM.md``.
+New in this release: the keyword-only ``cache=`` knob on :class:`Engine`
+turns on the process-wide result cache, which reuses materialized plan
+results across demands, engines, and slaved viewers until a table they
+read changes — see ``docs/RESULT_CACHE.md``.
 
 Also new: the columnar execution backend.  ``Engine(columnar=True)`` (or
 ``REPRO_COLUMNAR=1``, or a :class:`ColumnarConfig`) lets the plan
@@ -66,7 +66,10 @@ Deprecated this release (removed next): mutating a :class:`Viewer`
 directly (``viewer.pan``/``pan_to``/``zoom``/``set_elevation``/
 ``set_slider``).  Those methods now emit :class:`DeprecationWarning` and
 forward to the protocol layer's internals; call the ``Session`` wrappers
-instead.
+instead.  ``Engine(workers=)`` is accepted for one more release but has no
+effect and emits :class:`DeprecationWarning`: morsel-parallel execution
+was removed, together with its config class and the ``config_from_env``,
+``default_config``, and ``set_default_config`` helpers.
 """
 
 from __future__ import annotations
@@ -137,13 +140,7 @@ from repro.dbms.columnar import (
     default_columnar_config,
     set_default_columnar_config,
 )
-from repro.dbms.plan_parallel import (
-    ParallelConfig,
-    config_from_env,
-    default_config,
-    result_cache,
-    set_default_config,
-)
+from repro.dbms.result_cache import result_cache
 from repro.errors import TiogaError
 from repro.obs import (
     LINEAGE_SCHEMA,
@@ -221,11 +218,7 @@ __all__ = [
     "EngineStats",
     "explain",
     "explain_data",
-    # Parallelism & caching
-    "ParallelConfig",
-    "config_from_env",
-    "default_config",
-    "set_default_config",
+    # Result cache
     "result_cache",
     # Columnar backend
     "ColumnarConfig",

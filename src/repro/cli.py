@@ -56,9 +56,7 @@ The inspection subcommands (``lint``, ``explain``, ``stats``, ``trace``,
 ``--json`` (machine-readable output), ``--timing`` (span-tree timing
 breakdown of the run), ``--strict`` (exit nonzero on soft problems —
 lint warnings, plan degradation notes, dropped trace spans, blank
-canvases), ``--workers N`` (install a process-wide parallel
-execution config; ``N <= 1`` forces fully serial, see
-``docs/PARALLELISM.md``), and ``--columnar`` (install the vectorized
+canvases), and ``--columnar`` (install the vectorized
 columnar backend as the process default; identical rows and pixels,
 see ``docs/COLUMNAR.md``).
 """
@@ -89,8 +87,8 @@ def _common_flags() -> argparse.ArgumentParser:
     """Shared parent parser for the inspection subcommands.
 
     ``lint``/``explain``/``stats``/``trace``/``render`` all inherit the
-    same four flags instead of re-declaring per-command copies, so
-    ``--json``/``--timing``/``--strict``/``--workers`` mean the same thing
+    same flags instead of re-declaring per-command copies, so
+    ``--json``/``--timing``/``--strict``/``--columnar`` mean the same thing
     (and spell the same way) everywhere.
     """
     common = argparse.ArgumentParser(add_help=False)
@@ -106,11 +104,6 @@ def _common_flags() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit nonzero on soft problems too (lint warnings, plan "
         "degradation notes, dropped trace spans, blank canvases)",
-    )
-    common.add_argument(
-        "--workers", type=int, metavar="N",
-        help="execute plans with N-way morsel parallelism and the shared "
-        "result cache (N <= 1 forces fully serial execution)",
     )
     common.add_argument(
         "--columnar", action="store_true",
@@ -352,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     render = commands.add_parser(
         "render", parents=[common],
         help="render figure scenarios to images (the inspection-flag "
-        "sibling of `figures`: adds --json/--timing/--strict/--workers)",
+        "sibling of `figures`: adds --json/--timing/--strict/--columnar)",
     )
     render.add_argument("--out-dir", required=True)
     render.add_argument(
@@ -789,17 +782,15 @@ def _cmd_stats(args) -> int:
         return 0
 
     # Pre-register the execution counter set (cache.hit/miss/evict via the
-    # process-wide ResultCache; parallel.morsels and the columnar pair
-    # explicitly) so one `stats` invocation surfaces the full counter
-    # taxonomy even when the run happens not to exercise the cache, the
-    # morsel pool, or the columnar backend — the snapshot then always
-    # carries the complete, pinned key set.
+    # process-wide ResultCache; the columnar pair explicitly) so one
+    # `stats` invocation surfaces the full counter taxonomy even when the
+    # run happens not to exercise the cache or the columnar backend — the
+    # snapshot then always carries the complete, pinned key set.
     from repro.analyze.absint import PROOFS_COUNTER
     from repro.dbms.expr_compile import ELIDED_COUNTER
-    from repro.dbms.plan_parallel import result_cache
+    from repro.dbms.result_cache import result_cache
 
     result_cache()
-    global_registry().counter("parallel.morsels", "morsel tasks executed")
     global_registry().counter(
         "columnar.batches", "column batches produced by columnar kernels")
     global_registry().counter(
@@ -937,9 +928,8 @@ def _cmd_dashboard(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = args.workers if args.workers and args.workers > 1 else 2
     recorder, tracer = record_figure_telemetry(
-        figure=args.figure, renders=args.renders, workers=workers,
+        figure=args.figure, renders=args.renders,
     )
     db = telemetry_database(recorder, tracer)
     scenario = build_dashboard_program(db)
@@ -1214,20 +1204,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     import json
 
-    previous_config = _UNSET
-    if getattr(args, "workers", None) is not None:
-        # --workers installs a process-wide parallel config so every engine
-        # the subcommand creates (Session builds them internally) picks it
-        # up; N <= 1 resolves to serial execution.
-        from repro.dbms.plan_parallel import resolve_config, set_default_config
-
-        previous_config = set_default_config(
-            resolve_config(workers=args.workers)
-        )
     previous_columnar = _UNSET
     if getattr(args, "columnar", False):
-        # Same pattern for --columnar: a process-wide default so every
-        # engine the subcommand creates runs eligible subtrees vectorized.
+        # --columnar installs a process-wide default so every engine the
+        # subcommand creates (Session builds them internally) runs eligible
+        # subtrees vectorized.
         from repro.dbms.columnar import (
             ColumnarConfig,
             default_columnar_config,
@@ -1249,10 +1230,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: not a database file: {exc}", file=sys.stderr)
         return 1
     finally:
-        if previous_config is not _UNSET:
-            from repro.dbms.plan_parallel import set_default_config
-
-            set_default_config(previous_config)
         if previous_columnar is not _UNSET:
             from repro.dbms.columnar import set_default_columnar_config
 

@@ -18,6 +18,7 @@ affordable; the ablation benchmarks measure it directly.
 
 from __future__ import annotations
 
+import warnings
 from typing import Any
 
 from repro.dataflow.box import Box
@@ -25,7 +26,7 @@ from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
 from repro.dbms.columnar import ColumnarConfig, resolve_columnar_config
 from repro.dbms.plan import LazyRowSet
-from repro.dbms.plan_parallel import resolve_config
+from repro.dbms.result_cache import cache_enabled, execute_cached
 from repro.display.displayable import Composite, DisplayableRelation, Group
 from repro.errors import GraphError, StaticAnalysisError, TiogaError
 from repro.obs.lineage import (
@@ -39,25 +40,66 @@ from repro.obs.trace import current_tracer
 __all__ = ["FireContext", "EngineStats", "Engine"]
 
 
-def _force_value(value: Any) -> Any:
+def _force_value(
+    value: Any, columnar: ColumnarConfig | None, cache: bool
+) -> Any:
     """Materialize any lazily-streamed row sets inside a demanded value.
 
     Boxes emit plan fragments wrapped in :class:`LazyRowSet`; demand is the
     materialization boundary, so data-dependent evaluation errors surface
     here — from ``output_of``/``evaluate_all`` — exactly where they surfaced
-    when boxes materialized eagerly.
+    when boxes materialized eagerly.  The walk descends displayable
+    relations, composites, and groups; each lazy set is forced on the
+    columnar backend when ``columnar`` is given and through the result
+    cache when ``cache`` is set (:func:`_force_lazy`).
     """
     if isinstance(value, LazyRowSet):
-        value.force()
+        _force_lazy(value, columnar, cache)
     elif isinstance(value, DisplayableRelation):
-        _force_value(value.rows)
+        _force_value(value.rows, columnar, cache)
     elif isinstance(value, Composite):
         for entry in value.entries:
-            _force_value(entry.relation)
+            _force_value(entry.relation, columnar, cache)
     elif isinstance(value, Group):
         for __, member in value.members:
-            _force_value(member)
+            _force_value(member, columnar, cache)
     return value
+
+
+def _force_lazy(
+    lazy: LazyRowSet, columnar: ColumnarConfig | None, cache: bool
+) -> None:
+    """Materialize one lazy row set, backend- and cache-aware.
+
+    A cache hit installs the shared rows (``lazy.adopt``) and slaved
+    viewers and repeated renders share one materialization this way;
+    ``lazy.cache_status`` records "hit"/"miss" for EXPLAIN.  Fingerprints
+    are taken on the *pre-rewrite* plan and the columnar rewrite is
+    backend-transparent, so one entry serves row and columnar engines.
+    Plans that have already started streaming (a downstream consumer
+    pulled through a CacheNode first) are left untouched: rewriting or
+    adopting into a half-filled shared buffer would corrupt other
+    consumers.
+    """
+    if lazy.is_materialized:
+        return
+
+    def execute():
+        if columnar is not None and not lazy.has_started:
+            from repro.dbms.plan_rewrite import columnarize_plan
+
+            root, __ = columnarize_plan(lazy.plan, columnar)
+            if root is not lazy.plan:
+                lazy.replace_plan(root)
+        return lazy.force()
+
+    if not cache or lazy.has_started:
+        execute()
+        return
+    rows, status = execute_cached(lazy.plan, execute)
+    if status == "hit":
+        lazy.adopt(rows)
+    lazy.cache_status = status
 
 
 class FireContext:
@@ -206,10 +248,16 @@ class Engine:
         self._preflight_stamp: tuple | None = None
         # box_id -> (signature, outputs dict)
         self._cache: dict[int, tuple[tuple, dict[str, Any]]] = {}
-        # Parallel execution + result-cache config.  With both knobs left
-        # None this follows the process default (REPRO_PARALLEL); explicit
-        # workers=0/1 with cache=False forces fully serial execution.
-        self.parallel = resolve_config(workers, cache)
+        if workers is not None:
+            warnings.warn(
+                "Engine(workers=) is deprecated and has no effect; "
+                "use cache=True to reuse plan results (docs/API.md)",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+        # Result cache: None follows the process-wide default (on while a
+        # TiogaServer runs), True/False pin it (docs/RESULT_CACHE.md).
+        self.cache = cache_enabled() if cache is None else bool(cache)
         # Columnar backend selection: None inherits the process default
         # (REPRO_COLUMNAR), False pins the row backend, True/a config
         # enables per-subtree vectorization.  Rows/order are identical
@@ -225,15 +273,8 @@ class Engine:
         """Materialize a demanded value, honoring the execution config."""
         if self.lineage is not None:
             with lineage_capture(self.lineage):
-                return self._force_configured(value)
-        return self._force_configured(value)
-
-    def _force_configured(self, value: Any) -> Any:
-        if self.parallel is None and self.columnar is None:
-            return _force_value(value)
-        from repro.dataflow.parallel import prepare_value
-
-        return prepare_value(value, self.parallel, columnar=self.columnar)
+                return _force_value(value, self.columnar, self.cache)
+        return _force_value(value, self.columnar, self.cache)
 
     # ------------------------------------------------------------------
 

@@ -145,9 +145,6 @@ def _plan_to_dict(node: PlanNode, counter: list[int]) -> dict[str, Any]:
         "children": [_plan_to_dict(child, counter) for child in node.children],
     }
     entry["backend"] = getattr(node, "backend", "row")
-    parallel = getattr(node, "parallel_info", None)
-    if parallel is not None:
-        entry["parallel"] = parallel
     proof = getattr(node, "proof", None)
     if proof is not None:
         entry["proof"] = proof

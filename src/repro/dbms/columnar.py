@@ -24,9 +24,8 @@ materialize their output rows once, re-attach them to the outgoing batch,
 and record output-row → input-row mappings, so backward walks compose by
 identity across the whole columnar pipeline.
 
-:class:`ColumnarConfig` mirrors the :class:`ParallelConfig` pattern from
-``plan_parallel``: a process default installable from ``REPRO_COLUMNAR``,
-overridable per engine with ``Engine(columnar=...)``.  See
+:class:`ColumnarConfig` is a process default installable from
+``REPRO_COLUMNAR``, overridable per engine with ``Engine(columnar=...)``.  See
 ``docs/COLUMNAR.md``.
 """
 
@@ -253,7 +252,7 @@ DEFAULT_BATCH_ROWS = 65_536
 
 
 class ColumnarConfig:
-    """Knobs for the columnar backend (mirrors ``ParallelConfig``)."""
+    """Knobs for the columnar backend."""
 
     __slots__ = ("batch_rows",)
 

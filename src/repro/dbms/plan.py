@@ -87,16 +87,6 @@ __all__ = [
     "plan_verifier",
     "set_plan_annotator",
     "plan_annotator",
-    "EFFECT_PURE",
-    "EFFECT_SOURCE",
-    "EFFECT_RNG",
-    "EFFECT_STATEFUL",
-    "EFFECT_BLOCKING",
-    "EFFECT_ADAPTER",
-    "EFFECT_PARALLEL",
-    "NODE_EFFECTS",
-    "declare_effect",
-    "declared_effect",
     "ColumnarNode",
     "ToColumnsNode",
     "ToRowsNode",
@@ -149,47 +139,6 @@ def set_plan_annotator(hook: Callable[[Expr, "PlanNode"], Any] | None) -> None:
 def plan_annotator() -> Callable[[Expr, "PlanNode"], Any] | None:
     """The installed annotation hook, if any."""
     return _ABSINT_HOOK
-
-
-# ---------------------------------------------------------------------------
-# Declared effects: what each operator may do besides mapping rows to rows.
-# The parallelizer and the plan verifier key off this table — a node class
-# with no declared effect is never parallelized and fails the static race
-# lint (T2-E112) if found inside a parallel region.
-# ---------------------------------------------------------------------------
-
-#: Pure per-row function of its input: safe to run on any morsel in any
-#: worker, results merged by concatenation.
-EFFECT_PURE = "pure"
-#: Produces rows from storage/buffers without consuming plan input.
-EFFECT_SOURCE = "source"
-#: Draws from a random number generator (reproducible only when seeded).
-EFFECT_RNG = "rng"
-#: Carries cross-row mutable state (e.g. a countdown) — order-sensitive.
-EFFECT_STATEFUL = "stateful"
-#: Pipeline breaker: must see its whole input before emitting.
-EFFECT_BLOCKING = "blocking"
-#: Backend adapter: changes representation, not contents.
-EFFECT_ADAPTER = "adapter"
-#: A parallel region operator itself (owns its own worker coordination).
-EFFECT_PARALLEL = "parallel"
-
-#: Exact-class effect declarations (subclasses deliberately do NOT inherit:
-#: an undeclared subclass may override ``_produce`` with arbitrary
-#: behavior, so it gets no effect — and therefore no parallelization).
-NODE_EFFECTS: dict[type, str] = {}
-
-
-def declare_effect(cls: type, effect: str) -> type:
-    """Register ``cls``'s declared effect (last declaration wins)."""
-    NODE_EFFECTS[cls] = effect
-    return cls
-
-
-def declared_effect(node_or_cls: Any) -> str | None:
-    """The declared effect for a node (or node class), exact-class lookup."""
-    cls = node_or_cls if isinstance(node_or_cls, type) else type(node_or_cls)
-    return NODE_EFFECTS.get(cls)
 
 
 def _lineage_store(node: "PlanNode") -> LineageStore | None:
@@ -1162,7 +1111,7 @@ class LazyRowSet(RowSet):
         self._done = True
 
     def replace_plan(self, plan: PlanNode) -> None:
-        """Swap in an equivalent plan (e.g. a parallelized rewrite).
+        """Swap in an equivalent plan (e.g. a columnarized rewrite).
 
         Only legal before any execution has started, and the replacement must
         preserve the schema — downstream consumers already saw it.
@@ -2083,39 +2032,3 @@ class ColumnarHashJoinNode(ColumnarNode):
     def describe(self) -> str:
         return f"HashJoin[{self._left_key} = {self._right_key}]"
 
-
-# ---------------------------------------------------------------------------
-# Effect declarations for every operator in this module.  plan_parallel
-# declares its own region operators; test-defined subclasses are
-# intentionally undeclared (exact-class lookup) until they declare.
-# ---------------------------------------------------------------------------
-
-for _cls, _effect in (
-    (ScanNode, EFFECT_SOURCE),
-    (CacheNode, EFFECT_SOURCE),
-    (ProjectNode, EFFECT_PURE),
-    (RestrictNode, EFFECT_PURE),
-    (RenameNode, EFFECT_PURE),
-    (SampleNode, EFFECT_RNG),
-    (LimitNode, EFFECT_STATEFUL),
-    (OrderByNode, EFFECT_BLOCKING),
-    (DistinctNode, EFFECT_BLOCKING),
-    (GroupByNode, EFFECT_BLOCKING),
-    (UnionNode, EFFECT_BLOCKING),
-    (CrossProductNode, EFFECT_BLOCKING),
-    (NestedLoopJoinNode, EFFECT_BLOCKING),
-    (HashJoinNode, EFFECT_BLOCKING),
-    (ThetaJoinNode, EFFECT_BLOCKING),
-    (ToColumnsNode, EFFECT_ADAPTER),
-    (ToRowsNode, EFFECT_ADAPTER),
-    (ColumnarRestrictNode, EFFECT_PURE),
-    (ColumnarProjectNode, EFFECT_PURE),
-    (ColumnarRenameNode, EFFECT_PURE),
-    (ColumnarLimitNode, EFFECT_STATEFUL),
-    (ColumnarDistinctNode, EFFECT_BLOCKING),
-    (ColumnarOrderByNode, EFFECT_BLOCKING),
-    (ColumnarGroupByNode, EFFECT_BLOCKING),
-    (ColumnarHashJoinNode, EFFECT_BLOCKING),
-):
-    declare_effect(_cls, _effect)
-del _cls, _effect

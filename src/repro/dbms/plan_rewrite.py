@@ -117,7 +117,7 @@ def rename_fields(expr: Expr, mapping: dict[str, str]) -> Expr:
 
 
 def optimize_plan(
-    root: PlanNode, log: list[str] | None = None, *, parallel=None,
+    root: PlanNode, log: list[str] | None = None, *,
     columnar: ColumnarConfig | None = None,
 ) -> tuple[PlanNode, list[str]]:
     """Apply plan rewrites until fixpoint; returns (new root, rewrite log).
@@ -125,11 +125,8 @@ def optimize_plan(
     Rewrites rebuild nodes (constructors re-validate), so only apply this to
     plans that have not started executing — rebuilt nodes carry fresh stats.
 
-    When ``parallel`` (a :class:`repro.dbms.plan_parallel.ParallelConfig`)
-    is given and enables multiple workers, a parallelize pass wraps
-    morsel-friendly subtrees in parallel operators; when ``columnar`` (a
-    :class:`repro.dbms.columnar.ColumnarConfig`) is given,
-    :func:`columnarize_plan` then swaps profitable subtrees onto the
+    When ``columnar`` (a :class:`repro.dbms.columnar.ColumnarConfig`) is
+    given, :func:`columnarize_plan` then swaps profitable subtrees onto the
     vectorized backend behind ToColumns/ToRows adapters.  Output rows,
     order, and schemas are unchanged either way.
 
@@ -152,10 +149,6 @@ def optimize_plan(
         from repro.analyze.absint import absint_rewrite_plan
 
         root, log = absint_rewrite_plan(root, log)
-    if parallel is not None and parallel.parallel:
-        from repro.dbms.plan_parallel import parallelize_plan
-
-        root, log = parallelize_plan(root, parallel, log, columnar=columnar)
     if columnar is not None:
         root, log = columnarize_plan(root, columnar, log)
     if root.schema != original_schema:
@@ -173,13 +166,11 @@ def optimize_plan(
 def _rewrite(node: PlanNode, log: list[str]) -> tuple[PlanNode, bool]:
     # Leaves stop the walk.  A CacheNode's child belongs to another (shared,
     # possibly executing) plan: it is shown by EXPLAIN but never rewritten.
-    # Parallel operators also stop it: their child is the serial template
-    # their morsel builders were derived from, and must stay in sync.
-    # Columnar operators likewise: their kernels were derived from serial
-    # templates by columnarize_plan and are not restructured afterwards.
+    # Columnar operators also stop it: their kernels were derived from
+    # serial templates by columnarize_plan and are not restructured
+    # afterwards.
     if (
         isinstance(node, (ScanNode, CacheNode))
-        or hasattr(node, "parallel_info")
         or hasattr(node, "columnar_info")
     ):
         return node, False
@@ -322,7 +313,7 @@ def columnarize_plan(
     top and :class:`ToColumnsNode` adapters at the bottom edges.  Each
     kernel keeps its serial original as a ``template`` so executed row
     counters fold back where external callers look for them.  Leaves,
-    Cache boundaries, and parallel operators stop the walk exactly as in
+    Cache boundaries, and columnar operators stop the walk exactly as in
     the rewrite pass; everything outside a region stays on the row backend
     untouched.  Row output, ordering, and schemas are invariant.
     """
@@ -386,7 +377,6 @@ def columnarize_plan(
     def _stop(node: PlanNode) -> bool:
         return (
             isinstance(node, (ScanNode, CacheNode))
-            or hasattr(node, "parallel_info")
             or hasattr(node, "columnar_info")
         )
 

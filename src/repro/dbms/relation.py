@@ -244,7 +244,7 @@ class Table:
 
         The row set is memoized until the next mutation: repeated snapshots of
         an unchanged table return the *same* object, which lets plan
-        fingerprints (``repro.dbms.plan_parallel``) recognize scans of the same
+        fingerprints (``repro.dbms.result_cache``) recognize scans of the same
         stored data across independently built plans and engines.
         """
         if self._snapshot is None:

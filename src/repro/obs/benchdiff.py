@@ -2,9 +2,9 @@
 
 The benchmark suite writes two artifact kinds — ``BENCH_obs.json``
 (``repro.bench/1``: per-test pytest-benchmark timings + span rollups) and
-``BENCH_parallel.json`` (``repro.bench.parallel/1``: timing arms per worker
-count + speedups).  :func:`diff_bench` routes on the payload's own schema
-tag and compares the metrics that matter for each:
+``BENCH_parallel.json`` (``repro.bench.parallel/1``: result-cache cold and
+warm timing arms + speedups).  :func:`diff_bench` routes on the payload's
+own schema tag and compares the metrics that matter for each:
 
 * ``repro.bench.parallel/1`` — every arm's ``seconds`` (wall time, higher
   is worse) and the headline ``speedup`` (higher is better).
@@ -15,7 +15,7 @@ A comparison regresses when it moves past its metric's threshold (default
 skipped as noise (micro-benchmarks jitter far more than 25% between runs).
 The CLI front-end is ``repro bench-diff`` — the CI observability job runs
 it against the committed ``benchmarks/baselines/`` snapshots, which is the
-gate that keeps the recorded 5–7x parallel speedups from silently
+gate that keeps the recorded warm-cache speedups from silently
 regressing.  See ``docs/OBSERVABILITY.md``.
 """
 

@@ -46,7 +46,6 @@ __all__ = [
 RATE_SERIES_METRICS = (
     "render.tuples_rendered",
     "engine.box.fires",
-    "parallel.morsels",
 )
 
 #: World-coordinate chart box every table is normalized into.
@@ -101,24 +100,19 @@ AXES_SCHEMA = Schema([
 def record_figure_telemetry(
     figure: str = "fig4",
     renders: int = 3,
-    workers: int = 2,
     recorder: MetricsRecorder | None = None,
 ) -> tuple[MetricsRecorder, Tracer]:
     """Render a figure scenario ``renders`` times under full telemetry.
 
-    Renders run with the PR-4 parallel config installed (``workers`` > 1)
-    and a cold engine on the first pass, so engine fires, morsel counters,
-    *and* result-cache hits/misses all move; the recorder samples between
-    renders, which is what gives the delta/rate series their time axis.
-    Returns the recorder and the tracer holding the spans.
+    Renders run with the process-wide result cache on and a cold engine on
+    the first pass, so engine fires *and* result-cache hits/misses both
+    move; the recorder samples between renders, which is what gives the
+    delta/rate series their time axis.  Returns the recorder and the
+    tracer holding the spans.
     """
     from repro.core import scenarios as _scenarios
     from repro.data.weather import build_weather_database
-    from repro.dbms.plan_parallel import (
-        resolve_config,
-        result_cache,
-        set_default_config,
-    )
+    from repro.dbms.result_cache import result_cache, set_cache_enabled
 
     builders = {
         "fig1": _scenarios.build_fig1_table_view,
@@ -152,7 +146,7 @@ def record_figure_telemetry(
     from repro.dataflow.engine import EngineStats
 
     session.engine.stats = EngineStats(global_registry())
-    previous = set_default_config(resolve_config(workers=workers))
+    previous = set_cache_enabled(True)
     try:
         with push_tracer(tracer):
             recorder.sample()
@@ -162,7 +156,7 @@ def record_figure_telemetry(
                     session.window(name).render()
                 recorder.sample()
     finally:
-        set_default_config(previous)
+        set_cache_enabled(previous)
     return recorder, tracer
 
 
@@ -421,7 +415,6 @@ def build_dashboard_program(db: Database):
 def build_telemetry_dashboard(
     figure: str = "fig4",
     renders: int = 3,
-    workers: int = 2,
     recorder: MetricsRecorder | None = None,
     tracer: Tracer | None = None,
 ):
@@ -433,8 +426,7 @@ def build_telemetry_dashboard(
     """
     if recorder is None or (tracer is None and recorder.tracer is None):
         recorder, tracer = record_figure_telemetry(
-            figure=figure, renders=renders, workers=workers,
-            recorder=recorder,
+            figure=figure, renders=renders, recorder=recorder,
         )
     db = telemetry_database(recorder, tracer)
     return db, build_dashboard_program(db)

@@ -368,13 +368,14 @@ def validate_bench_summary(obj: Any) -> dict[str, Any]:
 def validate_parallel_bench(obj: Any) -> dict[str, Any]:
     """Check a ``BENCH_parallel.json`` payload; returns it on success.
 
-    Each benchmark compares timing arms (worker counts) on one workload::
+    Each benchmark compares timing arms on one workload — the result
+    cache off (``cold``) and on (``warm``)::
 
         {"schema": "repro.bench.parallel/1",
          "benchmarks": [
              {"name": "join_slaved_viewers",
-              "arms": {"serial": {"workers": 0, "seconds": 0.41},
-                       "workers_4": {"workers": 4, "seconds": 0.11}},
+              "arms": {"cold": {"cache": false, "seconds": 0.41},
+                       "warm": {"cache": true, "seconds": 0.11}},
               "speedup": 3.7,
               "cache": {"hits": 7, "misses": 1}}]}
     """
@@ -410,12 +411,6 @@ def validate_parallel_bench(obj: Any) -> dict[str, Any]:
                 raise ObservabilityError(
                     f"benchmarks[{index}] arm {arm_name!r} needs "
                     "non-negative numeric 'seconds'"
-                )
-            workers = arm.get("workers")
-            if not isinstance(workers, int) or workers < 0:
-                raise ObservabilityError(
-                    f"benchmarks[{index}] arm {arm_name!r} needs "
-                    "non-negative integer 'workers'"
                 )
         speedup = entry.get("speedup")
         if speedup is not None and (

@@ -143,9 +143,8 @@ def resolve_lineage_config(lineage=None) -> LineageConfig | None:
 class _CaptureState:
     """One active capture: a config plus recording tallies.
 
-    Tallies are plain ints bumped without a lock — morsel workers may race
-    on them, which can undercount a metric but never corrupt a store (each
-    morsel's rebuilt nodes own private stores, merged on the main thread).
+    Tallies are plain ints bumped without a lock: concurrent captures may
+    race on them, which can undercount a metric but never corrupt a store.
     """
 
     __slots__ = ("config", "recorded", "dropped")
@@ -257,10 +256,6 @@ class LineageStore:
             return None
         return entry[1], entry[2]
 
-    def merge(self, other: "LineageStore") -> None:
-        """Fold another store's mappings in (parallel morsel fold-back)."""
-        self._map.update(other._map)
-
 
 # ---------------------------------------------------------------------------
 # The why-provenance walk
@@ -326,7 +321,6 @@ class _Walker:
 
     def walk(self, node, row) -> dict[str, Any]:
         from repro.dbms import plan as P
-        from repro.dbms import plan_parallel as PP
 
         path: dict[str, Any] = {"op": node.label, "detail": node.describe()}
 
@@ -345,7 +339,6 @@ class _Walker:
             P.DistinctNode, P.ToColumnsNode, P.ToRowsNode,
             P.ColumnarRestrictNode, P.ColumnarLimitNode,
             P.ColumnarDistinctNode, P.ColumnarOrderByNode,
-            PP.ParallelMapNode,
         )):
             path["children"] = [self.walk(node.children[0], row)]
             return path

@@ -41,7 +41,7 @@ class _Metric:
     def __init__(self, name: str, description: str = ""):
         self.name = name
         self.description = description
-        # Updates must be lock-protected: parallel morsel workers increment
+        # Updates must be lock-protected: server pool workers increment
         # counters concurrently, and ``dict.get`` + assignment is not atomic.
         self._update_lock = threading.Lock()
 

@@ -11,10 +11,10 @@ module adds the time axis:
 * :class:`MetricsRecorder` — samples a registry (and optionally a tracer's
   span rollups) into one :class:`TimeSeries` per metric/label, deriving
   per-interval **deltas** and **rates** for counters so cache hit-rate and
-  morsel throughput can be watched evolving across a session.  Sampling is
+  render throughput can be watched evolving across a session.  Sampling is
   cheap (a lock-guarded walk of the snapshot dicts) and safe to run from a
-  background thread (:meth:`MetricsRecorder.start`) while ``workers=4``
-  engines fire concurrently.
+  background thread (:meth:`MetricsRecorder.start`) while engines on
+  other threads fire concurrently.
 
 Exports: :meth:`MetricsRecorder.snapshot` is a stable JSON-ready dict
 (schema ``repro.timeseries/1``, checked by :func:`validate_timeseries`) and
@@ -151,8 +151,8 @@ class MetricsRecorder:
     append ``|delta`` / ``|rate``.
 
     All public methods are thread-safe: a recorder started with
-    :meth:`start` samples from a daemon thread while ``workers=4`` engines
-    increment the same registry, and the underlying metrics guard their own
+    :meth:`start` samples from a daemon thread while engines on other
+    threads increment the same registry, and the underlying metrics guard their own
     updates, so a sample never sees a torn per-label write.
     """
 

@@ -23,15 +23,7 @@ import numpy as np
 from repro.dbms.columnar import default_columnar_config
 from repro.dbms.expr import Binary, FieldRef, Literal
 from repro.dbms.plan import RestrictNode, source_plan
-from repro.dbms.plan_parallel import (
-    default_config,
-    parallelize_plan,
-    plan_fingerprint,
-    plan_read_set,
-    result_cache,
-    storage_epoch,
-)
-from repro.dbms.relation import table_epochs
+from repro.dbms.result_cache import cache_enabled, execute_cached
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
 from repro.display.displayable import (
@@ -483,57 +475,33 @@ def _try_fast_scatter(
 
 
 def _execute_cull_plan(viewport_node, slider_node):
-    """Run a synthesized cull plan, parallel- and cache-aware.
+    """Run a synthesized cull plan, columnar- and cache-aware.
 
-    With no process-wide parallel config this is a plain serial execution.
-    Otherwise the plan may be morsel-parallelized (output order and row
-    identity are preserved, so the caller's identity walk still recovers
-    original indices) and its result memoized in the process-wide result
-    cache keyed by extent + source identity + storage epoch — a repeated
-    pan/zoom visit of the same extent skips the cull entirely.  Entry meta
-    carries the per-node counters so SceneStats stays exact on a hit.
+    With the process-wide columnar config the plan runs on the vectorized
+    backend; the rewrite keeps row identity (columnar Restrict selects from
+    cached whole-source batches that hand back the original Tuple objects),
+    so the caller's identity walk still recovers original indices.  With
+    the process-wide result cache on, the result is memoized keyed by
+    extent + source identity + storage epoch — a repeated pan/zoom visit of
+    the same extent skips the cull entirely.  Entry meta carries the
+    per-node counters so SceneStats stays exact on a hit.
     """
-    config = default_config()
     columnar = default_columnar_config()
-    if config is None and columnar is None:
-        return list(viewport_node.rows_iter())
 
+    def execute():
+        root = viewport_node
+        if columnar is not None:
+            from repro.dbms.plan_rewrite import columnarize_plan
+
+            root, __ = columnarize_plan(root, columnar)
+        return list(root.rows_iter())
+
+    if not cache_enabled():
+        return execute()
     counted = [node for node in (slider_node, viewport_node)
                if node is not None]
-    key = None
-    pins: tuple = ()
-    epoch = None
-    if config is not None and config.cache:
-        fingerprint = plan_fingerprint(viewport_node)
-        if fingerprint is not None:
-            key, pins = fingerprint
-            cached = result_cache().lookup(key)
-            if cached is not None:
-                rows, meta = cached
-                for node, (rows_in, rows_out) in zip(counted, meta or ()):
-                    node.stats.rows_in += rows_in
-                    node.stats.rows_out += rows_out
-                return list(rows)
-            tables = plan_read_set(viewport_node)
-            epoch = (table_epochs(tables) if tables is not None
-                     else storage_epoch())
-
-    # The rewrites keep row identity (columnar Restrict selects from cached
-    # whole-source batches that hand back the original Tuple objects) and
-    # fold per-node counters back into the synthesized Restricts, so the
-    # caller's identity walk and SceneStats stay exact on every backend.
-    root = viewport_node
-    if config is not None and config.parallel:
-        root, __ = parallelize_plan(viewport_node, config, columnar=columnar)
-    if columnar is not None:
-        from repro.dbms.plan_rewrite import columnarize_plan
-
-        root, __ = columnarize_plan(root, columnar)
-    kept = list(root.rows_iter())
-    if key is not None and epoch is not None:
-        meta = [(node.stats.rows_in, node.stats.rows_out) for node in counted]
-        result_cache().store(key, kept, pins, epoch, meta=meta)
-    return kept
+    rows, __ = execute_cached(viewport_node, execute, counted)
+    return list(rows)
 
 
 def _try_plan_cull(

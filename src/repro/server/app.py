@@ -47,9 +47,8 @@ Concurrency model: the asyncio loop owns all sockets; command execution
 (CPU-bound rendering) runs on a thread pool, serialized per session by a
 lock — many sessions make progress concurrently, one session's commands
 keep their order.  All sessions share the process result cache (the server
-installs a caching parallel config on start), so two viewers panning over
-the same figure hit each other's cached plan results — cross-*user* slaving
-of the PR-4 cache.
+turns it on at start), so two viewers panning over the same figure hit
+each other's cached plan results — cross-*user* slaving.
 
 Backpressure: each connection has a bounded send queue.  When a slow
 consumer lets it fill, queued *frame* responses for the same window are
@@ -73,7 +72,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.dataflow.serialize import program_to_dict
 from repro.dbms.catalog import Database
-from repro.dbms.plan_parallel import resolve_config, set_default_config
+from repro.dbms.result_cache import set_cache_enabled
 from repro.errors import TiogaError
 from repro.obs.flightrec import current_flight_recorder
 from repro.obs.log import ACCESS_LOGGER, get_logger
@@ -242,7 +241,7 @@ class TiogaServer:
             max_workers=pool_workers, thread_name_prefix="tioga-exec")
         self._asyncio_server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
-        self._previous_config: Any = None
+        self._previous_cache = False
         self._recorder = MetricsRecorder(self.registry)
         #: Request observability: the server owns a tracer (installed as the
         #: process tracer while running), a continuous profiler, and the
@@ -489,9 +488,9 @@ class TiogaServer:
 
     async def start(self) -> None:
         """Bind the port and begin accepting connections."""
-        # Cross-session cache sharing: every hosted session executes under
-        # a caching config, restored on stop.
-        self._previous_config = set_default_config(resolve_config(cache=True))
+        # Cross-session cache sharing: every hosted session executes with
+        # the result cache on, restored on stop.
+        self._previous_cache = set_cache_enabled(True)
         if self.tracer is not None:
             # The engine/render layers trace through the process tracer;
             # installing ours for the server's lifetime is what stitches
@@ -530,7 +529,7 @@ class TiogaServer:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
         self._pool.shutdown(wait=True)
-        set_default_config(self._previous_config)
+        set_cache_enabled(self._previous_cache)
         if self.profiler is not None:
             self.profiler.stop()
         if self.tracer is not None:

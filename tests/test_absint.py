@@ -1,6 +1,6 @@
 """Abstract interpretation (repro.analyze.absint): domains, hazard proofs,
-guard elision, certified rewrites (T2-W204/T2-W205), the parallel-region
-effect lint (T2-E112), and deep program checking (T2-I301)."""
+guard elision, certified rewrites (T2-W204/T2-W205), and deep program
+checking (T2-I301)."""
 
 from __future__ import annotations
 
@@ -25,19 +25,13 @@ from repro.analyze.absint import (
     top_env,
 )
 from repro.analyze.diagnostics import CODES, register_code
-from repro.analyze.planverify import assert_valid_plan, verify_plan
+from repro.analyze.planverify import assert_valid_plan
 from repro.dbms import plan as P
 from repro.dbms import types as T
 from repro.dbms.catalog import stats_for
 from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.expr import Binary, Call, FieldRef, Literal
 from repro.dbms.parser import parse_expression, parse_predicate
-from repro.dbms.plan_parallel import (
-    ParallelConfig,
-    ParallelHashJoinNode,
-    ParallelMapNode,
-    parallelize_plan,
-)
 from repro.dbms.plan_rewrite import columnarize_plan, optimize_plan
 from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Schema
@@ -351,18 +345,6 @@ class TestGuardElision:
         assert plan.children[0].proof is None
         assert "proof=" not in P.explain_plan(plan)
 
-    def test_parallel_map_carries_proof(self):
-        set_absint_enabled(True)
-        config = ParallelConfig(workers=2, morsel_size=8)
-        plan, _ = parallelize_plan(
-            self._plan(), config, columnar=ColumnarConfig()
-        )
-        assert isinstance(plan, ParallelMapNode)
-        assert plan.proof is not None and "div_zero" in plan.proof
-        rows = list(plan.execute())
-        serial = list(self._plan().execute())
-        assert rows == serial
-
     def test_enable_disable_roundtrip(self):
         assert absint_enabled() is False
         assert set_absint_enabled(True) is False
@@ -465,103 +447,11 @@ class TestCertifiedRewrites:
         assert not any("absint" in line for line in log)
 
 
-class TestEffectsTable:
-    def test_every_plan_operator_declares_an_effect(self):
-        undeclared = [
-            name
-            for name, obj in vars(P).items()
-            if isinstance(obj, type)
-            and issubclass(obj, P.PlanNode)
-            and obj not in (P.PlanNode, P.ColumnarNode)
-            and P.declared_effect(obj) is None
-        ]
-        assert undeclared == []
-
-    def test_parallel_operators_declare_parallel(self):
-        assert P.declared_effect(ParallelMapNode) == P.EFFECT_PARALLEL
-        assert P.declared_effect(ParallelHashJoinNode) == P.EFFECT_PARALLEL
-
-    def test_subclasses_do_not_inherit(self):
-        class ShadowRestrict(P.RestrictNode):
-            pass
-
-        assert P.declared_effect(ShadowRestrict) is None
-        node = ShadowRestrict(
-            P.ScanNode(num_rows(3)), parse_predicate("n < 2", NUMS)
-        )
-        assert P.declared_effect(node) is None
-
-
-class TestRaceLint:
-    """T2-E112: only declared-pure operators may run inside a parallel
-    region, and the partitioned leaf must be a declared source."""
-
-    def _parallel(self, chain_root, leaf, chain, sample=None):
-        return ParallelMapNode(
-            chain_root, leaf, chain, sample, ParallelConfig(workers=2)
-        )
-
-    def test_clean_region_verifies(self):
-        plan = P.RestrictNode(
-            P.ScanNode(num_rows(100)), parse_predicate("n < 50", NUMS)
-        )
-        wrapped, _ = parallelize_plan(
-            plan, ParallelConfig(workers=2, morsel_size=8)
-        )
-        assert isinstance(wrapped, ParallelMapNode)
-        report = verify_plan(wrapped)
-        assert report.ok, report.render()
-
-    def test_undeclared_impure_template_rejected(self):
-        class ImpureRestrict(P.RestrictNode):
-            """A test double with (hypothetical) side effects — undeclared."""
-
-        node = ImpureRestrict(
-            P.ScanNode(num_rows(10)), parse_predicate("n < 5", NUMS)
-        )
-        region = self._parallel(node, node.children[0], [node])
-        report = verify_plan(region)
-        findings = report.by_code("T2-E112")
-        assert findings and not report.ok
-        assert any("declared effect" in d.message for d in findings)
-
-    def test_parallelize_never_accepts_undeclared_subclass(self):
-        class ImpureRestrict(P.RestrictNode):
-            pass
-
-        plan = ImpureRestrict(
-            P.ScanNode(num_rows(100)), parse_predicate("n < 50", NUMS)
-        )
-        wrapped, _ = parallelize_plan(
-            plan, ParallelConfig(workers=2, morsel_size=8)
-        )
-        assert not isinstance(wrapped, ParallelMapNode)
-
-    def test_blocking_leaf_rejected(self):
-        distinct = P.DistinctNode(P.ScanNode(num_rows(10)))
-        restrict = P.RestrictNode(distinct, parse_predicate("n < 5", NUMS))
-        region = self._parallel(restrict, distinct, [restrict])
-        report = verify_plan(region)
-        assert "T2-E112" in report.codes()
-
-    def test_unseeded_sample_rejected(self):
-        sample = P.SampleNode(P.ScanNode(num_rows(20)), 0.5, seed=3)
-        restrict = P.RestrictNode(sample, parse_predicate("n < 5", NUMS))
-        region = self._parallel(
-            restrict, sample.children[0], [restrict], sample=sample
-        )
-        assert verify_plan(region).ok
-        sample._seed = None
-        report = verify_plan(self._parallel(
-            restrict, sample.children[0], [restrict], sample=sample
-        ))
-        assert "T2-E112" in report.codes()
-
-
 class TestDiagnosticCatalog:
     def test_new_codes_registered(self):
-        for code in ("T2-W204", "T2-W205", "T2-E112", "T2-I301"):
+        for code in ("T2-W204", "T2-W205", "T2-I301"):
             assert code in CODES
+        assert "T2-E112" not in CODES    # retired, never reused
 
     def test_duplicate_registration_raises(self):
         with pytest.raises(ValueError):

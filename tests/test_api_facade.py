@@ -8,6 +8,7 @@ and deep module imports keep working for internal use.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro
@@ -25,10 +26,17 @@ class TestFacadeSurface:
                      "build_weather_database", "explain", "explain_data"):
             assert name in api.__all__
 
-    def test_parallel_knobs_exported(self):
-        for name in ("ParallelConfig", "config_from_env", "default_config",
-                     "set_default_config", "result_cache"):
-            assert name in api.__all__
+    def test_result_cache_exported(self):
+        assert "result_cache" in api.__all__
+
+    def test_removed_parallel_knobs_are_gone(self):
+        # Removed with morsel parallelism (docs/API.md, "Deprecations").
+        for name in ("config_from_env", "default_config",
+                     "set_default_config"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
+        assert not [name for name in api.__all__
+                    if name.startswith("Parallel")]
 
     def test_box_catalog_exported(self):
         for name in ("AddTableBox", "RestrictBox", "ProjectBox", "JoinBox",
@@ -75,10 +83,10 @@ class TestDeepImportsStillWork:
 
         assert DeepEngine is api.Engine
 
-    def test_parallel_layer(self):
-        from repro.dbms.plan_parallel import ParallelConfig as DeepConfig
+    def test_result_cache_layer(self):
+        from repro.dbms.result_cache import result_cache as deep_cache
 
-        assert DeepConfig is api.ParallelConfig
+        assert deep_cache is api.result_cache
 
 
 class TestEndToEndThroughFacade:
@@ -88,7 +96,19 @@ class TestEndToEndThroughFacade:
         source = program.add_box(api.AddTableBox(table="Stations"))
         keep = program.add_box(api.RestrictBox(predicate="latitude > 40"))
         program.connect(source, "out", keep, "in")
-        engine = api.Engine(program, db, workers=4)
+        engine = api.Engine(program, db, cache=True)
         rows = engine.output_of(keep).rows.force()
         assert rows
         assert all(row["latitude"] > 40 for row in rows)
+
+
+class TestDeprecatedWorkersKnob:
+    def test_workers_warns_and_renders_identically(self):
+        scenario = api.build_fig4_station_map(api.open_db("weather"))
+        session = scenario.session
+        window = scenario.window()
+        baseline = window.render().pixels.copy()
+        with pytest.warns(DeprecationWarning, match="workers"):
+            session.engine = api.Engine(session.program, session.database,
+                                        workers=4)
+        assert np.array_equal(window.render().pixels, baseline)

@@ -17,15 +17,15 @@ from repro.obs.export import (
 )
 
 
-def parallel_payload(seconds_1=1.0, seconds_4=0.2, speedup=5.0,
+def parallel_payload(seconds_cold=1.0, seconds_warm=0.2, speedup=5.0,
                      name="scatter_repeated_renders"):
     return {
         "schema": PARALLEL_BENCH_SCHEMA,
         "benchmarks": [{
             "name": name,
             "arms": {
-                "serial": {"workers": 0, "seconds": seconds_1},
-                "workers4": {"workers": 4, "seconds": seconds_4},
+                "cold": {"cache": False, "seconds": seconds_cold},
+                "warm": {"cache": True, "seconds": seconds_warm},
             },
             "speedup": speedup,
         }],
@@ -93,13 +93,13 @@ def test_identity_diff_has_no_regressions():
 
 
 def test_parallel_slowdown_and_speedup_direction():
-    base = parallel_payload(seconds_1=1.0, seconds_4=0.2, speedup=5.0)
+    base = parallel_payload(seconds_cold=1.0, seconds_warm=0.2, speedup=5.0)
     # 2x slower wall time and halved speedup: both flagged.
-    curr = parallel_payload(seconds_1=2.0, seconds_4=0.4, speedup=2.5)
+    curr = parallel_payload(seconds_cold=2.0, seconds_warm=0.4, speedup=2.5)
     report = diff_bench(base, curr)
     statuses = {(r["name"], r["metric"]): r["status"]
                 for r in report["comparisons"]}
-    assert statuses[("scatter_repeated_renders[serial]", "seconds")] == \
+    assert statuses[("scatter_repeated_renders[cold]", "seconds")] == \
         "regression"
     assert statuses[("scatter_repeated_renders", "speedup")] == "regression"
     # Speedup is higher-is-better: a raised speedup is an improvement.
@@ -180,7 +180,7 @@ def test_threshold_overrides():
                       thresholds={"mean_s": 0.5})["regressions"] == []
     # Per-metric override leaves other metrics at their defaults.
     report = diff_bench(parallel_payload(speedup=5.0),
-                        parallel_payload(seconds_4=0.6, speedup=2.0),
+                        parallel_payload(seconds_warm=0.6, speedup=2.0),
                         thresholds={"speedup": 0.9})
     assert [r["metric"] for r in report["regressions"]] == ["seconds"]
 
@@ -219,7 +219,7 @@ def test_diff_bench_files_and_render(tmp_path):
     base_path = tmp_path / "base.json"
     curr_path = tmp_path / "curr.json"
     base_path.write_text(json.dumps(parallel_payload()))
-    curr_path.write_text(json.dumps(parallel_payload(seconds_4=0.5,
+    curr_path.write_text(json.dumps(parallel_payload(seconds_warm=0.5,
                                                      speedup=2.0)))
     report = diff_bench_files(base_path, curr_path)
     assert len(report["regressions"]) == 2
@@ -251,9 +251,9 @@ def test_cli_identity_passes_strict(tmp_path, capsys):
 def test_cli_synthetic_2x_slowdown_fails(tmp_path, capsys):
     """Acceptance fixture: a 2x slowdown must trip the gate."""
     base = _write(tmp_path, "base.json", parallel_payload(
-        seconds_1=1.0, seconds_4=0.2, speedup=5.0))
+        seconds_cold=1.0, seconds_warm=0.2, speedup=5.0))
     slow = _write(tmp_path, "slow.json", parallel_payload(
-        seconds_1=2.0, seconds_4=0.4, speedup=2.5))
+        seconds_cold=2.0, seconds_warm=0.4, speedup=2.5))
     assert cli.main(["bench-diff", base, slow]) == 1
     out = capsys.readouterr().out
     assert "regression" in out

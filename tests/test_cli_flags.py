@@ -1,7 +1,7 @@
 """Tests: the uniform CLI flag set across inspection subcommands.
 
 ``lint``/``explain``/``stats``/``trace``/``render`` share one argparse
-parent parser, so ``--json``/``--timing``/``--strict``/``--workers`` parse
+parent parser, so ``--json``/``--timing``/``--strict``/``--columnar`` parse
 (and mean the same thing) on all of them.
 """
 
@@ -12,7 +12,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.dbms.plan_parallel import default_config, result_cache
 
 INSPECTION = ["lint", "explain", "stats", "trace", "render"]
 
@@ -24,15 +23,13 @@ def parse(argv):
 class TestUniformParsing:
     @pytest.mark.parametrize("command", INSPECTION)
     def test_common_flags_accepted_everywhere(self, command):
-        argv = [command, "--json", "--timing", "--strict", "--workers", "4",
-                "--columnar"]
+        argv = [command, "--json", "--timing", "--strict", "--columnar"]
         if command == "render":
             argv += ["--out-dir", "out"]
         args = parse(argv)
         assert args.as_json is True
         assert args.timing is True
         assert args.strict is True
-        assert args.workers == 4
         assert args.columnar is True
 
     @pytest.mark.parametrize("command", INSPECTION)
@@ -42,42 +39,15 @@ class TestUniformParsing:
         assert args.as_json is False
         assert args.timing is False
         assert args.strict is False
-        assert args.workers is None
         assert args.columnar is False
 
     def test_non_inspection_commands_reject_common_flags(self):
         with pytest.raises(SystemExit):
-            parse(["tables", "--db", "x.json", "--workers", "4"])
+            parse(["tables", "--db", "x.json", "--columnar"])
 
-
-class TestWorkersFlag:
-    def test_workers_config_restored_after_run(self, capsys):
-        before = default_config()
-        assert main(["explain", "--figure", "fig1", "--workers", "4"]) == 0
-        assert default_config() is before
-        capsys.readouterr()
-
-    def test_explain_json_reports_parallel_and_cache(self, capsys):
-        result_cache().clear()
-        assert main(["explain", "--figure", "fig1", "--json",
-                     "--workers", "4"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        statuses = set()
-        parallel_nodes = []
-
-        def walk(tree):
-            if "parallel" in tree:
-                parallel_nodes.append(tree)
-            for child in tree.get("children", ()):
-                walk(child)
-
-        for box in report["boxes"]:
-            for output in box["outputs"]:
-                for plan in output.get("plans", ()):
-                    statuses.add(plan["cache"])
-                    walk(plan["tree"])
-        assert statuses & {"hit", "miss"}
-        result_cache().clear()
+    def test_removed_workers_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            parse(["explain", "--workers", "4"])
 
 
 class TestColumnarFlag:
@@ -90,11 +60,8 @@ class TestColumnarFlag:
         capsys.readouterr()
 
     def test_explain_json_reports_columnar_backend(self, capsys):
-        # --workers 1 forces serial even under a REPRO_PARALLEL default;
-        # otherwise the eligible chains ride inside ParallelMap morsels
-        # and no standalone node reports the columnar backend.
         assert main(["explain", "--figure", "fig4", "--json",
-                     "--columnar", "--workers", "1"]) == 0
+                     "--columnar"]) == 0
         report = json.loads(capsys.readouterr().out)
         backends = set()
 
@@ -151,8 +118,8 @@ class TestValidateBenchRouting:
             "schema": "repro.bench.parallel/1",
             "benchmarks": [{
                 "name": "demo",
-                "arms": {"serial": {"workers": 0, "seconds": 0.5},
-                         "workers_4": {"workers": 4, "seconds": 0.1}},
+                "arms": {"cold": {"cache": False, "seconds": 0.5},
+                         "warm": {"cache": True, "seconds": 0.1}},
                 "speedup": 5.0,
             }],
         }
@@ -171,17 +138,16 @@ class TestValidateBenchRouting:
 
 
 class TestStatsJsonSchema:
-    def test_pinned_shape_with_parallel_counters(self, capsys):
+    def test_pinned_shape_with_cache_counters(self, capsys):
         """The `stats --json` contract: a repro.bench/1 summary whose
-        metrics always include the PR-4 counter set, even when the run
-        didn't happen to exercise cache or morsel pool."""
+        metrics always include the result-cache counter set, even when the
+        run didn't happen to exercise the cache."""
         assert main(["stats", "--figure", "fig4", "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert set(summary) == {"schema", "spans", "events", "metrics",
                                 "dropped"}
         assert summary["schema"] == "repro.bench/1"
-        for counter in ("cache.hit", "cache.miss", "cache.evict",
-                        "parallel.morsels"):
+        for counter in ("cache.hit", "cache.miss", "cache.evict"):
             assert counter in summary["metrics"], counter
         # Engine/render taxonomy is present too (the render really ran).
         assert "render.frames" in summary["metrics"]

@@ -326,7 +326,6 @@ class TestBackendSelection:
 
     def test_optimize_plan_composes_and_verifies(self):
         from repro.analyze.planverify import assert_valid_plan
-        from repro.dbms.plan_parallel import ParallelConfig
 
         rows = num_rows(2000)
         pred = parse_predicate("x > 0.0", NUMS)
@@ -336,8 +335,6 @@ class TestBackendSelection:
         try:
             root, log = optimize_plan(
                 P.RestrictNode(P.ScanNode(rows), pred),
-                parallel=ParallelConfig(workers=2, cache=False,
-                                        morsel_size=256),
                 columnar=ColumnarConfig(),
             )
             assert values_of(root) == serial
@@ -431,12 +428,7 @@ class TestEngineIntegration:
         from repro.dataflow.explain import explain_data
 
         program, keep = self.build(stations_db)
-        # workers=0 pins the plan serial even when a process-wide parallel
-        # default is installed (REPRO_PARALLEL=1 CI leg) — otherwise the
-        # restrict chain rides inside ParallelMap morsels and the tree has
-        # no standalone columnar node to report a backend for.
-        engine = Engine(program, stations_db, columnar=True, workers=0,
-                        cache=False)
+        engine = Engine(program, stations_db, columnar=True, cache=False)
         engine.output_of(keep, "out").rows.force()
         data = explain_data(program, engine=engine, box_id=keep)
 

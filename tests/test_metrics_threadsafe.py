@@ -1,6 +1,6 @@
 """Thread-safety hammer: metrics and engine stats under concurrent updates.
 
-Morsel workers increment counters from pool threads, so every metric update
+Server pool workers increment counters concurrently, so every metric update
 must be atomic.  N threads x M increments must land exactly N*M — a lost
 update here would silently corrupt EXPLAIN output and cache statistics.
 """

@@ -20,7 +20,7 @@ from repro.obs.metrics import MetricsRegistry
 @pytest.fixture(scope="module")
 def recorded():
     """One real fig4 recording shared by the module (renders are slow)."""
-    return record_figure_telemetry(figure="fig4", renders=3, workers=2)
+    return record_figure_telemetry(figure="fig4", renders=3)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +35,6 @@ def test_recording_captures_engine_and_render_series(recorded):
     keys = set(recorder.series_keys())
     assert "render.frames|_total" in keys
     assert "engine.box.fires|_total" in keys
-    assert "parallel.morsels|_total" in keys
     assert "cache.hit|_total" in keys
     # Rate series exist for the dashboard's line chart.
     for metric in RATE_SERIES_METRICS:
@@ -118,16 +117,14 @@ def test_dashboard_program_is_ordinary_boxes_and_arrows(recorded):
 
 
 def test_build_telemetry_dashboard_one_call():
-    db, scenario = build_telemetry_dashboard(figure="fig1", renders=2,
-                                             workers=0)
+    db, scenario = build_telemetry_dashboard(figure="fig1", renders=2)
     result = render_dashboard(scenario)
     assert result["total_draw_ops"] > 0
     assert len(db.table("CacheOps")) == 3
 
 
 def test_dashboard_accepts_precaptured_recorder():
-    recorder, tracer = record_figure_telemetry(figure="fig1", renders=2,
-                                               workers=0)
+    recorder, tracer = record_figure_telemetry(figure="fig1", renders=2)
     db, scenario = build_telemetry_dashboard(recorder=recorder,
                                              tracer=tracer)
     assert len(db.table("SpanSamples")) > 0

@@ -337,7 +337,7 @@ class TestValidateAnyBench:
             "schema": PARALLEL_BENCH_SCHEMA,
             "benchmarks": [{
                 "name": "p",
-                "arms": {"serial": {"workers": 0, "seconds": 1.0}},
+                "arms": {"cold": {"cache": False, "seconds": 1.0}},
                 "speedup": 1.0,
             }],
         }

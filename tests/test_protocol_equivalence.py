@@ -5,8 +5,8 @@ relational boxes over a Stations table, ending in a viewer) twice — once
 driven by the imperative :class:`~repro.ui.session.Session` methods, once
 by wire-round-tripped protocol commands through ``Session.execute`` — and
 assert the two sessions end pixel-identical (same PPM bytes) with
-identical ``explain_data``.  The property must hold on all three
-execution backends: serial-row, morsel-parallel (cached), and columnar.
+identical ``explain_data``.  The property must hold on the serial-row
+backend, with the result cache on, and on the columnar backend.
 
 This is the PR-9 "one code path" guarantee made falsifiable: if a demand
 wrapper drifted from its protocol handler (different validation, different
@@ -23,11 +23,7 @@ from repro.analyze.checker import check_program
 from repro.dataflow.explain import explain_data
 from repro.dbms.catalog import Database
 from repro.dbms.columnar import ColumnarConfig, set_default_columnar_config
-from repro.dbms.plan_parallel import (
-    ParallelConfig,
-    result_cache,
-    set_default_config,
-)
+from repro.dbms.result_cache import result_cache, set_cache_enabled
 from repro.dbms.relation import Table
 from repro.dbms.tuples import Schema
 from repro.protocol import (
@@ -46,8 +42,6 @@ SEEDS = 30
 ROWS = 600
 FIELDS = ["station_id", "name", "state", "longitude", "latitude", "altitude"]
 NUMERIC = ["station_id", "longitude", "latitude", "altitude"]
-
-PARALLEL = ParallelConfig(workers=4, cache=True, morsel_size=128)
 
 
 @pytest.fixture(scope="module")
@@ -218,13 +212,13 @@ def test_local_vs_protocol_serial_backend(stations_db):
     _run_equivalence(stations_db)
 
 
-def test_local_vs_protocol_parallel_backend(stations_db):
-    previous = set_default_config(PARALLEL)
+def test_local_vs_protocol_cached_backend(stations_db):
+    previous = set_cache_enabled(True)
     try:
         result_cache().clear()
         _run_equivalence(stations_db)
     finally:
-        set_default_config(previous)
+        set_cache_enabled(previous)
         result_cache().clear()
 
 
