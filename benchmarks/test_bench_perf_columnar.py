@@ -1,7 +1,7 @@
 """Perf-8: the columnar execution backend (row vs vectorized kernels).
 
 Three workloads shaped like the paper's interactive hot paths — the
-fast-scatter viewport cull, the deep-zoom culling render, and the
+scatter viewport cull, the deep-zoom culling render, and the
 Stations⋈Observations-style join feeding a slider restrict — each run
 twice: once on the serial row backend, once with ``columnarize_plan``
 selecting vectorized numpy kernels.  Rows, order, and pixels are asserted
@@ -25,7 +25,7 @@ from repro.dataflow.boxes_db import AddTableBox
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
 from repro.dbms import plan as P
-from repro.dbms.columnar import ColumnarConfig, set_default_columnar_config
+from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.parser import parse_predicate
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.obs import global_registry
@@ -82,7 +82,7 @@ def _entry(name, workload, row_s, col_s, counters):
 
 
 # ---------------------------------------------------------------------------
-# Arm 1: the synthesized viewport-cull Restrict (the fast-scatter shape)
+# Arm 1: the synthesized viewport-cull Restrict over a scatter
 # ---------------------------------------------------------------------------
 
 def test_perf_columnar_fast_scatter_cull(points_db_20k, record_columnar):
@@ -147,33 +147,29 @@ def scatter_100k():
     return Engine(program, db).output_of(display)
 
 
-def test_perf_columnar_culling_render(scatter_100k, record_columnar):
+def test_perf_columnar_culling_render(scatter_100k, record_columnar,
+                                     monkeypatch):
     """Full deep-zoom renders with the cull plan on each backend.
 
-    The fast scatter path is disabled so every render goes through the
-    synthesized culling plan — the row-vs-columnar comparison then measures
-    the whole pipeline (plan execution + drawables for the survivors),
-    which is what a viewer actually pays per pan/zoom step.
+    The row arm raises the columnar cutoff past the source size; the
+    columnar arm keeps the default, which 100k rows exceed.  The
+    row-vs-columnar comparison then measures the whole pipeline (plan
+    execution + drawables for the survivors), which is what a viewer
+    actually pays per pan/zoom step.
     """
     view = ViewState(center=(0.0, 0.0), elevation=30.0, viewport=(320, 240))
-    original = scene._try_fast_scatter
-    scene._try_fast_scatter = lambda *a, **k: None
 
     def render(_=None):
         canvas = Canvas(320, 240)
         render_composite(canvas, scatter_100k, view, stats=SceneStats())
         return canvas
 
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(scene, "_COLUMNAR_CULL_MIN_ROWS",
+                      len(scatter_100k) + 1)
         row_s, row_canvas = _best_of(lambda: None, render)
-        previous = set_default_columnar_config(ColumnarConfig())
-        try:
-            (col_s, col_canvas), counters = _counter_deltas(
-                lambda: _best_of(lambda: None, render))
-        finally:
-            set_default_columnar_config(previous)
-    finally:
-        scene._try_fast_scatter = original
+    (col_s, col_canvas), counters = _counter_deltas(
+        lambda: _best_of(lambda: None, render))
     assert np.array_equal(row_canvas.pixels, col_canvas.pixels)
     assert counters["columnar.batches"] > 0
     speedup = row_s / col_s

@@ -1,10 +1,11 @@
-"""Perf-7: the vectorized scatter fast path (an implementation ablation).
+"""Perf-7: plan culling of a large scatter (an implementation ablation).
 
-For the common scatter shape — x/y bound to stored columns, a constant
-display — location extraction and culling run over numpy arrays instead of
-per-tuple virtual rows.  The shape claim: the fast path wins and the win
-grows with the culled fraction (deep zoom); equivalence is property-tested
-in tests/test_fast_scatter.py.
+For x/y bound to stored columns, slider and viewport culling run as a
+synthesized plan — on the columnar backend at this size — and a display
+that reads no fields is computed once per relation.  The arms compare that
+path with the row-at-a-time loop at deep zoom (almost everything culled)
+and overview (every point painted).  Equivalence is property-tested in
+tests/test_fast_scatter.py.
 """
 
 from __future__ import annotations
@@ -52,22 +53,20 @@ VIEWS = {
 
 
 @pytest.mark.parametrize("where", list(VIEWS))
-@pytest.mark.parametrize("path", ["fast", "general"])
-def test_perf_fast_scatter(benchmark, scatter, where, path):
+@pytest.mark.parametrize("path", ["plan", "row_loop"])
+def test_perf_plan_cull(benchmark, monkeypatch, scatter, where, path):
     view = VIEWS[where]
-    original = scene._try_fast_scatter
-    if path == "general":
-        scene._try_fast_scatter = lambda *a, **k: None
-    try:
-        def render():
-            stats = SceneStats()
-            render_composite(Canvas(320, 240), scatter, view, stats=stats)
-            return stats
+    if path == "row_loop":
+        monkeypatch.setattr(scene, "_try_plan_cull", lambda *a, **k: None)
 
-        stats = benchmark(render)
-    finally:
-        scene._try_fast_scatter = original
+    def render():
+        stats = SceneStats()
+        render_composite(Canvas(320, 240), scatter, view, stats=stats)
+        return stats
+
+    stats = benchmark(render)
     assert stats.tuples_considered == 20_000
+    assert len(stats.cull_plans) == (path == "plan")
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +78,12 @@ _RENDERS = 10   # re-renders of one viewport (the pan-and-return pattern)
 _ROUNDS = 5
 
 
-def test_perf_scatter_cache_speedup(scatter, record_parallel):
+def test_perf_scatter_cache_speedup(scatter, record_parallel, monkeypatch):
     """Re-rendering one viewport must hit the result cache, pixel-identically.
 
-    The fast scatter path is disabled so every render goes through the
-    synthesized viewport-cull plan — the code path the result cache fronts.
+    The columnar cutoff is raised past the source size so every render
+    runs the viewport-cull plan on the row backend, the configuration the
+    committed baseline records; the result cache fronts that plan.
     The cold arm (cache off) re-runs the cull per render; the warm arm
     (cache on) pays one miss and then reuses the kept-row fragment.  Deep
     zoom is the representative view: culling 20k tuples dominates, drawing
@@ -92,27 +92,23 @@ def test_perf_scatter_cache_speedup(scatter, record_parallel):
     """
     view = VIEWS["deep-zoom"]
     cache = result_cache()
-    original = scene._try_fast_scatter
-    scene._try_fast_scatter = lambda *a, **k: None
+    monkeypatch.setattr(scene, "_COLUMNAR_CULL_MIN_ROWS", len(scatter) + 1)
     best = dict.fromkeys(_ARMS, float("inf"))
     canvases: dict[str, Canvas] = {}
-    try:
-        for __ in range(_ROUNDS):
-            for arm, enabled in _ARMS.items():
-                previous = set_cache_enabled(enabled)
-                try:
-                    cache.clear()
-                    start = time.perf_counter()
-                    for __ in range(_RENDERS):
-                        canvas = Canvas(320, 240)
-                        render_composite(canvas, scatter, view,
-                                         stats=SceneStats())
-                    best[arm] = min(best[arm], time.perf_counter() - start)
-                finally:
-                    set_cache_enabled(previous)
-                canvases[arm] = canvas
-    finally:
-        scene._try_fast_scatter = original
+    for __ in range(_ROUNDS):
+        for arm, enabled in _ARMS.items():
+            previous = set_cache_enabled(enabled)
+            try:
+                cache.clear()
+                start = time.perf_counter()
+                for __ in range(_RENDERS):
+                    canvas = Canvas(320, 240)
+                    render_composite(canvas, scatter, view,
+                                     stats=SceneStats())
+                best[arm] = min(best[arm], time.perf_counter() - start)
+            finally:
+                set_cache_enabled(previous)
+            canvases[arm] = canvas
     arms = {arm: {"cache": enabled, "seconds": round(best[arm], 6)}
             for arm, enabled in _ARMS.items()}
     stats = cache.stats()

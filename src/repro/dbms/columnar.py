@@ -32,8 +32,6 @@ identity across the whole columnar pipeline.
 from __future__ import annotations
 
 import os
-import threading
-from collections import OrderedDict
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,8 +44,6 @@ __all__ = [
     "ColumnarConfig",
     "DEFAULT_BATCH_ROWS",
     "NUMPY_DTYPES",
-    "batch_cache_clear",
-    "cached_batch",
     "columnar_config_from_env",
     "default_columnar_config",
     "install_from_env",
@@ -202,45 +198,6 @@ class ColumnBatch:
         columns = {(new if name == old else name): arr
                    for name, arr in self._columns.items()}
         return ColumnBatch(schema, columns, mask=self.mask)
-
-
-# ---------------------------------------------------------------------------
-# Conversion cache: RowSet -> ColumnBatch, keyed by tuple identity
-# ---------------------------------------------------------------------------
-
-#: Small LRU of whole-source conversions.  ``RowSet`` is slotted (no
-#: ``__weakref__``), so the key is ``id(rows)`` with the rows object pinned
-#: strongly in the entry — the same soundness argument the result cache
-#: makes for its fingerprint pins.  Re-renders of an unchanged table then
-#: reuse one conversion instead of re-walking every tuple.
-_CACHE_MAX = 16
-_cache: "OrderedDict[tuple[int, int], tuple[object, ColumnBatch]]" = (
-    OrderedDict()
-)
-_cache_lock = threading.Lock()
-
-
-def cached_batch(rows: Sequence[Tuple], schema: Schema) -> ColumnBatch:
-    """The (possibly cached) columnar conversion of a materialized source."""
-    key = (id(rows), id(schema))
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None:
-            _cache.move_to_end(key)
-            return hit[1]
-    batch = ColumnBatch.from_rows(schema, rows, keep_rows=True)
-    with _cache_lock:
-        _cache[key] = (rows, batch)
-        _cache.move_to_end(key)
-        while len(_cache) > _CACHE_MAX:
-            _cache.popitem(last=False)
-    return batch
-
-
-def batch_cache_clear() -> None:
-    """Drop all cached conversions (tests; memory pressure)."""
-    with _cache_lock:
-        _cache.clear()
 
 
 # ---------------------------------------------------------------------------

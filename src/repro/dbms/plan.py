@@ -46,7 +46,6 @@ from repro.dbms.columnar import (
     DEFAULT_BATCH_ROWS,
     NUMPY_DTYPES,
     _object_array,
-    cached_batch,
 )
 from repro.dbms.expr import Expr
 from repro.dbms.expr_compile import VectorFallback, compile_predicate
@@ -1037,6 +1036,7 @@ class LazyRowSet(RowSet):
         self._done = False
         self._error: BaseException | None = None
         self._forced: tuple[Tuple, ...] | None = None
+        self.column_batch = None
         self.label = label
         # "hit" / "miss" when the result cache was consulted; None otherwise.
         self.cache_status: str | None = None
@@ -1273,12 +1273,12 @@ class ToColumnsNode(ColumnarNode):
     """Row-to-column adapter at the bottom edge of a columnar region.
 
     For materialized leaves — a Scan over a RowSet, a Cache over an
-    already-forced lazy set — the conversion is served whole from the
-    process-wide batch cache, so repeated renders of an unchanged table
-    skip the per-tuple walk entirely; the leaf's counters are advanced as
-    if it had streamed (EXPLAIN must read backend-independently).  Any
-    other child is executed through the row protocol and re-batched at
-    ``batch_rows`` granularity.
+    already-forced lazy set — the whole source is converted once and the
+    batch memoized on the row set (``RowSet.column_batch``), so repeated
+    renders of an unchanged table skip the per-tuple walk entirely; the
+    leaf's counters are advanced as if it had streamed (EXPLAIN must read
+    backend-independently).  Any other child is executed through the row
+    protocol and re-batched at ``batch_rows`` granularity.
     """
 
     label = "ToColumns"
@@ -1291,27 +1291,37 @@ class ToColumnsNode(ColumnarNode):
     def batch_rows(self) -> int:
         return self._batch_rows
 
-    def _leaf_rows(self) -> tuple[PlanNode, Sequence[Tuple]] | None:
+    def _leaf_source(self) -> tuple[PlanNode, RowSet | tuple] | None:
         child = self._children[0]
         if type(child) is ScanNode:
             source = child._source
             if isinstance(source, RowSet) and not isinstance(source, LazyRowSet):
-                return child, source.rows
+                return child, source
             if isinstance(source, tuple):
                 return child, source
             return None
         if type(child) is CacheNode and child._source.is_materialized:
-            return child, child._source.force()
+            return child, child._source
         return None
+
+    def _source_batch(self, source: RowSet | tuple) -> ColumnBatch:
+        """The whole-source conversion, memoized on a row-set source."""
+        if isinstance(source, tuple):
+            return ColumnBatch.from_rows(self._schema, source)
+        batch = source.column_batch
+        if batch is None or batch.schema is not self._schema:
+            batch = ColumnBatch.from_rows(self._schema, source.rows)
+            source.column_batch = batch
+        return batch
 
     def _produce_columns(self) -> Iterator[ColumnBatch]:
         stats = self.stats
         size = self._batch_rows
-        leaf = self._leaf_rows()
+        leaf = self._leaf_source()
         if leaf is not None:
-            node, rows = leaf
-            n = len(rows)
-            batch = cached_batch(rows, self._schema)
+            node, source = leaf
+            batch = self._source_batch(source)
+            n = len(batch)
             # The leaf never actually streamed; mimic the counters one
             # serial execution would have left behind.
             leaf_stats = node.stats

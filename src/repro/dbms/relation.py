@@ -19,12 +19,23 @@ Three classes realize that here:
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Sequence,
+)
 
 from repro.dbms import types as T
 from repro.dbms.expr import Expr
 from repro.dbms.tuples import Field, Schema, Tuple
 from repro.errors import EvaluationError, SchemaError, TypeCheckError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.dbms.columnar import ColumnBatch
 
 __all__ = [
     "Table",
@@ -99,9 +110,15 @@ def bump_table_epoch(name: str) -> int:
 
 
 class RowSet:
-    """An immutable, materialized relation: a schema plus a tuple of rows."""
+    """An immutable, materialized relation: a schema plus a tuple of rows.
 
-    __slots__ = ("_schema", "_rows")
+    ``column_batch`` memoizes the rows' columnar conversion (a
+    ``ColumnBatch``, set by the columnar backend's ``ToColumns`` adapter;
+    None until first converted), so the batch lives exactly as long as the
+    row set it was converted from.
+    """
+
+    __slots__ = ("_schema", "_rows", "column_batch")
 
     def __init__(self, schema: Schema, rows: Iterable[Tuple] = ()):
         self._schema = schema
@@ -112,6 +129,7 @@ class RowSet:
                     f"row schema {row.schema!r} does not match row-set schema {schema!r}"
                 )
         self._rows = materialized
+        self.column_batch: ColumnBatch | None = None
 
     @property
     def schema(self) -> Schema:

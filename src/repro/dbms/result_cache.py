@@ -83,10 +83,17 @@ def cache_enabled() -> bool:
 
 
 def set_cache_enabled(enabled: bool) -> bool:
-    """Install the process-wide default; returns the previous value."""
+    """Install the process-wide default; returns the previous value.
+
+    Turning the cache off also empties it: its entries pin the table
+    snapshots they were computed from (a stopped server's, say), which
+    would otherwise stay alive until newer entries evicted them.
+    """
     global _CACHE_ENABLED
     previous = _CACHE_ENABLED
     _CACHE_ENABLED = bool(enabled)
+    if previous and not _CACHE_ENABLED:
+        result_cache().clear()
     return previous
 
 

@@ -10,7 +10,9 @@ every paper figure scenario.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from repro.dbms import types as T
 from repro.dbms.columnar import (
     ColumnBatch,
     ColumnarConfig,
-    cached_batch,
     columnar_config_from_env,
     default_columnar_config,
     resolve_columnar_config,
@@ -109,11 +110,23 @@ class TestColumnBatch:
         renamed = batch.rename("n", "m")
         assert renamed.column("m").tolist() == batch.column("n").tolist()
 
-    def test_cached_batch_is_id_keyed(self):
-        rows = num_rows(8).rows
-        assert cached_batch(rows, NUMS) is cached_batch(rows, NUMS)
-        other = num_rows(8, seed=12).rows
-        assert cached_batch(other, NUMS) is not cached_batch(rows, NUMS)
+    def test_batch_memo_lives_with_its_row_set(self):
+        def run(rows):
+            plan = P.RestrictNode(P.ScanNode(rows),
+                                  parse_predicate("x > 0.0", NUMS))
+            root, __ = columnarize_plan(plan, ColumnarConfig())
+            return list(root.rows_iter())
+
+        rows = num_rows(300)
+        first = run(rows)
+        batch = rows.column_batch
+        assert batch is not None
+        assert run(rows) == first
+        assert rows.column_batch is batch    # converted once, then reused
+        column = weakref.ref(batch.column("x"))
+        del rows, batch, first
+        gc.collect()
+        assert column() is None    # freed with the row set
 
 
 # ---------------------------------------------------------------------------

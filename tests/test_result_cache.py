@@ -287,6 +287,24 @@ def test_singleton_is_shared():
     assert result_cache() is result_cache()
 
 
+def test_stopping_a_server_empties_the_result_cache():
+    from repro.obs.metrics import MetricsRegistry
+    from repro.protocol import FrameReply, OpenProgram, Render
+    from repro.server import ServerThread, connect
+
+    assert not cache_enabled()
+    with ServerThread(build_weather_database(),
+                      registry=MetricsRegistry()) as srv:
+        with connect(f"ws://{srv.host}:{srv.port}/ws") as client:
+            assert client.request(OpenProgram(name="fig4")).ok
+            frame = client.request(Render(window="stations"))
+            assert isinstance(frame, FrameReply)
+        assert len(result_cache()) > 0
+    # The entries pinned the stopped server's table snapshots.
+    assert not cache_enabled()
+    assert len(result_cache()) == 0
+
+
 # ---------------------------------------------------------------------------
 # Plan fingerprints
 # ---------------------------------------------------------------------------
