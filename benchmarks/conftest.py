@@ -13,9 +13,14 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
+
+# The per-tuple culling reference (tests/cull_reference.py) is the baseline
+# arm of the cull-kernel benchmarks.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from repro.data.weather import build_weather_database
 from repro.data.workloads import build_points_database

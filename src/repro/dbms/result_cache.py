@@ -21,8 +21,9 @@ share one leaf object.
 The cache is off unless enabled — per engine with ``Engine(cache=True)``,
 or process-wide with :func:`set_cache_enabled` (the server turns it on for
 its lifetime).  :func:`execute_cached` is the one probe → epoch snapshot →
-execute → store sequence shared by engine demands and the renderer's
-synthesized cull plans.
+execute → store sequence engine demands run through.  (The renderer's
+culls do not use it: they are a mask over location columns memoized on the
+row set, see :func:`repro.render.scene.location_columns`.)
 """
 
 from __future__ import annotations
@@ -259,10 +260,11 @@ class ResultCache:
     or, when the caller derived the plan's read set
     (:func:`plan_read_set`), a per-table epoch snapshot, so only mutations
     of the tables the plan actually read invalidate the entry.  Stale
-    entries can never be served; they are evicted on the next touch.
+    entries can never be served: a lookup evicts the one it touches, and
+    the first store after any mutation sweeps out the rest, so the results
+    a mutation obsoleted do not sit in memory until LRU order reaches them.
     Entries pin their leaf source objects (see :func:`plan_fingerprint`)
-    and may carry opaque ``meta`` for the caller (e.g. per-node counters to
-    restore on a hit).
+    and may carry opaque ``meta`` for the caller.
     """
 
     def __init__(self, max_entries: int = 256, max_rows: int = 500_000):
@@ -270,6 +272,8 @@ class ResultCache:
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self.max_entries = max_entries
         self.max_rows = max_rows
+        #: Storage epoch of the last stale sweep (see :meth:`store`).
+        self._swept_epoch = storage_epoch()
         registry = global_registry()
         self._hits = registry.counter(
             "cache.hit", "result-cache lookups served from memory")
@@ -314,6 +318,14 @@ class ResultCache:
         if len(rows) > self.max_rows:
             return False
         with self._lock:
+            current = storage_epoch()
+            if current != self._swept_epoch:
+                self._swept_epoch = current
+                stale = [old for old, entry in self._entries.items()
+                         if not _epoch_fresh(entry[3])]
+                for old in stale:
+                    del self._entries[old]
+                self._evictions.inc(len(stale))
             self._entries[key] = (tuple(rows), meta, pins, epoch)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
@@ -354,7 +366,6 @@ def result_cache() -> ResultCache:
 def execute_cached(
     plan: PlanNode,
     execute: Callable[[], Sequence[Tuple]],
-    counted: Sequence[PlanNode] = (),
 ) -> tuple[Sequence[Tuple], str | None]:
     """Run ``execute`` for ``plan`` through the result cache.
 
@@ -362,9 +373,7 @@ def execute_cached(
     the cache (``execute`` never ran), ``"miss"`` when they were computed
     and published, and None when the plan has no fingerprint.  The epoch
     stamp is read *before* ``execute`` runs, so a concurrent update can
-    never be masked by a stale entry.  The ``counted`` nodes' row counters
-    travel with the entry and are restored on a hit, so per-node stats
-    (SceneStats, EXPLAIN) stay exact whichever way the rows arrived.
+    never be masked by a stale entry.
     """
     fingerprint = plan_fingerprint(plan)
     if fingerprint is None:
@@ -373,14 +382,9 @@ def execute_cached(
     cache = result_cache()
     cached = cache.lookup(key)
     if cached is not None:
-        rows, meta = cached
-        for node, (rows_in, rows_out) in zip(counted, meta or ()):
-            node.stats.rows_in += rows_in
-            node.stats.rows_out += rows_out
-        return rows, "hit"
+        return cached[0], "hit"
     tables = plan_read_set(plan)
     epoch = table_epochs(tables) if tables is not None else storage_epoch()
     rows = execute()
-    meta = [(node.stats.rows_in, node.stats.rows_out) for node in counted]
-    cache.store(key, rows, pins, epoch, meta=meta or None)
+    cache.store(key, rows, pins, epoch)
     return rows, "miss"

@@ -16,13 +16,12 @@ drawables recursively render their destination canvas through a resolver.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, NamedTuple
 
-from repro.dbms.columnar import ColumnarConfig
-from repro.dbms.expr import Binary, FieldRef, Literal
-from repro.dbms.plan import RestrictNode, source_plan
-from repro.dbms.plan_rewrite import columnarize_plan
-from repro.dbms.result_cache import cache_enabled, execute_cached
+import numpy as np
+
+from repro.dbms.expr import FieldRef
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
 from repro.display.displayable import (
@@ -40,10 +39,12 @@ __all__ = [
     "ViewState",
     "RenderedItem",
     "SceneStats",
+    "CullNode",
     "CanvasDef",
     "CanvasResolver",
     "render_composite",
     "render_group",
+    "location_columns",
     "MAX_WORMHOLE_DEPTH",
 ]
 
@@ -55,13 +56,9 @@ _CULL_MARGIN_PX = 120.0
 """Tuples whose anchor lies this far outside the viewport are culled before
 their drawables are even constructed."""
 
-_COLUMNAR_CULL_MIN_ROWS = 256
-"""Sources at least this large run their cull plan on the columnar backend;
-smaller ones on the row backend.  The columnar cull pays a fixed cost of
-about 1 ms (plan rewrite, adapters, compiled masks); the row cull costs
-about 5 us per row.  Measured per cull on a 2-core Xeon VM under Python
-3.11, deep zoom over a scatter: 16 rows 0.15 ms row vs 1.26 ms columnar,
-256 rows 1.30 vs 1.09 ms, 1024 rows 5.6 vs 2.2 ms."""
+_LOCATION_MEMO_ENTRIES = 4
+"""Location-column sets one row set keeps (:func:`location_columns`): one per
+set of location definitions it was recently viewed through."""
 
 
 class ViewState:
@@ -180,10 +177,9 @@ class SceneStats:
         self.culled_by_viewport = 0
         self.relations_culled_by_elevation = 0
         self.drawables_painted = 0
-        #: Root plan node of each synthesized culling plan (one per relation
-        #: that took the pushdown path); per-operator counters live in the
-        #: nodes' ``stats``.
-        self.cull_plans: list[Any] = []
+        #: One :class:`CullNode` per relation culled (none with
+        #: ``cull=False``); EXPLAIN prints them.
+        self.cull_plans: list[CullNode] = []
 
     def to_dict(self) -> dict[str, int]:
         """Stable machine-readable form (run summaries, ``repro stats``)."""
@@ -204,6 +200,23 @@ class SceneStats:
             f"viewport={self.culled_by_viewport}, "
             f"elevation={self.relations_culled_by_elevation}, "
             f"painted={self.drawables_painted})"
+        )
+
+
+class CullNode(NamedTuple):
+    """One relation's cull as EXPLAIN reports it: the tuples considered,
+    those within the slider ranges, and those also near the viewport."""
+
+    relation: str
+    rows_in: int
+    in_ranges: int
+    rows_out: int
+
+    def describe(self) -> str:
+        return (
+            f"slider + viewport cull of {self.relation!r}  [rows_in="
+            f"{self.rows_in} in_ranges={self.in_ranges} "
+            f"rows_out={self.rows_out}]"
         )
 
 
@@ -281,281 +294,66 @@ def _render_entry(
 ) -> list[RenderedItem]:
     """Render one composite entry — one viewer pass over one relation.
 
-    Culling runs as a synthesized plan (:func:`_try_plan_cull`) whenever the
-    relation's shape allows one.  The row-at-a-time loop below handles the
-    shapes a plan cannot express, and is the reference the parity tests
-    compare the plan against:
-
-    - a computed (non-``FieldRef``) x, y, or bounded slider attribute, or
-      one that does not resolve to a stored numeric column;
-    - the default location (no custom x/y: tuples stack by sequence number);
-    - ``cull=False``.
+    Culling is one boolean mask over the relation's location columns
+    (:func:`location_columns`): slider ranges ∧ viewport margin, with the
+    entry's offsets and ``ViewState.to_screen``'s float arithmetic term for
+    term, so NaN locations cull exactly as a per-tuple comparison would.
+    The mask's true positions are the kept tuples' indices, and only those
+    tuples' display attributes are evaluated.  ``cull=False`` keeps every
+    tuple and paints drawables whether or not they touch the canvas.
     """
     relation = entry.relation
     width, height = view.viewport
     scale = view.scale
-    if cull:
-        plan_items = _try_plan_cull(
-            canvas, entry, view, resolver, depth, stats
-        )
-        if plan_items is not None:
-            return plan_items
-    items: list[RenderedItem] = []
-    offset_x = entry.offset_for("x")
-    offset_y = entry.offset_for("y")
-    for index, row_view in enumerate(relation.views()):
-        stats.tuples_considered += 1
-        location = relation.location_of(row_view)
-        if cull and _slider_culled(relation, entry, location, view):
-            stats.culled_by_slider += 1
-            continue
-        px, py = view.to_screen(location[0] + offset_x, location[1] + offset_y)
-        if cull and not (
-            -_CULL_MARGIN_PX <= px <= width + _CULL_MARGIN_PX
-            and -_CULL_MARGIN_PX <= py <= height + _CULL_MARGIN_PX
-        ):
-            stats.culled_by_viewport += 1
-            continue
-        drawables = relation.display_of(row_view)
-        painted_any = False
-        for drawable in drawables:
-            bbox = drawable.bbox(px, py, scale)
-            # One pixel of slack: rasterization rounds coordinates, so a
-            # bbox ending fractionally off-canvas can still touch pixels.
-            if cull and (
-                bbox[2] < -1.0 or bbox[0] > width + 1.0
-                or bbox[3] < -1.0 or bbox[1] > height + 1.0
-            ):
-                continue
-            drawable.paint(canvas, px, py, scale)
-            stats.drawables_painted += 1
-            painted_any = True
-            if isinstance(drawable, ViewerDrawable):
-                _render_wormhole(
-                    canvas, drawable, px, py, scale, resolver, depth, stats
-                )
-            items.append(
-                RenderedItem(
-                    bbox,
-                    relation.name,
-                    relation.source_table,
-                    row_view.base,
-                    index,
-                    drawable.kind,
-                    drawable,
-                )
-            )
-        if painted_any:
-            stats.tuples_rendered += 1
-    return items
-
-
-def _stored_numeric_column(relation: DisplayableRelation, attr: str) -> str | None:
-    """Resolve an attribute to a stored numeric column: either the column
-    itself, or a computed method that is a bare reference to one.
-
-    A method declared ``int`` over a ``float`` column is not resolved: its
-    coercion rejects non-integral values, so the column's raw value is not
-    the attribute's value.  Every other numeric pairing coerces to a value
-    whose ``float()`` equals the column value's.
-    """
-    schema = relation.rows.schema
-    if attr in schema:
-        return attr if T.numeric(schema.type_of(attr)) else None
-    if attr in relation.methods:
-        method = relation.methods.get(attr)
-        if isinstance(method.expr, FieldRef) and method.expr.name in schema:
-            name = method.expr.name
-            column_type = schema.type_of(name)
-            if T.numeric(column_type) and method.type in (T.FLOAT, column_type):
-                return name
-    return None
-
-
-def _execute_cull_plan(viewport_node, slider_node, columnar: bool):
-    """Run a synthesized cull plan on the chosen backend, cache-aware.
-
-    The columnar rewrite keeps row identity (columnar Restrict selects from
-    the source's memoized column batch, which hands back the original Tuple
-    objects), so the caller's identity walk still recovers original indices.
-    With the process-wide result cache on, the result is memoized keyed by
-    extent + source identity + storage epoch — a repeated pan/zoom visit of
-    the same extent skips the cull entirely.  Entry meta carries the
-    per-node counters so SceneStats stays exact on a hit.
-    """
-
-    def execute():
-        root = viewport_node
-        if columnar:
-            root, __ = columnarize_plan(root, ColumnarConfig())
-        return list(root.rows_iter())
-
-    if not cache_enabled():
-        return execute()
-    counted = [node for node in (slider_node, viewport_node)
-               if node is not None]
-    rows, __ = execute_cached(viewport_node, execute, counted)
-    return list(rows)
-
-
-def _try_plan_cull(
-    canvas: Canvas,
-    entry,
-    view: ViewState,
-    resolver: CanvasResolver | None,
-    depth: int,
-    stats: SceneStats,
-) -> list[RenderedItem] | None:
-    """Push slider and viewport culling into a physical plan, or None.
-
-    Applies when x, y, and every *bounded* slider dimension resolve to
-    stored numeric columns; the display attribute may be arbitrary, because
-    the whole point is that display functions are evaluated only for the
-    tuples that survive the synthesized Restrict nodes.  The predicates
-    replicate the general path's float arithmetic term for term, so the
-    culling decisions — including NaN handling — are bit-identical; the
-    elevation-band rule already culled whole relations upstream.  The plan
-    runs on the columnar backend for sources of at least
-    ``_COLUMNAR_CULL_MIN_ROWS`` rows and on the row backend otherwise.  The
-    synthesized plan is recorded in ``stats.cull_plans`` with per-operator
-    row counts.
-    """
-    relation = entry.relation
-    rows = relation.rows
-    if not relation.has_custom_location:
-        return None
-    x_col = _stored_numeric_column(relation, "x")
-    y_col = _stored_numeric_column(relation, "y")
-    if x_col is None or y_col is None:
-        return None
-    bounded: list[tuple[str, str, tuple[float, float]]] = []
-    for dim in relation.slider_dims:
-        bounds = view.slider_ranges.get(dim)
-        if bounds is None:
-            continue  # the relation is invariant in unbounded dims (§6.1)
-        column = _stored_numeric_column(relation, dim)
-        if column is None:
-            return None
-        bounded.append((dim, column, bounds))
-
-    scale = view.scale
-    width, height = view.viewport
-
-    def shifted(column: str, offset: float) -> Binary:
-        return Binary("+", FieldRef(column), Literal(float(offset)))
-
-    # px = W/2 + ((x + off) - cx) * s ;  py = H/2 - ((y + off) - cy) * s —
-    # the exact association order of location_of + to_screen.
-    px = Binary(
-        "+",
-        Literal(width / 2.0),
-        Binary(
-            "*",
-            Binary(
-                "-",
-                shifted(x_col, entry.offset_for("x")),
-                Literal(view.center[0]),
-            ),
-            Literal(scale),
-        ),
-    )
-    py = Binary(
-        "-",
-        Literal(height / 2.0),
-        Binary(
-            "*",
-            Binary(
-                "-",
-                shifted(y_col, entry.offset_for("y")),
-                Literal(view.center[1]),
-            ),
-            Literal(scale),
-        ),
-    )
-    viewport_predicate = Binary(
-        "and",
-        Binary(
-            "and",
-            Binary(
-                "and",
-                Binary(">=", px, Literal(-_CULL_MARGIN_PX)),
-                Binary("<=", px, Literal(width + _CULL_MARGIN_PX)),
-            ),
-            Binary(">=", py, Literal(-_CULL_MARGIN_PX)),
-        ),
-        Binary("<=", py, Literal(height + _CULL_MARGIN_PX)),
-    )
-
-    node = source_plan(rows, relation.name)
-    slider_node = None
-    if bounded:
-        predicate = None
-        for dim, column, (lo, hi) in bounded:
-            value = shifted(column, entry.offset_for(dim))
-            part = Binary(
-                "and",
-                Binary(">=", value, Literal(lo)),
-                Binary("<=", value, Literal(hi)),
-            )
-            predicate = part if predicate is None else Binary(
-                "and", predicate, part
-            )
-        slider_node = RestrictNode(node, predicate, alias="slider cull")
-        node = slider_node
-    viewport_node = RestrictNode(node, viewport_predicate, alias="viewport cull")
-
-    source = rows.rows
-    backend = ("columnar" if len(source) >= _COLUMNAR_CULL_MIN_ROWS
-               else "row")
     tracer = current_tracer()
-    with tracer.span("render.cull", backend=backend,
-                     relation=relation.name) as cull_span:
-        kept = _execute_cull_plan(viewport_node, slider_node,
-                                  backend == "columnar")
-        cull_span.set(rows_in=viewport_node.stats.rows_in
-                      if slider_node is None else slider_node.stats.rows_in,
-                      rows_out=len(kept))
-
-    first = slider_node if slider_node is not None else viewport_node
-    stats.tuples_considered += first.stats.rows_in
-    if slider_node is not None:
-        stats.culled_by_slider += (
-            slider_node.stats.rows_in - slider_node.stats.rows_out
+    with tracer.span("render.cull", relation=relation.name) as cull_span:
+        x, y, *levels = location_columns(relation)
+        count = len(x)
+        with np.errstate(all="ignore"):
+            px = width / 2.0 + (
+                (x + entry.offset_for("x")) - view.center[0]) * scale
+            py = height / 2.0 - (
+                (y + entry.offset_for("y")) - view.center[1]) * scale
+            keep = np.ones(count, dtype=bool)
+            if cull:
+                for dim, level in zip(relation.slider_dims, levels):
+                    bounds = view.slider_ranges.get(dim)
+                    if bounds is None:
+                        continue  # the relation is invariant in it (§6.1)
+                    value = level + entry.offset_for(dim)
+                    keep &= (bounds[0] <= value) & (value <= bounds[1])
+                in_ranges = int(np.count_nonzero(keep))
+                keep &= (
+                    (-_CULL_MARGIN_PX <= px) & (px <= width + _CULL_MARGIN_PX)
+                    & (-_CULL_MARGIN_PX <= py)
+                    & (py <= height + _CULL_MARGIN_PX)
+                )
+        kept = np.flatnonzero(keep)
+        cull_span.set(rows_in=count, rows_out=len(kept))
+    stats.tuples_considered += count
+    if cull:
+        stats.culled_by_slider += count - in_ranges
+        stats.culled_by_viewport += in_ranges - len(kept)
+        stats.cull_plans.append(
+            CullNode(relation.name, count, in_ranges, len(kept))
         )
-    stats.culled_by_viewport += (
-        viewport_node.stats.rows_in - viewport_node.stats.rows_out
-    )
-    stats.cull_plans.append(viewport_node)
 
+    source = relation.rows.rows
     # A display that reads no fields draws the same list for every tuple,
     # so it is computed once; otherwise display_of runs per kept tuple.
     shared = None
-    if kept and "display" in relation.methods:
+    if len(kept) and "display" in relation.methods:
         display = relation.methods.get("display")
         if display.expr is not None and not display.expr.fields_used():
-            shared = list(display.compute(relation.methods.row_view(kept[0])))
-    # location_of's x/y are float() of these stored values (see
-    # _stored_numeric_column), so the anchors match the row loop's exactly.
-    x_pos = rows.schema.position(x_col)
-    y_pos = rows.schema.position(y_col)
-    offset_x = entry.offset_for("x")
-    offset_y = entry.offset_for("y")
+            shared = list(display.compute(
+                relation.methods.row_view(source[kept[0]])
+            ))
     items: list[RenderedItem] = []
-    pos = 0
-    with tracer.span("render.draw", backend=backend,
-                     relation=relation.name) as draw_span:
-        for row in kept:
-            # Restrict preserves order and object identity, so the original
-            # index is recovered by a forward identity walk (exact even with
-            # duplicate-valued rows).
-            while source[pos] is not row:
-                pos += 1
-            index = pos
-            pos += 1
-            anchor_x, anchor_y = view.to_screen(
-                float(row.values[x_pos]) + offset_x,
-                float(row.values[y_pos]) + offset_y,
-            )
+    with tracer.span("render.draw", relation=relation.name) as draw_span:
+        for index, anchor_x, anchor_y in zip(
+            kept.tolist(), px[kept].tolist(), py[kept].tolist()
+        ):
+            row = source[index]
             drawables = shared
             if drawables is None:
                 drawables = relation.display_of(
@@ -564,8 +362,13 @@ def _try_plan_cull(
             painted_any = False
             for drawable in drawables:
                 bbox = drawable.bbox(anchor_x, anchor_y, scale)
-                if (bbox[2] < -1.0 or bbox[0] > width + 1.0
-                        or bbox[3] < -1.0 or bbox[1] > height + 1.0):
+                # One pixel of slack: rasterization rounds coordinates, so
+                # a bbox ending fractionally off-canvas can still touch
+                # pixels.
+                if cull and (
+                    bbox[2] < -1.0 or bbox[0] > width + 1.0
+                    or bbox[3] < -1.0 or bbox[1] > height + 1.0
+                ):
                     continue
                 drawable.paint(canvas, anchor_x, anchor_y, scale)
                 stats.drawables_painted += 1
@@ -592,22 +395,81 @@ def _try_plan_cull(
     return items
 
 
-def _slider_culled(
-    relation: DisplayableRelation,
-    entry,
-    location: tuple[float, ...],
-    view: ViewState,
-) -> bool:
-    """Filter to slider ranges; relations lacking a dimension are invariant
-    in it (§6.1), so only the relation's own slider dims are checked."""
-    for pos, dim in enumerate(relation.slider_dims):
-        bounds = view.slider_ranges.get(dim)
-        if bounds is None:
-            continue
-        value = location[2 + pos] + entry.offset_for(dim)
-        if not bounds[0] <= value <= bounds[1]:
-            return True
-    return False
+def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
+    """Every tuple's location ``<x, y, l1, ...>`` (§2) as float64 columns.
+
+    A tuple's location depends on the tuple alone, so the columns are
+    memoized on the relation's row set (``RowSet.location_memo``), keyed by
+    the slider dimensions and the method definitions a location may read.
+    The memo keeps the ``_LOCATION_MEMO_ENTRIES`` most recent keys and dies
+    with the row set.  Element ``i`` of each column equals the matching
+    component of ``relation.location_of`` for tuple ``i``; a location
+    method that fails raises here and memoizes nothing.
+    """
+    rows = relation.rows
+    key = (relation.slider_dims, tuple(relation.methods))
+    memo = rows.location_memo or {}
+    columns = memo.get(key)
+    if columns is not None:
+        return columns
+    columns = _evaluate_locations(relation)
+    for column in columns:
+        column.flags.writeable = False
+    fresh = {**memo, key: columns}
+    while len(fresh) > _LOCATION_MEMO_ENTRIES:
+        del fresh[next(iter(fresh))]
+    rows.location_memo = fresh  # one atomic swap: readers never see a mix
+    return columns
+
+
+def _evaluate_locations(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
+    """Compute :func:`location_columns` from scratch."""
+    source = relation.rows.rows
+    count = len(source)
+    custom = relation.has_custom_location
+    attrs = relation.location_attrs if custom else relation.slider_dims
+    positions = [_stored_position(relation, attr) for attr in attrs]
+    if None in positions:
+        # A computed attribute: location_of per tuple, once per row set.
+        flat = np.fromiter(
+            itertools.chain.from_iterable(
+                map(relation.location_of, relation.views())
+            ),
+            dtype=np.float64,
+            count=count * relation.dimension,
+        )
+        return tuple(flat.reshape(count, relation.dimension).T.copy())
+    columns = tuple(
+        np.fromiter(map(float, (row.values[pos] for row in source)),
+                    dtype=np.float64, count=count)
+        for pos in positions
+    )
+    if not custom:
+        columns = (np.zeros(count), np.arange(count, dtype=np.float64),
+                   *columns)
+    return columns
+
+
+def _stored_position(relation: DisplayableRelation, attr: str) -> int | None:
+    """Schema position of the stored column whose ``float()`` is the
+    attribute's value, or None when the attribute must be computed.
+
+    That is the column itself, or a method that is a bare reference to a
+    numeric column — unless it is declared ``int`` over a ``float``
+    column: its coercion rejects non-integral values, so the column's raw
+    value is not the attribute's value.  Every other numeric pairing
+    coerces to a value whose ``float()`` equals the column value's.
+    """
+    schema = relation.rows.schema
+    if attr in schema:
+        return schema.position(attr)
+    method = relation.methods.get(attr)
+    if isinstance(method.expr, FieldRef) and method.expr.name in schema:
+        name = method.expr.name
+        column_type = schema.type_of(name)
+        if T.numeric(column_type) and method.type in (T.FLOAT, column_type):
+            return schema.position(name)
+    return None
 
 
 def _render_wormhole(

@@ -399,22 +399,18 @@ class Viewer:
         ).inc(canvas.draw_ops, label=self.name)
 
     def explain_render(self, cull: bool = True) -> str:
-        """Render and report the frame's work: scene counters plus the
-        per-operator tree of every synthesized culling plan.
+        """Render and report the frame's work: scene counters plus one cull
+        node per relation, with the tuples considered and kept.
 
         The signature-preserving way to see how much display-function
-        evaluation the pushdown avoided: each plan's Restrict nodes carry
-        rows-in/rows-out counts.
+        evaluation culling avoided.
         """
-        from repro.dbms.plan import explain_plan
-
         result = self.render(cull=cull)
         stats = result.stats
         lines = [f"viewer {self.name!r}: {stats!r}"]
         if not stats.cull_plans:
             lines.append("(no culling plans synthesized)")
-        for plan in stats.cull_plans:
-            lines.append(explain_plan(plan))
+        lines.extend(node.describe() for node in stats.cull_plans)
         return "\n".join(lines)
 
     def pick(self, px: float, py: float) -> RenderedItem | None:

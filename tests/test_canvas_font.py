@@ -64,6 +64,18 @@ class TestCanvasBasics:
         canvas.clear()
         assert canvas.count_nonbackground() == 0
 
+    @pytest.mark.parametrize("background", [
+        (255, 255, 255), (128, 128, 128), (0, 0, 0), (10, 200, 30),
+        (255, 255, 0),
+    ])
+    def test_clear_paints_the_background_everywhere(self, background):
+        canvas = Canvas(7, 5, background)
+        canvas.fill_rect(1, 1, 4, 3, (9, 99, 199))
+        canvas.clear()
+        expected = np.empty((5, 7, 3), dtype=np.uint8)
+        expected[:, :] = background
+        assert np.array_equal(canvas.pixels, expected)
+
     def test_copy_is_independent(self):
         canvas = Canvas(4, 4)
         clone = canvas.copy()

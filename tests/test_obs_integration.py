@@ -66,10 +66,12 @@ class TestColdRenderSpanNesting:
         for node in plan_nodes:
             assert "rows_out" in node.attrs
             assert node.attrs["rows_in"] >= node.attrs["rows_out"] >= 0
-        # The synthesized culling restricts execute inside the render pass.
-        culled = [s for s in plan_nodes
-                  if any(a.name == "render.cull" for a in ancestors(s))]
-        assert culled
+        # Culling runs inside the render pass and keeps a subset of the rows.
+        culls = tracer.finished("render.cull")
+        assert culls
+        for cull in culls:
+            assert any(a.name == "render.pass" for a in ancestors(cull))
+            assert cull.attrs["rows_in"] >= cull.attrs["rows_out"] >= 0
 
         (render_pass,) = tracer.finished("render.pass")
         assert render_pass.attrs["rows_considered"] >= \

@@ -252,6 +252,23 @@ class TestPerTableEpochs:
         tb.insert({"n": 78, "label": "related write"})
         assert cache.lookup(key) is None
 
+    def test_store_after_a_mutation_sweeps_stale_entries(self):
+        # Entries a write obsoleted are never looked up again (the new
+        # snapshot fingerprints differently); they must not keep their rows
+        # alive until LRU order reaches them.
+        cache = ResultCache()
+        ta, tb = named_table("SweepA"), named_table("SweepB")
+        table_entry(cache, ta)
+        key_b, __ = table_entry(cache, tb)
+        evictions = cache.stats()["evictions"]
+        ta.insert({"n": 90, "label": "obsoletes A's entry"})
+        assert len(cache) == 2
+        key_a, __ = table_entry(cache, ta)     # the first store sweeps
+        assert len(cache) == 2
+        assert cache.stats()["evictions"] == evictions + 1
+        assert cache.lookup(key_a) is not None
+        assert cache.lookup(key_b) is not None
+
     def test_int_epoch_entries_keep_global_semantics(self):
         cache = ResultCache()
         key, __ = fresh_entry(cache, num_rows(10))     # int-stamped
