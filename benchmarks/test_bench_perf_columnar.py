@@ -26,7 +26,6 @@ from repro.dataflow.boxes_db import AddTableBox
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
 from repro.dbms import plan as P
-from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.parser import parse_predicate
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.obs import global_registry
@@ -105,7 +104,7 @@ def test_perf_columnar_fast_scatter_cull(points_db_20k, record_columnar):
         return P.RestrictNode(P.ScanNode(rows, name="Points"), predicate)
 
     def columnar_plan():
-        root, __ = columnarize_plan(row_plan(), ColumnarConfig())
+        root, __ = columnarize_plan(row_plan())
         return root
 
     row_s, row_rows = _best_of(row_plan, _pull, rounds=5)
@@ -209,7 +208,7 @@ def test_perf_columnar_join_restrict(record_columnar):
         return P.RestrictNode(join, predicate)
 
     def columnar_plan():
-        root, __ = columnarize_plan(row_plan(), ColumnarConfig())
+        root, __ = columnarize_plan(row_plan())
         return root
 
     row_s, row_rows_out = _best_of(row_plan, _pull, rounds=5)
@@ -250,9 +249,7 @@ def test_perf_columnar_guard_elision(points_db_20k, record_columnar):
 
     def columnar_plan():
         root, __ = columnarize_plan(
-            P.RestrictNode(P.ScanNode(rows, name="Points"), predicate),
-            ColumnarConfig(),
-        )
+            P.RestrictNode(P.ScanNode(rows, name="Points"), predicate))
         return root
 
     elided = global_registry().counter(*ELIDED_COUNTER)

@@ -71,11 +71,6 @@ if _os.environ.get("REPRO_FLIGHT") == "1":
 
     _install_flight()
 
-if _os.environ.get("REPRO_COLUMNAR", "") not in ("", "0"):
-    from repro.dbms.columnar import install_from_env as _install_columnar
-
-    _install_columnar()
-
 if _os.environ.get("REPRO_LINEAGE", "") not in ("", "0"):
     from repro.obs.lineage import install_from_env as _install_lineage
 

@@ -21,11 +21,11 @@ turns on the process-wide result cache, which reuses materialized plan
 results across demands, engines, and slaved viewers until a table they
 read changes — see ``docs/RESULT_CACHE.md``.
 
-Also new: the columnar execution backend.  ``Engine(columnar=True)`` (or
-``REPRO_COLUMNAR=1``, or a :class:`ColumnarConfig`) lets the plan
-optimizer run eligible subtrees as vectorized numpy kernels over
-:class:`ColumnBatch` data — identical rows, order, and pixels, large
-speedups on scans/filters/joins — see ``docs/COLUMNAR.md``.
+Also new: the columnar execution backend.  The plan optimizer runs on
+every demand and moves eligible subtrees onto vectorized numpy kernels —
+identical rows, order, and pixels, large speedups on scans/filters/joins
+— with no knob to set; ``Engine(columnar=)`` is a deprecated no-op.  See
+``docs/COLUMNAR.md``.
 
 Also new: time-series telemetry and the self-hosted dashboard.
 :class:`MetricsRecorder` samples the process metrics into ring-buffer
@@ -134,12 +134,6 @@ from repro.dataflow.boxes_extra import (
 from repro.dataflow.engine import Engine, EngineStats
 from repro.dataflow.explain import explain, explain_data
 from repro.dataflow.graph import Program
-from repro.dbms.columnar import (
-    ColumnarConfig,
-    columnar_config_from_env,
-    default_columnar_config,
-    set_default_columnar_config,
-)
 from repro.dbms.result_cache import result_cache
 from repro.errors import TiogaError
 from repro.obs import (
@@ -220,11 +214,6 @@ __all__ = [
     "explain_data",
     # Result cache
     "result_cache",
-    # Columnar backend
-    "ColumnarConfig",
-    "columnar_config_from_env",
-    "default_columnar_config",
-    "set_default_columnar_config",
     # Observability: time series, flight recorder, bench gate, dashboard
     "MetricsRecorder",
     "TimeSeries",

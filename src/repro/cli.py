@@ -56,9 +56,7 @@ The inspection subcommands (``lint``, ``explain``, ``stats``, ``trace``,
 ``--json`` (machine-readable output), ``--timing`` (span-tree timing
 breakdown of the run), ``--strict`` (exit nonzero on soft problems —
 lint warnings, plan degradation notes, dropped trace spans, blank
-canvases), and ``--columnar`` (install the vectorized
-columnar backend as the process default; identical rows and pixels,
-see ``docs/COLUMNAR.md``).
+canvases).
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ def _common_flags() -> argparse.ArgumentParser:
 
     ``lint``/``explain``/``stats``/``trace``/``render`` all inherit the
     same flags instead of re-declaring per-command copies, so
-    ``--json``/``--timing``/``--strict``/``--columnar`` mean the same thing
+    ``--json``/``--timing``/``--strict`` mean the same thing
     (and spell the same way) everywhere.
     """
     common = argparse.ArgumentParser(add_help=False)
@@ -104,11 +102,6 @@ def _common_flags() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit nonzero on soft problems too (lint warnings, plan "
         "degradation notes, dropped trace spans, blank canvases)",
-    )
-    common.add_argument(
-        "--columnar", action="store_true",
-        help="execute eligible plan subtrees on the vectorized columnar "
-        "backend (identical rows/pixels; see docs/COLUMNAR.md)",
     )
     return common
 
@@ -345,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     render = commands.add_parser(
         "render", parents=[common],
         help="render figure scenarios to images (the inspection-flag "
-        "sibling of `figures`: adds --json/--timing/--strict/--columnar)",
+        "sibling of `figures`: adds --json/--timing/--strict)",
     )
     render.add_argument("--out-dir", required=True)
     render.add_argument(
@@ -1196,28 +1189,12 @@ _HANDLERS = {
     "client": _cmd_client,
 }
 
-_UNSET = object()
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     import json
 
-    previous_columnar = _UNSET
-    if getattr(args, "columnar", False):
-        # --columnar installs a process-wide default so every engine the
-        # subcommand creates (Session builds them internally) runs eligible
-        # subtrees vectorized.
-        from repro.dbms.columnar import (
-            ColumnarConfig,
-            default_columnar_config,
-            set_default_columnar_config,
-        )
-
-        previous_columnar = set_default_columnar_config(
-            default_columnar_config() or ColumnarConfig()
-        )
     try:
         return _HANDLERS[args.command](args)
     except TiogaError as exc:
@@ -1229,11 +1206,6 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: not a database file: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if previous_columnar is not _UNSET:
-            from repro.dbms.columnar import set_default_columnar_config
-
-            set_default_columnar_config(previous_columnar)
 
 
 if __name__ == "__main__":

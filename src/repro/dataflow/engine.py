@@ -24,8 +24,8 @@ from typing import Any
 from repro.dataflow.box import Box
 from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
-from repro.dbms.columnar import ColumnarConfig, resolve_columnar_config
 from repro.dbms.plan import LazyRowSet
+from repro.dbms.plan_rewrite import optimize_plan
 from repro.dbms.result_cache import cache_enabled, execute_cached
 from repro.display.displayable import Composite, DisplayableRelation, Group
 from repro.errors import GraphError, StaticAnalysisError, TiogaError
@@ -40,55 +40,52 @@ from repro.obs.trace import current_tracer
 __all__ = ["FireContext", "EngineStats", "Engine"]
 
 
-def _force_value(
-    value: Any, columnar: ColumnarConfig | None, cache: bool
-) -> Any:
+def _force_value(value: Any, cache: bool) -> Any:
     """Materialize any lazily-streamed row sets inside a demanded value.
 
     Boxes emit plan fragments wrapped in :class:`LazyRowSet`; demand is the
     materialization boundary, so data-dependent evaluation errors surface
     here — from ``output_of``/``evaluate_all`` — exactly where they surfaced
     when boxes materialized eagerly.  The walk descends displayable
-    relations, composites, and groups; each lazy set is forced on the
-    columnar backend when ``columnar`` is given and through the result
-    cache when ``cache`` is set (:func:`_force_lazy`).
+    relations, composites, and groups; each lazy set is optimized and
+    forced, through the result cache when ``cache`` is set
+    (:func:`_force_lazy`).
     """
     if isinstance(value, LazyRowSet):
-        _force_lazy(value, columnar, cache)
+        _force_lazy(value, cache)
     elif isinstance(value, DisplayableRelation):
-        _force_value(value.rows, columnar, cache)
+        _force_value(value.rows, cache)
     elif isinstance(value, Composite):
         for entry in value.entries:
-            _force_value(entry.relation, columnar, cache)
+            _force_value(entry.relation, cache)
     elif isinstance(value, Group):
         for __, member in value.members:
-            _force_value(member, columnar, cache)
+            _force_value(member, cache)
     return value
 
 
-def _force_lazy(
-    lazy: LazyRowSet, columnar: ColumnarConfig | None, cache: bool
-) -> None:
-    """Materialize one lazy row set, backend- and cache-aware.
+def _force_lazy(lazy: LazyRowSet, cache: bool) -> None:
+    """Optimize and materialize one lazy row set, cache-aware.
 
-    A cache hit installs the shared rows (``lazy.adopt``) and slaved
-    viewers and repeated renders share one materialization this way;
-    ``lazy.cache_status`` records "hit"/"miss" for EXPLAIN.  Fingerprints
-    are taken on the *pre-rewrite* plan and the columnar rewrite is
-    backend-transparent, so one entry serves row and columnar engines.
-    Plans that have already started streaming (a downstream consumer
-    pulled through a CacheNode first) are left untouched: rewriting or
-    adopting into a half-filled shared buffer would corrupt other
-    consumers.
+    An unstarted plan goes through :func:`optimize_plan` first — restrict
+    merging and pushdown, absint's certified rewrites when it is on, and
+    the per-subtree choice of the columnar backend — so the plan decides
+    the backend, not a knob.  A cache hit installs the shared rows
+    (``lazy.adopt``) and slaved viewers and repeated renders share one
+    materialization this way; ``lazy.cache_status`` records "hit"/"miss"
+    for EXPLAIN.  Fingerprints are taken on the *pre-rewrite* plan, so a
+    hit skips the optimizer, and the rewrites preserve rows and order, so
+    one entry serves any backend choice.  Plans that have already started
+    streaming (a downstream consumer pulled through a CacheNode first) are
+    left untouched: rewriting or adopting into a half-filled shared buffer
+    would corrupt other consumers.
     """
     if lazy.is_materialized:
         return
 
     def execute():
-        if columnar is not None and not lazy.has_started:
-            from repro.dbms.plan_rewrite import columnarize_plan
-
-            root, __ = columnarize_plan(lazy.plan, columnar)
+        if not lazy.has_started:
+            root, __ = optimize_plan(lazy.plan)
             if root is not lazy.plan:
                 lazy.replace_plan(root)
         return lazy.force()
@@ -238,7 +235,7 @@ class Engine:
         *,
         workers: int | None = None,
         cache: bool | None = None,
-        columnar: bool | ColumnarConfig | None = None,
+        columnar: bool | None = None,
         lineage: bool | LineageConfig | None = None,
     ):
         self.program = program
@@ -255,14 +252,17 @@ class Engine:
                 DeprecationWarning,
                 stacklevel=2,
             )
+        if columnar is not None:
+            warnings.warn(
+                "Engine(columnar=) is deprecated and has no effect; the "
+                "optimizer picks the backend per plan subtree "
+                "(docs/COLUMNAR.md)",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         # Result cache: None follows the process-wide default (on while a
         # TiogaServer runs), True/False pin it (docs/RESULT_CACHE.md).
         self.cache = cache_enabled() if cache is None else bool(cache)
-        # Columnar backend selection: None inherits the process default
-        # (REPRO_COLUMNAR), False pins the row backend, True/a config
-        # enables per-subtree vectorization.  Rows/order are identical
-        # either way (docs/COLUMNAR.md).
-        self.columnar = resolve_columnar_config(columnar)
         # Lineage capture: None inherits the process default
         # (REPRO_LINEAGE), False disables, True/a config records
         # output -> input mappings while this engine forces values
@@ -273,8 +273,8 @@ class Engine:
         """Materialize a demanded value, honoring the execution config."""
         if self.lineage is not None:
             with lineage_capture(self.lineage):
-                return _force_value(value, self.columnar, self.cache)
-        return _force_value(value, self.columnar, self.cache)
+                return _force_value(value, self.cache)
+        return _force_value(value, self.cache)
 
     # ------------------------------------------------------------------
 

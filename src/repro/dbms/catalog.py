@@ -8,7 +8,6 @@ and program menus (§3).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Iterable
 
 from repro.dbms import types as T
@@ -81,10 +80,6 @@ class TableStats:
         return f"TableStats({self.row_count} rows, {len(self.columns)} cols)"
 
 
-_STATS_CACHE: OrderedDict[int, tuple[RowSet, TableStats]] = OrderedDict()
-_STATS_CACHE_CAP = 64
-
-
 def _column_minmax(rows: RowSet, name: str) -> tuple[Any, Any, bool]:
     lo = hi = None
     has_nan = False
@@ -101,19 +96,15 @@ def _column_minmax(rows: RowSet, name: str) -> tuple[Any, Any, bool]:
 
 
 def stats_for(rows: RowSet) -> TableStats:
-    """Column stats for an immutable row set, memoized by identity.
+    """Column stats for an immutable row set, memoized on the row set.
 
     Row sets are immutable and :meth:`Table.snapshot` returns the same
-    object until the next mutation, so identity keying doubles as
-    per-version memoization for stored tables.  The cache pins the row
-    sets it has seen (bounded LRU) so an ``id()`` is never reused while
-    its entry is live.
+    object until the next mutation, so the ``RowSet.stats_memo`` slot
+    doubles as per-version memoization for stored tables, and the stats
+    are freed with the row set they describe.
     """
-    key = id(rows)
-    hit = _STATS_CACHE.get(key)
-    if hit is not None and hit[0] is rows:
-        _STATS_CACHE.move_to_end(key)
-        return hit[1]
+    if rows.stats_memo is not None:
+        return rows.stats_memo
     columns: dict[str, ColumnStats] = {}
     for field in rows.schema:
         if field.type in (T.INT, T.FLOAT):
@@ -124,9 +115,7 @@ def stats_for(rows: RowSet) -> TableStats:
         else:
             columns[field.name] = ColumnStats(field.name, field.type)
     stats = TableStats(len(rows), columns)
-    _STATS_CACHE[key] = (rows, stats)
-    while len(_STATS_CACHE) > _STATS_CACHE_CAP:
-        _STATS_CACHE.popitem(last=False)
+    rows.stats_memo = stats
     return stats
 
 
@@ -181,7 +170,7 @@ class Database:
         """Column stats for a stored table's current contents.
 
         Memoized per table version: snapshots are shared until the next
-        mutation, and :func:`stats_for` keys on snapshot identity.
+        mutation, and :func:`stats_for` memoizes on the snapshot.
         """
         return stats_for(self.table(name).snapshot())
 

@@ -24,14 +24,13 @@ materialize their output rows once, re-attach them to the outgoing batch,
 and record output-row → input-row mappings, so backward walks compose by
 identity across the whole columnar pipeline.
 
-:class:`ColumnarConfig` is a process default installable from
-``REPRO_COLUMNAR``, overridable per engine with ``Engine(columnar=...)``.  See
-``docs/COLUMNAR.md``.
+There is no backend knob: the plan optimizer
+(:func:`repro.dbms.plan_rewrite.columnarize_plan`) moves each worthwhile
+subtree onto the vectorized kernels.  See ``docs/COLUMNAR.md``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,14 +40,8 @@ from repro.dbms.tuples import Schema, Tuple
 
 __all__ = [
     "ColumnBatch",
-    "ColumnarConfig",
     "DEFAULT_BATCH_ROWS",
     "NUMPY_DTYPES",
-    "columnar_config_from_env",
-    "default_columnar_config",
-    "install_from_env",
-    "resolve_columnar_config",
-    "set_default_columnar_config",
 ]
 
 #: Fixed-width dtypes for the primitive atomic types; anything absent here
@@ -200,79 +193,5 @@ class ColumnBatch:
         return ColumnBatch(schema, columns, mask=self.mask)
 
 
-# ---------------------------------------------------------------------------
-# Configuration: the Engine(columnar=...) / REPRO_COLUMNAR knobs
-# ---------------------------------------------------------------------------
-
 DEFAULT_BATCH_ROWS = 65_536
 """Rows per column batch when a ToColumns adapter re-batches a row stream."""
-
-
-class ColumnarConfig:
-    """Knobs for the columnar backend."""
-
-    __slots__ = ("batch_rows",)
-
-    def __init__(self, batch_rows: int = DEFAULT_BATCH_ROWS):
-        self.batch_rows = max(1, int(batch_rows))
-
-    def __repr__(self) -> str:
-        return f"ColumnarConfig(batch_rows={self.batch_rows})"
-
-
-def columnar_config_from_env(environ=None) -> ColumnarConfig | None:
-    """Read ``REPRO_COLUMNAR`` / ``REPRO_COLUMNAR_BATCH``.
-
-    Unset, empty, or ``0`` means off (``None``); anything else enables the
-    columnar backend with the (optionally overridden) batch size.
-    """
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_COLUMNAR", "")
-    if raw in ("", "0"):
-        return None
-    try:
-        batch_rows = int(env.get("REPRO_COLUMNAR_BATCH",
-                                 str(DEFAULT_BATCH_ROWS)))
-    except ValueError:
-        batch_rows = DEFAULT_BATCH_ROWS
-    return ColumnarConfig(batch_rows=batch_rows)
-
-
-_DEFAULT_CONFIG: ColumnarConfig | None = None
-
-
-def default_columnar_config() -> ColumnarConfig | None:
-    """The process-wide columnar config (``None`` = row backend only)."""
-    return _DEFAULT_CONFIG
-
-
-def set_default_columnar_config(
-        config: ColumnarConfig | None) -> ColumnarConfig | None:
-    """Install a process default; returns the previous one (for restore)."""
-    global _DEFAULT_CONFIG
-    previous = _DEFAULT_CONFIG
-    _DEFAULT_CONFIG = config
-    return previous
-
-
-def install_from_env() -> None:
-    """Adopt ``REPRO_COLUMNAR`` as the process default when set."""
-    config = columnar_config_from_env()
-    if config is not None:
-        set_default_columnar_config(config)
-
-
-def resolve_columnar_config(columnar=None) -> ColumnarConfig | None:
-    """Resolve the ``Engine(columnar=...)`` knob against the process default.
-
-    ``None`` inherits the default; ``False`` forces the row backend;
-    ``True`` enables the backend (reusing the default's batch size when one
-    is installed); a :class:`ColumnarConfig` passes through.
-    """
-    if columnar is None:
-        return default_columnar_config()
-    if isinstance(columnar, ColumnarConfig):
-        return columnar
-    if columnar:
-        return default_columnar_config() or ColumnarConfig()
-    return None

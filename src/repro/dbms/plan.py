@@ -1038,6 +1038,7 @@ class LazyRowSet(RowSet):
         self._forced: tuple[Tuple, ...] | None = None
         self.column_batch = None
         self.location_memo = None
+        self.stats_memo = None
         self.label = label
         # "hit" / "miss" when the result cache was consulted; None otherwise.
         self.cache_status: str | None = None
@@ -1279,7 +1280,9 @@ class ToColumnsNode(ColumnarNode):
     renders of an unchanged table skip the per-tuple walk entirely; the
     leaf's counters are advanced as if it had streamed (EXPLAIN must read
     backend-independently).  Any other child is executed through the row
-    protocol and re-batched at ``batch_rows`` granularity.
+    protocol and re-batched at ``batch_rows`` granularity; the optimizer
+    always uses ``DEFAULT_BATCH_ROWS``, and tests pass smaller sizes to
+    exercise multi-batch streams.
     """
 
     label = "ToColumns"

@@ -37,7 +37,7 @@ from repro.dbms.expr import (
     Literal,
     Unary,
 )
-from repro.dbms.columnar import NUMPY_DTYPES, ColumnarConfig
+from repro.dbms.columnar import NUMPY_DTYPES
 from repro.dbms.expr_compile import compile_predicate
 from repro.dbms.plan import (
     CacheNode,
@@ -117,18 +117,17 @@ def rename_fields(expr: Expr, mapping: dict[str, str]) -> Expr:
 
 
 def optimize_plan(
-    root: PlanNode, log: list[str] | None = None, *,
-    columnar: ColumnarConfig | None = None,
+    root: PlanNode, log: list[str] | None = None
 ) -> tuple[PlanNode, list[str]]:
     """Apply plan rewrites until fixpoint; returns (new root, rewrite log).
 
     Rewrites rebuild nodes (constructors re-validate), so only apply this to
     plans that have not started executing — rebuilt nodes carry fresh stats.
+    The engine runs it on every demanded plan before first execution.
 
-    When ``columnar`` (a :class:`repro.dbms.columnar.ColumnarConfig`) is
-    given, :func:`columnarize_plan` then swaps profitable subtrees onto the
-    vectorized backend behind ToColumns/ToRows adapters.  Output rows,
-    order, and schemas are unchanged either way.
+    :func:`columnarize_plan` always runs last, swapping profitable subtrees
+    onto the vectorized backend behind ToColumns/ToRows adapters.  Output
+    rows, order, and schemas are unchanged.
 
     Rewrite safety: the optimized plan must produce the same schema as the
     original (checked unconditionally), and when a plan verifier is
@@ -149,8 +148,7 @@ def optimize_plan(
         from repro.analyze.absint import absint_rewrite_plan
 
         root, log = absint_rewrite_plan(root, log)
-    if columnar is not None:
-        root, log = columnarize_plan(root, columnar, log)
+    root, log = columnarize_plan(root, log)
     if root.schema != original_schema:
         raise StaticAnalysisError(
             f"plan rewrite changed the root schema from {original_schema!r} "
@@ -303,7 +301,7 @@ def _columnar_worthwhile(node: PlanNode) -> bool:
 
 
 def columnarize_plan(
-    root: PlanNode, config: ColumnarConfig, log: list[str] | None = None
+    root: PlanNode, log: list[str] | None = None
 ) -> tuple[PlanNode, list[str]]:
     """Select the columnar backend per subtree; returns (new root, log).
 
@@ -372,7 +370,7 @@ def columnarize_plan(
         """Extend the region through capable children; adapt the rest."""
         if not _stop(child) and _columnar_capable(child):
             return as_kernel(child)
-        return ToColumnsNode(walk(child), config.batch_rows)
+        return ToColumnsNode(walk(child))
 
     def _stop(node: PlanNode) -> bool:
         return (

@@ -35,6 +35,7 @@ from repro.dbms.tuples import Field, Schema, Tuple
 from repro.errors import EvaluationError, SchemaError, TypeCheckError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.dbms.catalog import TableStats
     from repro.dbms.columnar import ColumnBatch
 
 __all__ = [
@@ -118,9 +119,12 @@ class RowSet:
     row set it was converted from.  ``location_memo`` likewise holds the
     viewer's location columns (``repro.render.scene.location_columns``),
     keyed by the location definitions; None until first rendered.
+    ``stats_memo`` holds the rows' column statistics
+    (``repro.dbms.catalog.stats_for``); None until first asked for.
     """
 
-    __slots__ = ("_schema", "_rows", "column_batch", "location_memo")
+    __slots__ = ("_schema", "_rows", "column_batch", "location_memo",
+                 "stats_memo")
 
     def __init__(self, schema: Schema, rows: Iterable[Tuple] = ()):
         self._schema = schema
@@ -133,6 +137,7 @@ class RowSet:
         self._rows = materialized
         self.column_batch: ColumnBatch | None = None
         self.location_memo: dict | None = None
+        self.stats_memo: TableStats | None = None
 
     @property
     def schema(self) -> Schema:

@@ -78,7 +78,7 @@ WALKS_COUNTER = ("lineage.walks", "why-provenance walks performed")
 
 
 class LineageConfig:
-    """Knobs for lineage capture (mirrors ``ColumnarConfig``)."""
+    """Knobs for lineage capture: the per-node mapping ring capacity."""
 
     __slots__ = ("max_mappings",)
 

@@ -4,8 +4,11 @@ checking (T2-I301)."""
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
+import numpy as np
 import pytest
 
 from repro.analyze import absint
@@ -29,7 +32,6 @@ from repro.analyze.planverify import assert_valid_plan
 from repro.dbms import plan as P
 from repro.dbms import types as T
 from repro.dbms.catalog import stats_for
-from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.expr import Binary, Call, FieldRef, Literal
 from repro.dbms.parser import parse_expression, parse_predicate
 from repro.dbms.plan_rewrite import columnarize_plan, optimize_plan
@@ -253,6 +255,20 @@ class TestEntryFacts:
         env = env_from_stats(stats_for(rows), rows.schema)
         assert env["n"].is_const and env["n"].const == 7
 
+    def test_stats_memoized_on_and_freed_with_the_row_set(self):
+        rows = num_rows(10)
+        stats = stats_for(rows)
+        assert stats_for(rows) is stats
+        assert rows.stats_memo is stats
+        # RowSet takes no weak references; a probe hung on one of its
+        # memo slots lives exactly as long as the row set does.
+        probe = np.zeros(1)
+        rows.location_memo = {"probe": probe}
+        freed = weakref.ref(probe)
+        del rows, stats, probe
+        gc.collect()
+        assert freed() is None    # computing stats did not pin the rows
+
 
 class TestPlanColumnFacts:
     def test_scan_uses_stats(self):
@@ -303,11 +319,10 @@ class TestGuardElision:
         return P.RestrictNode(scan, parse_predicate(self.PREDICATE, NUMS))
 
     def test_rows_identical_with_and_without(self):
-        config = ColumnarConfig(batch_rows=16)
-        baseline, _ = columnarize_plan(self._plan(), config)
+        baseline, _ = columnarize_plan(self._plan())
         rows_off = list(baseline.execute())
         set_absint_enabled(True)
-        proven, _ = columnarize_plan(self._plan(), config)
+        proven, _ = columnarize_plan(self._plan())
         rows_on = list(proven.execute())
         assert rows_on == rows_off
 
@@ -318,7 +333,7 @@ class TestGuardElision:
 
         elided_before = global_registry().counter(*ELIDED_COUNTER).value()
         set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+        plan, _ = columnarize_plan(self._plan())
         restrict = plan.children[0]
         assert isinstance(restrict, P.ColumnarRestrictNode)
         assert restrict.proof is not None and "div_zero" in restrict.proof
@@ -329,19 +344,19 @@ class TestGuardElision:
 
     def test_explain_text_shows_proof(self):
         set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+        plan, _ = columnarize_plan(self._plan())
         assert "proof=" in P.explain_plan(plan)
 
     def test_explain_json_shows_proof(self):
         from repro.dataflow.explain import _plan_to_dict
 
         set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+        plan, _ = columnarize_plan(self._plan())
         tree = _plan_to_dict(plan, [0])
         assert tree["children"][0]["proof"]
 
     def test_no_proof_without_interpreter(self):
-        plan, _ = columnarize_plan(self._plan(), ColumnarConfig())
+        plan, _ = columnarize_plan(self._plan())
         assert plan.children[0].proof is None
         assert "proof=" not in P.explain_plan(plan)
 

@@ -15,7 +15,6 @@ import math
 import pytest
 
 from repro.dbms import plan as P
-from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Schema
@@ -155,5 +154,5 @@ class TestSpecValidationShared:
                                    ("count", "reading", "n")]
         row_node = P.GroupByNode(P.ScanNode(rows), keys, aggs)
         col_root, __ = columnarize_plan(
-            P.GroupByNode(P.ScanNode(rows), keys, aggs), ColumnarConfig())
+            P.GroupByNode(P.ScanNode(rows), keys, aggs))
         assert col_root.schema == row_node.schema

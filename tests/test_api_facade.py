@@ -38,6 +38,15 @@ class TestFacadeSurface:
         assert not [name for name in api.__all__
                     if name.startswith("Parallel")]
 
+    def test_removed_columnar_knobs_are_gone(self):
+        # The optimizer picks the backend per plan (docs/API.md,
+        # "Deprecations").
+        for name in ("ColumnarConfig", "columnar_config_from_env",
+                     "default_columnar_config",
+                     "set_default_columnar_config"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
+
     def test_box_catalog_exported(self):
         for name in ("AddTableBox", "RestrictBox", "ProjectBox", "JoinBox",
                      "OverlayBox", "StitchBox", "ReplicateBox",
@@ -111,4 +120,17 @@ class TestDeprecatedWorkersKnob:
         with pytest.warns(DeprecationWarning, match="workers"):
             session.engine = api.Engine(session.program, session.database,
                                         workers=4)
+        assert np.array_equal(window.render().pixels, baseline)
+
+
+class TestDeprecatedColumnarKnob:
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_columnar_warns_and_renders_identically(self, columnar):
+        scenario = api.build_fig4_station_map(api.open_db("weather"))
+        session = scenario.session
+        window = scenario.window()
+        baseline = window.render().pixels.copy()
+        with pytest.warns(DeprecationWarning, match="columnar"):
+            session.engine = api.Engine(session.program, session.database,
+                                        columnar=columnar)
         assert np.array_equal(window.render().pixels, baseline)

@@ -38,6 +38,7 @@ from repro.dbms.catalog import Database
 from repro.dbms.result_cache import result_cache
 from repro.dbms.relation import Table
 from repro.dbms.tuples import Schema
+from row_reference import row_backend, row_shape
 
 SEEDS = 30
 ROWS = 5_000
@@ -176,33 +177,47 @@ def test_cold_and_warm_cache_agree_over_30_seeds(big_stations_db):
 
 
 def test_columnar_cold_and_warm_agree_over_30_seeds(big_stations_db):
-    """Uncached row vs columnar cache-cold vs columnar cache-warm.
+    """Uncached row reference vs default cache-cold vs default cache-warm.
 
-    The columnar arms run under the plan verifier so every rewritten tree is
-    also structurally checked (adapter placement, schema/dtype agreement).
+    The default path lets the optimizer move subtrees onto the columnar
+    backend; it must match the row reference (``row_backend()``) in rows,
+    order, and every executed plan's row counters.  The default arms run
+    under the plan verifier so every rewritten tree is also structurally
+    checked (adapter placement, schema/dtype agreement).
     """
     from repro.analyze.planverify import assert_valid_plan
     from repro.dbms.plan import plan_verifier, set_plan_verifier
 
     previous_verifier = plan_verifier()
-    set_plan_verifier(assert_valid_plan)
-    compared = 0
+    compared = columnarized = 0
     try:
         for seed in range(SEEDS):
             program, last_box = random_program(seed)
             if check_program(program, big_stations_db).errors():
                 continue
-            uncached, __ = run(big_stations_db, program, last_box,
-                               cache=False, columnar=False)
+            with row_backend():
+                uncached, uncached_report = run(
+                    big_stations_db, program, last_box, cache=False)
             result_cache().clear()
-            cold, __ = run(big_stations_db, program, last_box,
-                           cache=True, columnar=True)
-            warm, __ = run(big_stations_db, program, last_box,
-                           cache=True, columnar=True)
+            set_plan_verifier(assert_valid_plan)
+            cold, cold_report = run(big_stations_db, program, last_box,
+                                    cache=True)
+            warm, __ = run(big_stations_db, program, last_box, cache=True)
+            set_plan_verifier(previous_verifier)
             assert cold == uncached, f"seed {seed}: columnar-cold differs"
             assert warm == uncached, f"seed {seed}: columnar-warm differs"
+            reference = plan_entries(uncached_report)
+            plans = plan_entries(cold_report)
+            assert len(plans) == len(reference)
+            for plan, expected in zip(plans, reference):
+                assert row_shape(plan["tree"]) == \
+                    row_shape(expected["tree"]), \
+                    f"seed {seed}: EXPLAIN counters differ"
+                columnarized += plan["tree"]["op"] == "ToRows"
             compared += 1
     finally:
         set_plan_verifier(previous_verifier)
         result_cache().clear()
     assert compared >= SEEDS // 2, compared
+    # The default path must actually exercise the columnar backend.
+    assert columnarized >= compared // 4, (columnarized, compared)

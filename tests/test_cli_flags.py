@@ -1,8 +1,8 @@
 """Tests: the uniform CLI flag set across inspection subcommands.
 
 ``lint``/``explain``/``stats``/``trace``/``render`` share one argparse
-parent parser, so ``--json``/``--timing``/``--strict``/``--columnar`` parse
-(and mean the same thing) on all of them.
+parent parser, so ``--json``/``--timing``/``--strict`` parse (and mean the
+same thing) on all of them.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ def parse(argv):
 class TestUniformParsing:
     @pytest.mark.parametrize("command", INSPECTION)
     def test_common_flags_accepted_everywhere(self, command):
-        argv = [command, "--json", "--timing", "--strict", "--columnar"]
+        argv = [command, "--json", "--timing", "--strict"]
         if command == "render":
             argv += ["--out-dir", "out"]
         args = parse(argv)
         assert args.as_json is True
         assert args.timing is True
         assert args.strict is True
-        assert args.columnar is True
 
     @pytest.mark.parametrize("command", INSPECTION)
     def test_common_flags_default_off(self, command):
@@ -39,29 +38,26 @@ class TestUniformParsing:
         assert args.as_json is False
         assert args.timing is False
         assert args.strict is False
-        assert args.columnar is False
 
     def test_non_inspection_commands_reject_common_flags(self):
         with pytest.raises(SystemExit):
-            parse(["tables", "--db", "x.json", "--columnar"])
+            parse(["tables", "--db", "x.json", "--timing"])
 
     def test_removed_workers_flag_rejected(self):
         with pytest.raises(SystemExit):
             parse(["explain", "--workers", "4"])
 
+    def test_removed_columnar_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            parse(["explain", "--columnar"])
+
 
 class TestColumnarFlag:
-    def test_columnar_config_restored_after_run(self, capsys):
-        from repro.dbms.columnar import default_columnar_config
-
-        before = default_columnar_config()
-        assert main(["explain", "--figure", "fig1", "--columnar"]) == 0
-        assert default_columnar_config() is before
-        capsys.readouterr()
+    """The columnar backend shows in the inspection commands with no flag:
+    the optimizer picks it per plan subtree."""
 
     def test_explain_json_reports_columnar_backend(self, capsys):
-        assert main(["explain", "--figure", "fig4", "--json",
-                     "--columnar"]) == 0
+        assert main(["explain", "--figure", "fig4", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         backends = set()
 

@@ -4,7 +4,8 @@ Covers the batch container (repro.dbms.columnar), the expression compiler
 (repro.dbms.expr_compile), every vectorized kernel against its serial row
 twin, the per-subtree backend selection in ``columnarize_plan`` /
 ``optimize_plan``, the planverify adapter invariants, EXPLAIN/backend
-annotation, the engine/env knobs, and row↔columnar pixel equality for
+annotation, the optimizer on real engine demands, and pixel equality
+between the default path and the row reference (``row_backend()``) for
 every paper figure scenario.
 """
 
@@ -19,14 +20,7 @@ import pytest
 
 from repro.dbms import plan as P
 from repro.dbms import types as T
-from repro.dbms.columnar import (
-    ColumnBatch,
-    ColumnarConfig,
-    columnar_config_from_env,
-    default_columnar_config,
-    resolve_columnar_config,
-    set_default_columnar_config,
-)
+from repro.dbms.columnar import ColumnBatch
 from repro.dbms.expr_compile import (
     VectorFallback,
     compile_expression,
@@ -38,6 +32,7 @@ from repro.dbms.plan_rewrite import columnarize_plan, optimize_plan
 from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Schema
 from repro.obs import global_registry
+from row_reference import row_backend
 
 NUMS = Schema([("n", "int"), ("x", "float"), ("label", "text")])
 
@@ -114,7 +109,7 @@ class TestColumnBatch:
         def run(rows):
             plan = P.RestrictNode(P.ScanNode(rows),
                                   parse_predicate("x > 0.0", NUMS))
-            root, __ = columnarize_plan(plan, ColumnarConfig())
+            root, __ = columnarize_plan(plan)
             return list(root.rows_iter())
 
         rows = num_rows(300)
@@ -186,7 +181,7 @@ class TestExprCompile:
 
 
 def columnarized(root: P.PlanNode) -> P.PlanNode:
-    new_root, log = columnarize_plan(root, ColumnarConfig())
+    new_root, log = columnarize_plan(root)
     assert any("columnarized" in line for line in log), log
     return new_root
 
@@ -267,13 +262,19 @@ class TestKernelEquivalence:
         assert serial == vector
 
     def test_small_batch_rows_round_trip(self):
+        # A non-leaf child is re-batched at ToColumns' batch_rows, so the
+        # kernel sees 16 batches (the last one partial).
         rows = num_rows(1000)
         pred = parse_predicate("x > 0.0", NUMS)
         serial = values_of(P.RestrictNode(P.ScanNode(rows), pred))
-        root, __ = columnarize_plan(
-            P.RestrictNode(P.ScanNode(rows), pred),
-            ColumnarConfig(batch_rows=64))
+        batches = global_registry().counter(*_BATCHES)
+        before = batches.value()
+        root = P.ToRowsNode(P.ColumnarRestrictNode(
+            P.ToColumnsNode(P.LimitNode(P.ScanNode(rows), 1000),
+                            batch_rows=64),
+            pred))
         assert values_of(root) == serial
+        assert batches.value() - before >= 16
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +286,7 @@ class TestBackendSelection:
     def test_log_names_the_selected_subtree(self):
         rows = num_rows(50)
         root, log = columnarize_plan(
-            P.OrderByNode(P.ScanNode(rows), ["n"]), ColumnarConfig())
+            P.OrderByNode(P.ScanNode(rows), ["n"]))
         assert isinstance(root, P.ToRowsNode)
         assert any("columnarized subtree at OrderBy" in line for line in log)
 
@@ -296,16 +297,14 @@ class TestBackendSelection:
                 P.RestrictNode(P.ScanNode(rows),
                                parse_predicate("n > 0", NUMS)),
                 5,
-            ),
-            ColumnarConfig(),
-        )
+            ))
         assert type(root) is P.LimitNode          # stays on the row backend
         assert isinstance(root.children[0], P.ToRowsNode)
 
     def test_text_sort_keys_not_worthwhile(self):
         rows = num_rows(50)
         root, log = columnarize_plan(
-            P.OrderByNode(P.ScanNode(rows), ["label"]), ColumnarConfig())
+            P.OrderByNode(P.ScanNode(rows), ["label"]))
         assert type(root) is P.OrderByNode
         assert log == []
 
@@ -316,7 +315,7 @@ class TestBackendSelection:
         serial.execute()
 
         template = P.RestrictNode(P.ScanNode(rows), pred)
-        root, __ = columnarize_plan(template, ColumnarConfig())
+        root, __ = columnarize_plan(template)
         root.execute()
         # The kernels fold rows_in/rows_out/opens into the serial nodes
         # they replaced, so EXPLAIN reads backend-independently.
@@ -330,8 +329,7 @@ class TestBackendSelection:
     def test_explain_text_tags_columnar_nodes(self):
         rows = num_rows(100)
         root, __ = columnarize_plan(
-            P.RestrictNode(P.ScanNode(rows), parse_predicate("n > 0", NUMS)),
-            ColumnarConfig())
+            P.RestrictNode(P.ScanNode(rows), parse_predicate("n > 0", NUMS)))
         root.execute()
         text = root.explain()
         assert "Restrict[(n > 0)] <columnar>" in text
@@ -346,10 +344,8 @@ class TestBackendSelection:
         previous = P.plan_verifier()
         P.set_plan_verifier(assert_valid_plan)
         try:
-            root, log = optimize_plan(
-                P.RestrictNode(P.ScanNode(rows), pred),
-                columnar=ColumnarConfig(),
-            )
+            root, log = optimize_plan(P.RestrictNode(P.ScanNode(rows), pred))
+            assert isinstance(root, P.ToRowsNode)
             assert values_of(root) == serial
         finally:
             P.set_plan_verifier(previous)
@@ -383,34 +379,6 @@ class TestPlanVerifierInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Config knobs
-# ---------------------------------------------------------------------------
-
-
-class TestConfigKnobs:
-    def test_env_parsing(self):
-        assert columnar_config_from_env({}) is None
-        assert columnar_config_from_env({"REPRO_COLUMNAR": "0"}) is None
-        config = columnar_config_from_env({"REPRO_COLUMNAR": "1"})
-        assert isinstance(config, ColumnarConfig)
-        sized = columnar_config_from_env(
-            {"REPRO_COLUMNAR": "1", "REPRO_COLUMNAR_BATCH": "1024"})
-        assert sized.batch_rows == 1024
-
-    def test_resolve_rules(self):
-        explicit = ColumnarConfig(batch_rows=7)
-        assert resolve_columnar_config(explicit) is explicit
-        assert resolve_columnar_config(False) is None
-        assert isinstance(resolve_columnar_config(True), ColumnarConfig)
-        previous = set_default_columnar_config(explicit)
-        try:
-            assert resolve_columnar_config(None) is explicit
-            assert default_columnar_config() is explicit
-        finally:
-            set_default_columnar_config(previous)
-
-
-# ---------------------------------------------------------------------------
 # Engine integration and figure-scenario equivalence
 # ---------------------------------------------------------------------------
 
@@ -430,9 +398,10 @@ class TestEngineIntegration:
         from repro.dataflow.engine import Engine
 
         program, keep = self.build(stations_db)
-        serial = tuple(Engine(program, stations_db)
-                       .output_of(keep, "out").rows.force())
-        columnar = tuple(Engine(program, stations_db, columnar=True)
+        with row_backend():
+            serial = tuple(Engine(program, stations_db)
+                           .output_of(keep, "out").rows.force())
+        columnar = tuple(Engine(program, stations_db)
                          .output_of(keep, "out").rows.force())
         assert serial == columnar
 
@@ -441,35 +410,127 @@ class TestEngineIntegration:
         from repro.dataflow.explain import explain_data
 
         program, keep = self.build(stations_db)
-        engine = Engine(program, stations_db, columnar=True, cache=False)
+        engine = Engine(program, stations_db, cache=False)
         engine.output_of(keep, "out").rows.force()
-        data = explain_data(program, engine=engine, box_id=keep)
-
-        def walk(tree):
-            yield tree
-            for child in tree["children"]:
-                yield from walk(child)
-
-        nodes = [node
-                 for box in data["boxes"]
-                 for output in box["outputs"]
-                 for plan in output["plans"]
-                 for node in walk(plan["tree"])]
+        nodes = [node for plan in plans_of(explain_data(
+                     program, engine=engine, box_id=keep))
+                 for node in walk_tree(plan["tree"])]
         backends = {node["backend"] for node in nodes}
         assert backends == {"row", "columnar"}
-        assert all(node["backend"] in ("row", "columnar") for node in nodes)
 
-    def test_explain_data_row_backend_by_default(self, stations_db):
+    def test_explain_data_columnar_backend_by_default(self, stations_db):
         from repro.dataflow.engine import Engine
         from repro.dataflow.explain import explain_data
 
         program, keep = self.build(stations_db)
         engine = Engine(program, stations_db)
         engine.output_of(keep, "out").rows.force()
-        data = explain_data(program, engine=engine, box_id=keep)
-        (plan,) = [plan for box in data["boxes"]
-                   for output in box["outputs"] for plan in output["plans"]]
-        assert plan["tree"]["backend"] == "row"
+        (plan,) = plans_of(explain_data(program, engine=engine, box_id=keep))
+        assert plan["tree"]["op"] == "ToRows"
+        assert plan["tree"]["children"][0]["backend"] == "columnar"
+
+    def test_explain_data_row_backend_under_row_reference(self, stations_db):
+        from repro.dataflow.engine import Engine
+        from repro.dataflow.explain import explain_data
+
+        program, keep = self.build(stations_db)
+        engine = Engine(program, stations_db)
+        with row_backend():
+            engine.output_of(keep, "out").rows.force()
+        (plan,) = plans_of(explain_data(program, engine=engine, box_id=keep))
+        assert {node["backend"] for node in walk_tree(plan["tree"])} == {"row"}
+
+
+def walk_tree(tree):
+    yield tree
+    for child in tree["children"]:
+        yield from walk_tree(child)
+
+
+def plans_of(data):
+    return [plan for box in data["boxes"]
+            for output in box["outputs"] for plan in output["plans"]]
+
+
+class TestOptimizerOnDemand:
+    """Every engine demand runs ``optimize_plan`` on the unstarted plan."""
+
+    def demand(self, db, *boxes):
+        from repro.dataflow.boxes_db import AddTableBox
+        from repro.dataflow.engine import Engine
+        from repro.dataflow.explain import explain_data
+        from repro.dataflow.graph import Program
+
+        program = Program("optimizer-on-demand")
+        upstream = program.add_box(AddTableBox(table="Stations"))
+        for box in boxes:
+            box_id = program.add_box(box)
+            program.connect(upstream, "out", box_id, "in")
+            upstream = box_id
+        engine = Engine(program, db, cache=False)
+        rows = engine.output_of(upstream, "out").rows.force()
+        with row_backend():
+            reference = Engine(program, db, cache=False).output_of(
+                upstream, "out").rows.force()
+        assert rows == reference
+        (plan,) = plans_of(explain_data(program, engine=engine,
+                                        box_id=upstream))
+        return plan["tree"]
+
+    def test_stacked_restricts_stop_at_the_box_boundary(self, stations_db):
+        # Each box wraps its plan in a lazy set and downstream boxes read
+        # it through a Cache node, which the rewrites never cross: the
+        # demanded box's Restrict runs columnar over the upstream plan,
+        # and the two predicates are not merged.
+        from repro.dataflow.boxes_db import RestrictBox
+
+        tree = self.demand(stations_db,
+                           RestrictBox(predicate="altitude > 50.0"),
+                           RestrictBox(predicate="latitude > 30.0"))
+        ops = [(node["op"], node["backend"]) for node in walk_tree(tree)]
+        assert ops[:4] == [("ToRows", "row"), ("Restrict", "columnar"),
+                           ("ToColumns", "columnar"), ("Cache", "row")]
+        restricts = [node["describe"] for node in walk_tree(tree)
+                     if node["op"] == "Restrict"]
+        assert restricts == ["Restrict[(latitude > 30.0)]",
+                             "Restrict[(altitude > 50.0)]"]
+
+    def test_numeric_join_runs_columnar_with_no_knob(self, weather_db):
+        from repro.dataflow.boxes_db import AddTableBox, JoinBox
+        from repro.dataflow.engine import Engine
+        from repro.dataflow.explain import explain_data
+        from repro.dataflow.graph import Program
+
+        program = Program("columnar-join")
+        stations = program.add_box(AddTableBox(table="Stations"))
+        observations = program.add_box(AddTableBox(table="Observations"))
+        join = program.add_box(JoinBox(left_key="station_id",
+                                       right_key="station_id"))
+        program.connect(stations, "out", join, "left")
+        program.connect(observations, "out", join, "right")
+        engine = Engine(program, weather_db, cache=False)
+        rows = engine.output_of(join, "out").rows.force()
+        with row_backend():
+            reference = Engine(program, weather_db, cache=False).output_of(
+                join, "out").rows.force()
+        assert rows == reference
+        (plan,) = plans_of(explain_data(program, engine=engine, box_id=join))
+        assert plan["tree"]["op"] == "ToRows"
+        ops = {(node["op"], node["backend"])
+               for node in walk_tree(plan["tree"])}
+        assert ("HashJoin", "columnar") in ops
+
+    def test_always_true_restrict_removed_under_absint(self, stations_db):
+        from repro.analyze.absint import set_absint_enabled
+        from repro.dataflow.boxes_db import RestrictBox
+
+        previous = set_absint_enabled(True)
+        try:
+            tree = self.demand(stations_db,
+                               RestrictBox(predicate="altitude > -1000.0"))
+        finally:
+            set_absint_enabled(previous)
+        assert "Restrict" not in {node["op"] for node in walk_tree(tree)}
 
 
 FIGURES = [
@@ -485,28 +546,28 @@ FIGURES = [
 
 @pytest.mark.parametrize("builder_name", FIGURES)
 def test_figure_pixels_identical_row_vs_columnar(weather_db, builder_name):
-    """Every paper figure renders the same pixels on both backends."""
+    """Every paper figure renders the same pixels and SceneStats on the
+    default (optimized) path as on the row reference."""
     from repro.core import scenarios
 
     build = getattr(scenarios, builder_name)
 
-    def canvases(columnar: bool):
-        previous = set_default_columnar_config(
-            ColumnarConfig() if columnar else None)
-        try:
-            scenario = build(weather_db)
-            return {
-                name: window.render().pixels.copy()
-                for name, window in sorted(scenario.named.items())
-                if hasattr(window, "render")
-            }
-        finally:
-            set_default_columnar_config(previous)
+    def canvases():
+        scenario = build(weather_db)
+        return {
+            name: (window.render().pixels.copy(),
+                   window.viewer.last_result.stats.to_dict())
+            for name, window in sorted(scenario.named.items())
+            if hasattr(window, "render")
+        }
 
-    row_pixels = canvases(columnar=False)
-    col_pixels = canvases(columnar=True)
-    assert row_pixels.keys() == col_pixels.keys()
-    assert row_pixels, builder_name
-    for name in row_pixels:
-        assert np.array_equal(row_pixels[name], col_pixels[name]), \
+    with row_backend():
+        row_renders = canvases()
+    col_renders = canvases()
+    assert row_renders.keys() == col_renders.keys()
+    assert row_renders, builder_name
+    for name, (row_pixels, row_stats) in row_renders.items():
+        col_pixels, col_stats = col_renders[name]
+        assert np.array_equal(row_pixels, col_pixels), \
             f"{builder_name}: window {name!r} pixels differ"
+        assert row_stats == col_stats, name

@@ -90,8 +90,8 @@ class TestExplain:
         __, lazy = plans[0]
         assert isinstance(lazy, LazyRowSet)
         root = lazy.plan
-        # A process-wide columnar default (REPRO_COLUMNAR=1) wraps the
-        # join in backend adapters; the join node itself is unchanged.
+        # The optimizer runs the numeric-key join columnar, behind backend
+        # adapters; the join node itself describes the same.
         while root.label in ("ToRows", "ToColumns"):
             (root,) = root.children
         assert root.describe() == "HashJoin[station_id = station_id]"
@@ -115,8 +115,8 @@ class TestExplainData:
         (output,) = keep_entry["outputs"]
         assert output["port"] == "out"
         (plan,) = output["plans"]
-        # Under a process-wide columnar default the tree gains adapter
-        # nodes above the Restrict; the operator entry itself is stable.
+        # A columnarized Restrict sits below a ToRows adapter; the
+        # operator entry itself is backend-independent.
         root = next(node for node in _walk(plan["tree"])
                     if "Restrict" in node["describe"])
         assert root["op"]

@@ -19,7 +19,6 @@ import pytest
 
 from repro import cli
 from repro.dbms import plan as P
-from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.parser import parse_predicate
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.dbms.relation import RowSet
@@ -323,7 +322,7 @@ class TestCrossBackendProperty:
         expected = base_rows(serial_root, serial_out, index)
         assert expected, "a group must trace to at least one base row"
 
-        columnar_root, __ = columnarize_plan(build(), ColumnarConfig())
+        columnar_root, __ = columnarize_plan(build())
         columnar_out = run(columnar_root)
         assert columnar_out == serial_out
         assert base_rows(columnar_root, columnar_out, index) == expected

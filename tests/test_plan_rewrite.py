@@ -35,10 +35,25 @@ def restrict(child: P.PlanNode, source: str) -> P.RestrictNode:
     return P.RestrictNode(child, parse_predicate(source, child.schema))
 
 
+def rewrite(plan: P.PlanNode) -> tuple[P.PlanNode, list[str]]:
+    """``optimize_plan`` read back as the rewritten row plan.
+
+    The pass ends by moving worthwhile subtrees onto columnar kernels; each
+    kernel keeps the row operator it replaced as its ``template``, so the
+    row plan the rules produced is the template under the ToRows adapter.
+    Backend choices are dropped from the log.
+    """
+    optimized, log = optimize_plan(plan)
+    if isinstance(optimized, P.ToRowsNode):
+        optimized = optimized.children[0].template
+    return optimized, [line for line in log
+                       if not line.startswith("columnarized")]
+
+
 class TestRewriteRules:
     def test_merges_adjacent_restricts(self):
         plan = restrict(restrict(P.ScanNode(rows()), "a > 2"), "a < 8")
-        optimized, log = optimize_plan(plan)
+        optimized, log = rewrite(plan)
         assert isinstance(optimized, P.RestrictNode)
         assert isinstance(optimized.children[0], P.ScanNode)
         assert any("merged adjacent restricts" in line for line in log)
@@ -46,7 +61,7 @@ class TestRewriteRules:
     def test_pushes_restrict_below_rename(self):
         renamed = P.RenameNode(P.ScanNode(rows()), "a", "alpha")
         plan = restrict(renamed, "alpha > 4")
-        optimized, log = optimize_plan(plan)
+        optimized, log = rewrite(plan)
         assert isinstance(optimized, P.RenameNode)
         inner = optimized.children[0]
         assert isinstance(inner, P.RestrictNode)
@@ -58,7 +73,7 @@ class TestRewriteRules:
             P.OrderByNode(P.ProjectNode(P.ScanNode(rows()), ["a", "b"]), ["b"])
         )
         plan = restrict(chain, "a > 4")
-        optimized, __ = optimize_plan(plan)
+        optimized, __ = rewrite(plan)
         # The restrict sank to just above the scan.
         node = optimized
         kinds = []
@@ -75,7 +90,7 @@ class TestRewriteRules:
     def test_blocked_by_union(self):
         union = P.UnionNode(P.ScanNode(rows(seed=1)), P.ScanNode(rows(seed=2)))
         plan = restrict(union, "a > 4")
-        optimized, log = optimize_plan(plan)
+        optimized, log = rewrite(plan)
         assert isinstance(optimized, P.RestrictNode)
         assert isinstance(optimized.children[0], P.UnionNode)
         assert log == []
@@ -85,7 +100,7 @@ class TestRewriteRules:
             P.ScanNode(rows()), ["tag"], [("count", "a", "c")]
         )
         plan = restrict(grouped, "c > 1")
-        optimized, log = optimize_plan(plan)
+        optimized, log = rewrite(plan)
         assert isinstance(optimized, P.RestrictNode)
         assert isinstance(optimized.children[0], P.GroupByNode)
         assert log == []
@@ -97,7 +112,7 @@ class TestRewriteRules:
             P.CacheNode(P.LazyRowSet(P.ScanNode(rows()))),
         ):
             plan = restrict(child, "a > 4")
-            optimized, log = optimize_plan(plan)
+            optimized, log = rewrite(plan)
             assert type(optimized.children[0]) is type(child)
             assert log == []
 

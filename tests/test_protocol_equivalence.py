@@ -5,8 +5,11 @@ relational boxes over a Stations table, ending in a viewer) twice — once
 driven by the imperative :class:`~repro.ui.session.Session` methods, once
 by wire-round-tripped protocol commands through ``Session.execute`` — and
 assert the two sessions end pixel-identical (same PPM bytes) with
-identical ``explain_data``.  The property must hold on the serial-row
-backend, with the result cache on, and on the columnar backend.
+identical ``explain_data``.  The property must hold on the default path
+(the optimizer picks the backend per plan), with the result cache on, and
+across backends: a local drive on the row reference (``row_backend()``)
+against a protocol drive on the default path, with EXPLAIN compared in
+its backend-independent shape.
 
 This is the PR-9 "one code path" guarantee made falsifiable: if a demand
 wrapper drifted from its protocol handler (different validation, different
@@ -16,13 +19,13 @@ defaults, a missed ``_sync_views``), some seed's pixels diverge.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 
 import pytest
 
 from repro.analyze.checker import check_program
 from repro.dataflow.explain import explain_data
 from repro.dbms.catalog import Database
-from repro.dbms.columnar import ColumnarConfig, set_default_columnar_config
 from repro.dbms.result_cache import result_cache, set_cache_enabled
 from repro.dbms.relation import Table
 from repro.dbms.tuples import Schema
@@ -37,6 +40,7 @@ from repro.protocol import (
     jsonable,
 )
 from repro.ui.session import Session
+from row_reference import row_backend, row_shape
 
 SEEDS = 30
 ROWS = 600
@@ -176,7 +180,19 @@ def _strip_volatile(value):
     return value
 
 
-def _run_equivalence(db: Database) -> int:
+def _row_shapes(explain) -> list[dict]:
+    """Every plan tree of an explain document, in backend-free form."""
+    return [row_shape(plan["tree"])
+            for box in explain["boxes"]
+            for output in box["outputs"]
+            for plan in output.get("plans", ())]
+
+
+def _run_equivalence(db: Database, local_backend=nullcontext) -> int:
+    """Drive each seed locally (under ``local_backend()``) and over the
+    protocol (on the default path) and compare pixels and EXPLAIN.  When
+    the local drive runs another backend, EXPLAIN is compared per plan in
+    :func:`row_shape` form."""
     compared = 0
     for seed in range(SEEDS):
         probe = build_session(db, seed)
@@ -189,7 +205,8 @@ def _run_equivalence(db: Database) -> int:
         # Same cold-cache starting line for both drives, so shared-cache
         # hit/miss status matches node for node.
         result_cache().clear()
-        local_ppm = drive_imperative(imperative, demands)
+        with local_backend():
+            local_ppm = drive_imperative(imperative, demands)
         result_cache().clear()
         remote_ppm = drive_protocol(protocol, demands)
         assert local_ppm == remote_ppm, f"seed {seed}: pixels diverge"
@@ -198,10 +215,16 @@ def _run_equivalence(db: Database) -> int:
             imperative.program, db, engine=imperative.engine)
         remote_explain = protocol.execute(
             decode_command('{"v": 1, "kind": "explain"}')).result
-        # The wire flattens tuples to lists and stringifies dict keys;
-        # normalize both sides the same way before comparing.
-        assert _strip_volatile(jsonable(local_explain)) == \
-            _strip_volatile(remote_explain), f"seed {seed}: explain diverges"
+        if local_backend is nullcontext:
+            # The wire flattens tuples to lists and stringifies dict keys;
+            # normalize both sides the same way before comparing.
+            assert _strip_volatile(jsonable(local_explain)) == \
+                _strip_volatile(remote_explain), \
+                f"seed {seed}: explain diverges"
+        else:
+            assert _row_shapes(jsonable(local_explain)) == \
+                _row_shapes(remote_explain), \
+                f"seed {seed}: explain diverges"
         compared += 1
     # A degenerate generator would vacuously pass; require real coverage.
     assert compared >= SEEDS // 2, compared
@@ -223,8 +246,4 @@ def test_local_vs_protocol_cached_backend(stations_db):
 
 
 def test_local_vs_protocol_columnar_backend(stations_db):
-    previous = set_default_columnar_config(ColumnarConfig())
-    try:
-        _run_equivalence(stations_db)
-    finally:
-        set_default_columnar_config(previous)
+    _run_equivalence(stations_db, local_backend=row_backend)

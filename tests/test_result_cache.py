@@ -28,7 +28,6 @@ from repro.dataflow.explain import explain, explain_data
 from repro.dataflow.graph import Program
 from repro.dbms import plan as P
 from repro.dbms.catalog import Database
-from repro.dbms.columnar import ColumnarConfig
 from repro.dbms.parser import parse_predicate
 from repro.dbms.plan_rewrite import columnarize_plan
 from repro.dbms.result_cache import (
@@ -370,7 +369,7 @@ class TestFingerprint:
         # backend serves both.
         rows = num_rows(1000)
         row_key = plan_fingerprint(chain(rows))[0]
-        root, __ = columnarize_plan(chain(rows), ColumnarConfig())
+        root, __ = columnarize_plan(chain(rows))
         assert "<columnar>" in root.explain(with_stats=False)
         assert plan_fingerprint(root)[0] == row_key
 
