@@ -70,11 +70,13 @@ class FrameCache:
     global storage epoch, so any table mutation anywhere invalidates every
     cached frame — conservative but always correct.
 
-    Entries carry the frame's :class:`~repro.viewer.viewer.RenderResult`
-    alongside the encoded bytes: a hit restores it as the viewer's
-    ``last_result``, so pick/why/wormhole provenance resolves against the
-    display list of the frame the client is looking at, never the display
-    list of the last render that actually rasterized.
+    Entries carry the frame's display lists and statistics — a
+    :class:`~repro.viewer.viewer.RenderResult` without its canvas, since
+    the encoded bytes already hold the pixels — alongside the encoded
+    bytes: a hit restores it as the viewer's ``last_result``, so
+    pick/why/wormhole provenance resolves against the display list of the
+    frame the client is looking at, never the display list of the last
+    render that actually rasterized.
 
     In-process sessions leave ``CommandExecutor.frame_cache`` unset: local
     callers keep the engine-executing path (and its per-box statistics)
@@ -339,9 +341,12 @@ class CommandExecutor:
         hits = registry.counter("cache.hit").total() - hits_before
         misses = registry.counter("cache.miss").total() - misses_before
         if key is not None:
+            from repro.viewer.viewer import RenderResult
+
+            result = window.viewer.last_result
             self.frame_cache.put(
                 key, (canvas.width, canvas.height, data, canvas.draw_ops,
-                      window.viewer.last_result))
+                      RenderResult(None, result.items, result.stats)))
         return FrameReply(
             window=command.window,
             frame_seq=seq,

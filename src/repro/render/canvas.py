@@ -4,7 +4,7 @@ This is the stand-in for the X11/Tk surface the original system painted on.
 It offers exactly the primitives the paper's drawables need — lines
 (Bresenham with width), rectangles, circles (midpoint), polygons (scanline
 fill), bitmap text — plus blitting (for nested wormhole/magnifier viewers),
-PPM export, and an ASCII view for terminals and tests.
+PPM and PNG export, and an ASCII view for terminals and tests.
 
 All coordinates are float pixels (x right, y down) and are clipped to the
 canvas bounds; drawing off-canvas is silently partial, never an error.
@@ -13,6 +13,8 @@ canvas bounds; drawing off-canvas is silently partial, never an error.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,54 @@ __all__ = ["Canvas", "WHITE", "BLACK"]
 
 WHITE: Color = (255, 255, 255)
 BLACK: Color = (0, 0, 0)
+
+
+def _color_key(color: Color) -> int:
+    """The 24-bit key of one colour: ``r | g << 8 | b << 16``."""
+    r, g, b = color
+    return r | g << 8 | b << 16
+
+
+def _pixel_keys(pixels: np.ndarray) -> np.ndarray:
+    """Every pixel's 24-bit colour key (see :func:`_color_key`), shape (h, w).
+
+    One pass: an unaligned little-endian ``uint32`` view at a 3-byte stride
+    reads each pixel plus the next pixel's red byte, which the mask drops.
+    The last pixel has no next byte, so it is keyed on its own.
+    """
+    height, width, _ = pixels.shape
+    flat = np.ascontiguousarray(pixels).reshape(-1)
+    count = height * width
+    keys = np.empty(count, dtype=np.uint32)
+    keys[:-1] = np.ndarray((count - 1,), dtype="<u4", buffer=flat,
+                           strides=(3,))
+    keys &= 0xFFFFFF
+    keys[-1] = _color_key(tuple(int(v) for v in flat[-3:]))
+    return keys.reshape(height, width)
+
+
+def _pack_indices(index: np.ndarray, depth: int) -> np.ndarray:
+    """Pack palette indices into PNG scanline bytes, leftmost pixel in the
+    high-order bits; rows are padded to whole bytes."""
+    if depth == 1:
+        return np.packbits(index, axis=1)
+    per_byte = 8 // depth
+    height, width = index.shape
+    padded = np.zeros((height, -(-width // per_byte) * per_byte), np.uint8)
+    padded[:, :width] = index
+    packed = padded[:, 0::per_byte] << (8 - depth)
+    for slot in range(1, per_byte):
+        packed |= padded[:, slot::per_byte] << (8 - depth * (slot + 1))
+    return packed
+
+
+def _png_chunk(tag: bytes, payload: bytes) -> bytes:
+    return (
+        struct.pack(">I", len(payload))
+        + tag
+        + payload
+        + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
+    )
 
 
 class Canvas:
@@ -72,16 +122,16 @@ class Canvas:
 
     def count_nonbackground(self) -> int:
         """Number of painted pixels — the workhorse assertion in tests."""
-        return int((self.pixels != np.array(self.background)).any(axis=2).sum())
+        keys = _pixel_keys(self.pixels)
+        return int(np.count_nonzero(keys != _color_key(self.background)))
 
     def colors_used(self) -> set[Color]:
         """Distinct non-background colors present on the canvas."""
-        flat = self.pixels.reshape(-1, 3)
-        unique = np.unique(flat, axis=0)
+        keys = _pixel_keys(self.pixels)
+        painted = keys[keys != _color_key(self.background)]
         return {
-            (int(r), int(g), int(b))
-            for r, g, b in unique
-            if (int(r), int(g), int(b)) != self.background
+            (int(k) & 0xFF, int(k) >> 8 & 0xFF, int(k) >> 16)
+            for k in np.unique(painted)
         }
 
     def region_nonbackground(self, x0: int, y0: int, x1: int, y1: int) -> int:
@@ -92,8 +142,8 @@ class Canvas:
         y1 = min(self.height, y1)
         if x0 >= x1 or y0 >= y1:
             return 0
-        region = self.pixels[y0:y1, x0:x1]
-        return int((region != np.array(self.background)).any(axis=2).sum())
+        keys = _pixel_keys(self.pixels[y0:y1, x0:x1])
+        return int(np.count_nonzero(keys != _color_key(self.background)))
 
     # ------------------------------------------------------------------
     # Primitives
@@ -288,34 +338,47 @@ class Canvas:
         return path
 
     def png_bytes(self) -> bytes:
-        """The PNG (8-bit RGB, zlib-compressed) encoding, stdlib only."""
-        import struct
-        import zlib
+        """The PNG encoding, stdlib zlib only: indexed colour when the frame
+        has at most 256 colours, else 8-bit RGB.
 
-        def chunk(tag: bytes, payload: bytes) -> bytes:
-            return (
-                struct.pack(">I", len(payload))
-                + tag
-                + payload
-                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-            )
-
-        header = struct.pack(
-            ">IIBBBBB", self.width, self.height, 8, 2, 0, 0, 0
-        )
+        The palette is the background followed by the other colours in
+        ascending 24-bit key order, stored at the smallest bit depth (1, 2,
+        4 or 8) that holds it, so the bytes depend only on the pixels and
+        the background colour — equal frames encode to equal bytes.
+        """
+        keys = _pixel_keys(self.pixels)
+        background = _color_key(self.background)
+        painted = keys != background
+        colors, inverse = np.unique(keys[painted], return_inverse=True)
+        if len(colors) < 256:
+            palette = np.concatenate(([background], colors)).astype(np.uint32)
+            depth = next(d for d in (1, 2, 4, 8) if len(palette) <= 1 << d)
+            index = np.zeros(keys.shape, dtype=np.uint8)
+            index[painted] = inverse + 1
+            scanlines = _pack_indices(index, depth)
+            rgb = np.stack(
+                [palette & 0xFF, palette >> 8 & 0xFF, palette >> 16], axis=1)
+            color_type = 3
+            plte = _png_chunk(b"PLTE", rgb.astype(np.uint8).tobytes())
+        else:
+            # PNG palettes hold at most 256 entries: fall back to RGB.
+            scanlines = self.pixels.reshape(self.height, self.width * 3)
+            color_type, depth, plte = 2, 8, b""
+        header = struct.pack(">IIBBBBB", self.width, self.height, depth,
+                             color_type, 0, 0, 0)
         # Each scanline gets filter byte 0 (None).
-        raw = b"".join(
-            b"\x00" + self.pixels[y].tobytes() for y in range(self.height)
-        )
+        raw = np.zeros((self.height, 1 + scanlines.shape[1]), dtype=np.uint8)
+        raw[:, 1:] = scanlines
         return (
             b"\x89PNG\r\n\x1a\n"
-            + chunk(b"IHDR", header)
-            + chunk(b"IDAT", zlib.compress(raw, level=6))
-            + chunk(b"IEND", b"")
+            + _png_chunk(b"IHDR", header)
+            + plte
+            + _png_chunk(b"IDAT", zlib.compress(raw, level=6))
+            + _png_chunk(b"IEND", b"")
         )
 
     def to_png(self, path: str | Path) -> Path:
-        """Write a PNG (8-bit RGB, zlib-compressed) using only the stdlib."""
+        """Write a PNG (see :meth:`png_bytes`) using only the stdlib."""
         path = Path(path)
         with current_tracer().span("canvas.export", format="png",
                                    px=self.width * self.height):

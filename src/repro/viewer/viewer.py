@@ -95,11 +95,13 @@ class RenderResult:
     ``tracer`` is set when the frame was rendered with ``render(trace=...)``
     — it holds the frame's span tree, ready for
     :func:`repro.obs.chrome_trace` / :func:`repro.obs.render_tree`.
+    ``canvas`` is None on a copy that keeps only the display lists, such as
+    a :class:`~repro.protocol.dispatch.FrameCache` entry.
     """
 
     def __init__(
         self,
-        canvas: Canvas,
+        canvas: Canvas | None,
         items: dict[str, list[RenderedItem]],
         stats: SceneStats,
         tracer: "Tracer | None" = None,

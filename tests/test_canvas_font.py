@@ -194,24 +194,19 @@ class TestCompositionExport:
         assert len(data) == len(b"P6\n4 3\n255\n") + 4 * 3 * 3
 
     def test_png_export(self, tmp_path):
-        import struct
-        import zlib
+        from png_reference import decode, header
 
         canvas = Canvas(8, 6)
         canvas.set_pixel(2, 3, (10, 20, 30))
         path = canvas.to_png(tmp_path / "out.png")
         data = path.read_bytes()
         assert data.startswith(b"\x89PNG\r\n\x1a\n")
-        width, height = struct.unpack(">II", data[16:24])
-        assert (width, height) == (8, 6)
-        # Decode the IDAT payload and check the pixel round-trips.
-        idat_start = data.index(b"IDAT") + 4
-        idat_len = struct.unpack(">I", data[idat_start - 8: idat_start - 4])[0]
-        raw = zlib.decompress(data[idat_start: idat_start + idat_len])
-        stride = 1 + 8 * 3
-        row = raw[3 * stride: 4 * stride]
-        assert row[0] == 0  # filter byte
-        assert tuple(row[1 + 2 * 3: 1 + 2 * 3 + 3]) == (10, 20, 30)
+        info = header(data)
+        assert (info["width"], info["height"]) == (8, 6)
+        # Decode the file and check the pixel round-trips.
+        pixels = decode(data)
+        assert tuple(pixels[3, 2]) == (10, 20, 30)
+        np.testing.assert_array_equal(pixels, canvas.pixels)
 
     def test_ascii_dimensions(self):
         canvas = Canvas(100, 50)

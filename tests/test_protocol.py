@@ -414,6 +414,39 @@ def test_frame_cache_hit_restores_pick_provenance(cached_map_session):
     assert why_doc["mark"]["tuple_index"] == first.tuple_index
 
 
+def test_frame_cache_keeps_display_lists_not_pixels(cached_map_session):
+    # Cached entries must not pin the rasterized canvas (0.9 MB at
+    # 640x480): once the viewer moves on, the frame's canvas is garbage,
+    # and a later hit still resolves pick/why from the display list alone.
+    import gc
+    import weakref
+
+    session = cached_map_session
+    viewer = session.window("map").viewer
+    session.render_frame("map")
+    canvas_a = weakref.ref(viewer.last_result.canvas)
+    item = viewer.last_result.all_items()[0]
+    cx = (item.bbox[0] + item.bbox[2]) / 2
+    cy = (item.bbox[1] + item.bbox[3]) / 2
+
+    session.pan_to("map", -40.0, 31.0)
+    session.render_frame("map")
+    gc.collect()
+    assert canvas_a() is None
+
+    session.pan_to("map", -91.8, 31.0)
+    served = session.render_frame("map")
+    assert served.render_ms == 0.0
+    assert viewer.last_result.canvas is None
+    picked = session.pick("map", cx, cy)
+    assert picked is not None
+    assert (picked.relation_name, picked.tuple_index) == (
+        item.relation_name, item.tuple_index)
+    why_doc = session.why("map", cx, cy)
+    assert why_doc["picked"] is True
+    assert why_doc["mark"]["tuple_index"] == item.tuple_index
+
+
 def test_frames_with_live_magnifiers_are_not_cached(cached_map_session):
     # Magnifier overlays are composited into the encoded frame but are
     # session-local furniture outside the cache key — such frames must
