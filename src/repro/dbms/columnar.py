@@ -42,6 +42,7 @@ __all__ = [
     "ColumnBatch",
     "DEFAULT_BATCH_ROWS",
     "NUMPY_DTYPES",
+    "field_column",
 ]
 
 #: Fixed-width dtypes for the primitive atomic types; anything absent here
@@ -59,6 +60,14 @@ def _object_array(values: Sequence) -> np.ndarray:
     for index, value in enumerate(values):
         arr[index] = value
     return arr
+
+
+def field_column(schema: Schema, rows: Sequence[Tuple], name: str) -> np.ndarray:
+    """Field ``name`` of ``rows`` as the array :meth:`ColumnBatch.from_rows`
+    stores for it (same values, same dtype)."""
+    pos = schema.position(name)
+    return _column_array([row.values[pos] for row in rows],
+                         schema.type_of(name))
 
 
 def _column_array(values: Sequence, atomic) -> np.ndarray:
@@ -81,8 +90,10 @@ class ColumnBatch:
                  rows: np.ndarray | None = None):
         self.schema = schema
         self._columns = columns
-        first = next(iter(columns.values())) if columns else None
-        self._length = len(first) if first is not None else 0
+        if columns:
+            self._length = len(next(iter(columns.values())))
+        else:    # no columns: the mask, if any, carries the row count
+            self._length = len(mask) if mask is not None else 0
         self.mask = (mask if mask is not None
                      else np.ones(self._length, dtype=bool))
         self.rows = rows    # object array of the original Tuples, or None
@@ -106,12 +117,41 @@ class ColumnBatch:
         """
         if not isinstance(rows, (list, tuple)):
             rows = list(rows)
-        columns: dict[str, np.ndarray] = {}
-        for pos, field in enumerate(schema.fields):
-            values = [row.values[pos] for row in rows]
-            columns[field.name] = _column_array(values, field.type)
+        columns = {name: field_column(schema, rows, name)
+                   for name in schema.names}
         row_arr = _object_array(rows) if keep_rows else None
         return cls(schema, columns, rows=row_arr)
+
+    def replaced(self, rows: Sequence[Tuple],
+                 positions: Iterable[int]) -> "ColumnBatch | None":
+        """A copy of this batch with each row at ``positions`` taken from
+        ``rows``, the table's current rows.
+
+        When ``rows`` differs from the batch's rows only at ``positions``,
+        the copy equals ``from_rows(schema, rows)`` in values, dtypes and
+        row identity.  Returns None where that conversion would choose a
+        different dtype: a new int beyond int64, or an int column already
+        at ``object`` dtype, which a replacement may bring back in range.
+        """
+        positions = sorted(positions)
+        columns: dict[str, np.ndarray] = {}
+        for pos, field in enumerate(self.schema.fields):
+            column = self._columns[field.name]
+            dtype = NUMPY_DTYPES.get(field.type)
+            if dtype is not None and column.dtype != dtype:
+                return None
+            column = column.copy()
+            try:
+                for index in positions:    # one cell each: no sniffing
+                    column[index] = rows[index].values[pos]
+            except OverflowError:
+                return None
+            columns[field.name] = column
+        identity = self.rows.copy()
+        for index in positions:
+            identity[index] = rows[index]
+        return ColumnBatch(self.schema, columns, mask=self.mask.copy(),
+                           rows=identity)
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

@@ -21,6 +21,18 @@ Exactness contract — the columnar backend must produce bit-identical rows:
 * Mixed int/float comparisons are exact in Python but round the int side
   to float64 in numpy; the compiled comparison guards the magnitude and
   falls back past 2**53.  Same for int/int division.
+* Python ints never overflow; int64 wraps.  Integer ``+``, ``-``, ``*``,
+  unary ``-`` and ``abs`` bound their operands' magnitudes in Python ints
+  first and fall back when a result could leave int64.  ``floor``,
+  ``ceil`` and ``round`` keep int arguments as they are and fall back on a
+  float argument that is not finite or lies beyond int64.
+* An ``if`` with an int and a float branch, and ``min``/``max`` over mixed
+  int and float arguments, are not compiled: Python keeps the chosen int
+  exact while numpy promotes it to float64.  ``min``/``max`` also fall back
+  on a NaN argument, since Python's answer then depends on argument order.
+* The date parts ``year``, ``month``, ``day`` and ``day_of_year`` apply the
+  registered function to each distinct date of the object-dtype DATE
+  column, so each element is exactly the row backend's value.
 * Data-dependent hazards (a zero divisor, a negative ``sqrt`` argument)
   raise :class:`VectorFallback` instead of erroring eagerly: the serial
   backend's ``and``/``or`` short-circuit may skip the error entirely, so
@@ -37,6 +49,10 @@ Exactness contract — the columnar backend must produce bit-identical rows:
 TEXT and DATE columns live at ``object`` dtype where numpy applies the
 Python comparison operators elementwise — correct by construction, just
 not SIMD-fast.  DRAWABLES never vectorize.
+
+The renderer reuses these kernels for computed location attributes
+(``repro.render.scene.location_columns``), and adds its own conditions
+before trusting a compiled column (see ``docs/COLUMNAR.md``).
 """
 
 from __future__ import annotations
@@ -71,6 +87,14 @@ CompiledExpr = Callable[[ColumnBatch], np.ndarray]
 #: Largest integer magnitude that float64 represents exactly; int values
 #: beyond it would compare/divide differently after numpy's promotion.
 _EXACT_INT = 2 ** 53
+
+#: No int64 result may reach this magnitude; int64's minimum has it, and
+#: negating it or taking its ``abs`` wraps.
+_INT64_LIMIT = 2 ** 63
+
+#: Date-part functions compiled by applying their registered definition
+#: to each distinct date of the DATE column.
+_DATE_PARTS = frozenset({"year", "month", "day", "day_of_year"})
 
 #: Canonical declaration for the guard-elision counter, incremented once
 #: per guard site removed at compile time.  ``stats --check`` verifies
@@ -124,11 +148,28 @@ def _require_fixed(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _is_int(arr: np.ndarray) -> bool:
+    return arr.dtype.kind in "iu"
+
+
+def _magnitude(arr: np.ndarray) -> int:
+    """The largest ``|value|`` of an int array, as a Python int (``np.abs``
+    would wrap on int64's minimum)."""
+    if not arr.size:
+        return 0
+    return max(-int(arr.min()), int(arr.max()))
+
+
 def _guard_exact_int(arr: np.ndarray) -> None:
     """Fall back when int values would lose precision as float64."""
-    if arr.dtype.kind in "iu" and arr.size and \
-            int(np.abs(arr).max()) > _EXACT_INT:
+    if _is_int(arr) and _magnitude(arr) > _EXACT_INT:
         raise VectorFallback("int magnitude beyond exact float64 range")
+
+
+def _guard_int_result(bound: int) -> None:
+    """Fall back when an int kernel's result bound may leave int64."""
+    if bound >= _INT64_LIMIT:
+        raise VectorFallback("int result may overflow int64")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +204,12 @@ def _compile_fieldref(expr: FieldRef, schema: Schema) -> CompiledExpr:
 def _compile_unary(expr: Unary, schema: Schema, hazards: Any) -> CompiledExpr:
     inner = _compile(expr.operand, schema, hazards)
     if expr.op == "-":
-        return lambda batch: np.negative(inner(batch))
+        def negate(batch: ColumnBatch) -> np.ndarray:
+            x = inner(batch)
+            if _is_int(x):
+                _guard_int_result(_magnitude(x))
+            return np.negative(x)
+        return negate
     return lambda batch: np.logical_not(_as_bool(inner(batch)))
 
 
@@ -225,7 +271,15 @@ def _compile_binary(expr: Binary, schema: Schema, hazards: Any) -> CompiledExpr:
 
     if op in _ARITH_UFUNCS:
         ufunc = _ARITH_UFUNCS[op]
-        return lambda b: ufunc(left(b), right(b))
+
+        def arith(batch: ColumnBatch) -> np.ndarray:
+            l, r = left(batch), right(batch)
+            if _is_int(l) and _is_int(r):
+                # |l op r| is at most this, computed in Python ints.
+                a, b = _magnitude(l), _magnitude(r)
+                _guard_int_result(a * b if op == "*" else a + b)
+            return ufunc(l, r)
+        return arith
 
     if op in _COMPARE_UFUNCS:
         lt, rt = expr.left.infer(schema), expr.right.infer(schema)
@@ -250,6 +304,9 @@ def _compile_binary(expr: Binary, schema: Schema, hazards: Any) -> CompiledExpr:
 def _compile_conditional(
     expr: Conditional, schema: Schema, hazards: Any
 ) -> CompiledExpr:
+    if {expr.then_branch.infer(schema), expr.else_branch.infer(schema)} \
+            == {T.INT, T.FLOAT}:
+        raise _NotVectorizable("if with an int and a float branch")
     condition = _compile(expr.condition, schema, hazards)
     then_branch = _compile(expr.then_branch, schema, hazards)
     else_branch = _compile(expr.else_branch, schema, hazards)
@@ -266,7 +323,12 @@ def _compile_call(expr: Call, schema: Schema, hazards: Any) -> CompiledExpr:
     args = [_compile(arg, schema, hazards) for arg in expr.args]
 
     if name == "abs":
-        return lambda b: np.abs(args[0](b))
+        def absolute(batch: ColumnBatch) -> np.ndarray:
+            x = args[0](batch)
+            if _is_int(x):
+                _guard_int_result(_magnitude(x))
+            return np.abs(x)
+        return absolute
     if name == "sqrt":
         nonneg = hazards.proves(expr, "sqrt_nonneg")
         if nonneg:
@@ -278,30 +340,49 @@ def _compile_call(expr: Call, schema: Schema, hazards: Any) -> CompiledExpr:
                 raise VectorFallback("sqrt of negative value in batch")
             return np.sqrt(x.astype(np.float64, copy=False))
         return sqrt
-    if name in ("floor", "ceil"):
-        ufunc = np.floor if name == "floor" else np.ceil
+    if name in ("floor", "ceil", "round"):
+        # np.round is banker's rounding, like round().
+        ufunc = {"floor": np.floor, "ceil": np.ceil, "round": np.round}[name]
         def to_int(batch: ColumnBatch) -> np.ndarray:
             x = _require_fixed(np.asarray(args[0](batch)))
+            if _is_int(x):
+                return x.astype(np.int64, copy=False)
+            # Python raises on NaN and inf and returns exact ints beyond
+            # int64, where the cast would wrap; NaN fails the test too.
+            if not np.all(np.abs(x) < float(_INT64_LIMIT)):
+                raise VectorFallback(f"{name}() argument beyond int64")
             return ufunc(x).astype(np.int64)
         return to_int
-    if name == "round":
-        def round_half_even(batch: ColumnBatch) -> np.ndarray:
-            x = _require_fixed(np.asarray(args[0](batch)))
-            return np.round(x).astype(np.int64)    # banker's, like round()
-        return round_half_even
     if name in ("min", "max"):
-        arg_types = [arg.infer(schema) for arg in expr.args]
+        arg_types = {arg.infer(schema) for arg in expr.args}
         if not all(T.numeric(at) for at in arg_types):
             raise _NotVectorizable(f"{name} over non-numeric arguments")
+        if len(arg_types) > 1:
+            raise _NotVectorizable(f"{name} over mixed int and float")
         ufunc = np.minimum if name == "min" else np.maximum
         def fold(batch: ColumnBatch) -> np.ndarray:
-            out = args[0](batch)
-            for compiled in args[1:]:
-                out = ufunc(out, compiled(batch))
+            values = [compiled(batch) for compiled in args]
+            if any(x.dtype.kind == "f" and np.isnan(x).any()
+                   for x in values):
+                raise VectorFallback(f"NaN argument to {name}()")
+            out = values[0]
+            for x in values[1:]:
+                out = ufunc(out, x)
             return out
         return fold
+    if name in _DATE_PARTS:
+        apply = expr.fn.apply
+        def date_part(batch: ColumnBatch) -> np.ndarray:
+            dates = args[0](batch).tolist()
+            # A part is a function of the date's value: apply it once per
+            # distinct date.
+            parts = {date: apply(date) for date in dict.fromkeys(dates)}
+            return np.fromiter(map(parts.__getitem__, dates), dtype=np.int64,
+                               count=len(dates))
+        return date_part
     # Everything else — transcendentals (ulp-level divergence from math.*),
-    # text/date functions, display constructors — stays on the row backend.
+    # text functions, date parsing, display constructors — stays on the row
+    # backend.
     raise _NotVectorizable(f"function {name}() is not vectorizable")
 
 

@@ -1432,7 +1432,9 @@ class ColumnarRestrictNode(ColumnarNode):
             keep: np.ndarray | None = None
             if compiled is not None:
                 try:
-                    keep = compiled(batch)
+                    # Python float arithmetic overflows to inf silently.
+                    with np.errstate(all="ignore"):
+                        keep = compiled(batch)
                 except VectorFallback:
                     keep = None
             if keep is None:

@@ -124,7 +124,7 @@ class RowSet:
     """
 
     __slots__ = ("_schema", "_rows", "column_batch", "location_memo",
-                 "stats_memo")
+                 "stats_memo", "__weakref__")
 
     def __init__(self, schema: Schema, rows: Iterable[Tuple] = ()):
         self._schema = schema
@@ -138,6 +138,14 @@ class RowSet:
         self.column_batch: ColumnBatch | None = None
         self.location_memo: dict | None = None
         self.stats_memo: TableStats | None = None
+
+    @classmethod
+    def trusted(cls, schema: Schema, rows: Iterable[Tuple]) -> "RowSet":
+        """A row set over rows already known to carry ``schema``, built
+        without the per-row schema check."""
+        row_set = cls(schema)
+        row_set._rows = tuple(rows)
+        return row_set
 
     @property
     def schema(self) -> Schema:
@@ -174,7 +182,17 @@ class RowSet:
 
 
 class Table:
-    """A named, mutable stored relation with a monotone version stamp."""
+    """A named, mutable stored relation with a monotone version stamp.
+
+    A Section-8 update replaces one row, so the next :meth:`snapshot` need
+    not re-convert the whole table to columns: while ``replace_row`` is the
+    only mutation since the last snapshot, the table carries that
+    snapshot's column batch (never the snapshot itself) plus the replaced
+    positions, and the next snapshot starts from a patched copy.  Sessions
+    on different server threads share tables, so mutations and snapshot
+    builds hold one lock: a snapshot never pairs rows with a carried batch
+    from another version.
+    """
 
     def __init__(self, name: str, schema: Schema):
         if not name:
@@ -184,8 +202,20 @@ class Table:
         self._rows: list[Tuple] = []
         self._version = 0
         self._snapshot: RowSet | None = None
+        self._carry: tuple[ColumnBatch, set[int]] | None = None
+        self._lock = threading.RLock()
 
-    def _bump(self) -> None:
+    def _bump(self, replaced: int | None = None) -> None:
+        """Record a mutation; ``replaced`` is the position of the one row
+        ``replace_row`` changed, None for any other mutation."""
+        if replaced is None:
+            self._carry = None
+        else:
+            if self._snapshot is not None:
+                batch = self._snapshot.column_batch
+                self._carry = None if batch is None else (batch, set())
+            if self._carry is not None:
+                self._carry[1].add(replaced)
         self._version += 1
         self._snapshot = None
         bump_table_epoch(self.name)
@@ -208,25 +238,28 @@ class Table:
     def insert(self, values: Mapping[str, Any] | Sequence[Any]) -> Tuple:
         """Insert one row (dict or positional values); returns the new tuple."""
         row = Tuple(self._schema, values)
-        self._rows.append(row)
-        self._bump()
+        with self._lock:
+            self._rows.append(row)
+            self._bump()
         return row
 
     def insert_many(self, rows: Iterable[Mapping[str, Any] | Sequence[Any]]) -> int:
         """Insert many rows in one version step; returns the count inserted."""
         staged = [Tuple(self._schema, values) for values in rows]
-        self._rows.extend(staged)
         if staged:
-            self._bump()
+            with self._lock:
+                self._rows.extend(staged)
+                self._bump()
         return len(staged)
 
     def delete_where(self, predicate: Callable[[Tuple], bool]) -> int:
         """Delete rows matching ``predicate``; returns the count deleted."""
-        kept = [row for row in self._rows if not predicate(row)]
-        deleted = len(self._rows) - len(kept)
-        if deleted:
-            self._rows = kept
-            self._bump()
+        with self._lock:
+            kept = [row for row in self._rows if not predicate(row)]
+            deleted = len(self._rows) - len(kept)
+            if deleted:
+                self._rows = kept
+                self._bump()
         return deleted
 
     def update_where(
@@ -235,15 +268,16 @@ class Table:
         """Replace fields on matching rows; returns the count updated."""
         updated = 0
         new_rows: list[Tuple] = []
-        for row in self._rows:
-            if predicate(row):
-                new_rows.append(row.replace(**changes))
-                updated += 1
-            else:
-                new_rows.append(row)
-        if updated:
-            self._rows = new_rows
-            self._bump()
+        with self._lock:
+            for row in self._rows:
+                if predicate(row):
+                    new_rows.append(row.replace(**changes))
+                    updated += 1
+                else:
+                    new_rows.append(row)
+            if updated:
+                self._rows = new_rows
+                self._bump()
         return updated
 
     def replace_row(self, old: Tuple, new: Tuple) -> bool:
@@ -253,17 +287,19 @@ class Table:
         """
         if new.schema != self._schema:
             raise SchemaError("replacement row does not match table schema")
-        for pos, row in enumerate(self._rows):
-            if row == old:
-                self._rows[pos] = new
-                self._bump()
-                return True
+        with self._lock:
+            for pos, row in enumerate(self._rows):
+                if row == old:
+                    self._rows[pos] = new
+                    self._bump(replaced=pos)
+                    return True
         return False
 
     def clear(self) -> None:
-        if self._rows:
-            self._rows = []
-            self._bump()
+        with self._lock:
+            if self._rows:
+                self._rows = []
+                self._bump()
 
     def snapshot(self) -> RowSet:
         """An immutable row set of the current contents.
@@ -271,11 +307,24 @@ class Table:
         The row set is memoized until the next mutation: repeated snapshots of
         an unchanged table return the *same* object, which lets plan
         fingerprints (``repro.dbms.result_cache``) recognize scans of the same
-        stored data across independently built plans and engines.
+        stored data across independently built plans and engines.  Rows are
+        not re-checked (each was checked on its way into the table), and a
+        carried column batch is patched here, on first demand, rather than
+        in ``replace_row``, so an update stays as cheap as the row it writes.
         """
-        if self._snapshot is None:
-            self._snapshot = RowSet(self._schema, self._rows)
-        return self._snapshot
+        snapshot = self._snapshot
+        if snapshot is not None:
+            return snapshot
+        with self._lock:
+            if self._snapshot is None:
+                snapshot = RowSet.trusted(self._schema, self._rows)
+                if self._carry is not None:
+                    batch, replaced = self._carry
+                    snapshot.column_batch = batch.replaced(snapshot.rows,
+                                                           replaced)
+                    self._carry = None
+                self._snapshot = snapshot
+            return self._snapshot
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self._rows)} rows, v{self._version})"

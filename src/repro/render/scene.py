@@ -21,7 +21,9 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from repro.dbms.columnar import ColumnBatch, field_column
 from repro.dbms.expr import FieldRef
+from repro.dbms.expr_compile import VectorFallback, compile_expression
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
 from repro.display.displayable import (
@@ -403,8 +405,10 @@ def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
     the slider dimensions and the method definitions a location may read.
     The memo keeps the ``_LOCATION_MEMO_ENTRIES`` most recent keys and dies
     with the row set.  Element ``i`` of each column equals the matching
-    component of ``relation.location_of`` for tuple ``i``; a location
-    method that fails raises here and memoizes nothing.
+    component of ``relation.location_of`` for tuple ``i``, whether it was
+    read from a stored column, computed by a compiled kernel, or computed
+    per tuple (see :func:`_evaluate_locations`); a location method that
+    fails raises the per-tuple path's error here and memoizes nothing.
     """
     rows = relation.rows
     key = (relation.slider_dims, tuple(relation.methods))
@@ -423,31 +427,104 @@ def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
 
 
 def _evaluate_locations(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
-    """Compute :func:`location_columns` from scratch."""
+    """Compute :func:`location_columns` from scratch.
+
+    A location attribute that is a stored column, or a bare reference to
+    one, is read from the tuples.  A computed one runs as a numpy kernel
+    over the stored columns (:func:`_compiled_column`), "computing
+    attribute values only where necessary" (§5.1) at array speed.  When
+    any location attribute cannot be compiled, or its kernel cannot
+    vouch for the exact per-tuple values, every column comes from the
+    per-tuple ``location_of`` loop instead, which also raises the same
+    ``EvaluationError``, at the same tuple, as it always has.
+    """
     source = relation.rows.rows
     count = len(source)
     custom = relation.has_custom_location
     attrs = relation.location_attrs if custom else relation.slider_dims
-    positions = [_stored_position(relation, attr) for attr in attrs]
-    if None in positions:
-        # A computed attribute: location_of per tuple, once per row set.
-        flat = np.fromiter(
-            itertools.chain.from_iterable(
-                map(relation.location_of, relation.views())
-            ),
-            dtype=np.float64,
-            count=count * relation.dimension,
-        )
-        return tuple(flat.reshape(count, relation.dimension).T.copy())
-    columns = tuple(
-        np.fromiter(map(float, (row.values[pos] for row in source)),
-                    dtype=np.float64, count=count)
-        for pos in positions
-    )
+    computed: dict[str, np.ndarray] = {}
+    columns = []
+    for attr in attrs:
+        position = _stored_position(relation, attr)
+        if position is not None:
+            columns.append(np.fromiter(
+                map(float, (row.values[position] for row in source)),
+                dtype=np.float64, count=count))
+            continue
+        column = _compiled_column(relation, attr, computed)
+        if column is None:
+            return _per_tuple_locations(relation)
+        columns.append(column.astype(np.float64))    # float() per value
     if not custom:
-        columns = (np.zeros(count), np.arange(count, dtype=np.float64),
-                   *columns)
-    return columns
+        columns = [np.zeros(count), np.arange(count, dtype=np.float64),
+                   *columns]
+    return tuple(columns)
+
+
+def _per_tuple_locations(
+    relation: DisplayableRelation,
+) -> tuple[np.ndarray, ...]:
+    """:func:`location_columns` by ``location_of`` over every tuple."""
+    count = len(relation.rows)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(
+            map(relation.location_of, relation.views())
+        ),
+        dtype=np.float64,
+        count=count * relation.dimension,
+    )
+    return tuple(flat.reshape(count, relation.dimension).T.copy())
+
+
+def _compiled_column(
+    relation: DisplayableRelation, name: str, known: dict[str, np.ndarray]
+) -> np.ndarray | None:
+    """Computed attribute ``name`` for every tuple by a compiled kernel.
+
+    Returns None unless each element provably equals ``method.compute``'s
+    value for its tuple: the method is an expression (not Python) that
+    reads no ambient field such as ``tioga_seq``; it is declared float, or
+    int with an int expression; every method it reads compiles the same
+    way; the kernel raises no ``VectorFallback``; and the result is a
+    numeric array with, for a float, no NaN (float coercion rejects NaN,
+    so the per-tuple path raises there).  ``known`` holds the columns,
+    stored and computed, already built for this relation.
+    """
+    methods = relation.methods
+    if name not in methods:
+        return None    # an ambient field: tioga_seq is per tuple
+    method = methods.get(name)
+    if method.expr is None:
+        return None
+    schema = methods.reference_schema()
+    if method.type is not T.FLOAT and method.expr.infer(schema) is not T.INT:
+        return None
+    stored = relation.rows.schema
+    for dep in method.depends - known.keys():
+        if dep in stored:
+            known[dep] = field_column(stored, relation.rows.rows, dep)
+            continue
+        column = _compiled_column(relation, dep, known)
+        if column is None:
+            return None
+        known[dep] = column
+    kernel = compile_expression(method.expr, schema)
+    if kernel is None:
+        return None
+    batch = ColumnBatch(
+        schema, {dep: known[dep] for dep in method.depends},
+        mask=np.ones(len(relation.rows), dtype=bool),
+    )
+    try:
+        # Python float arithmetic overflows to inf and yields NaN silently.
+        with np.errstate(all="ignore"):
+            values = np.asarray(kernel(batch))
+    except VectorFallback:
+        return None
+    if method.type is T.FLOAT and values.dtype.kind in "iuf":
+        values = values.astype(np.float64, copy=False)
+        return None if np.isnan(values).any() else values
+    return values if values.dtype.kind in "iu" else None
 
 
 def _stored_position(relation: DisplayableRelation, attr: str) -> int | None:

@@ -246,9 +246,11 @@ class TiogaServer:
         #: Request observability: the server owns a tracer (installed as the
         #: process tracer while running), a continuous profiler, and the
         #: request log wiring them to SLO verdicts and slow-request capture.
+        #: The tracer retains no spans (``max_spans=0``): the request log
+        #: and the flight recorder take every span through their sinks.
         self.request_tracing = request_tracing
         self.tracer: Tracer | None = (
-            Tracer(enabled=True, max_spans=50_000) if request_tracing
+            Tracer(enabled=True, max_spans=0) if request_tracing
             else None)
         self.profiler: Profiler | None = (
             Profiler(hz=profile_hz) if profile_hz and profile_hz > 0

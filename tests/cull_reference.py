@@ -8,15 +8,29 @@ estate, then evaluate and paint its display attribute.  The viewer itself
 culls with one mask over memoized location columns; the parity tests
 (tests/test_fast_scatter.py) and the Perf-7 benchmark arm compare the two
 by patching this function in with :func:`reference_culling`.
+:func:`reference_location_columns` is the same reference for the location
+columns alone (tests/test_location_kernels.py).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
+
 import repro.render.scene as scene
 from repro.display.drawables import ViewerDrawable
 from repro.render.scene import RenderedItem
+
+
+def reference_location_columns(relation) -> tuple[np.ndarray, ...]:
+    """``relation.location_of`` for every tuple, as float64 columns: the
+    reference ``scene.location_columns`` must equal element for element."""
+    columns = [[] for __ in range(relation.dimension)]
+    for row_view in relation.views():
+        for column, value in zip(columns, relation.location_of(row_view)):
+            column.append(value)
+    return tuple(np.array(column, dtype=np.float64) for column in columns)
 
 
 def _slider_culled(relation, entry, location, view) -> bool:

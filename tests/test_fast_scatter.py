@@ -420,7 +420,9 @@ class TestApplicability:
             schema.position("value")
 
     def test_computed_location_falls_back(self):
-        """A computed x is evaluated through location_of, once per row set."""
+        """A computed x is evaluated once per row set (by a compiled
+        kernel; tests/test_location_kernels.py covers when location_of
+        runs instead)."""
         relation = scatter_relation().with_method_replaced(
             Method("x", "float", parse_expression("x_pos * 2"))
         )

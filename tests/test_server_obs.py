@@ -111,6 +111,28 @@ def test_ws_render_yields_one_connected_span_tree(server):
                for name in names), names
 
 
+def test_server_tracer_keeps_no_span_list(server):
+    # Spans reach the request log and flight recorder through sinks; the
+    # server's tracer itself must not grow with the frames it serves.
+    with connect(f"ws://{server.host}:{server.port}/ws") as client:
+        assert client.request(OpenProgram(name="fig4")).ok
+        frames = []
+        for step in (5.0, -5.0, 10.0, -10.0, 2.5):
+            assert client.request(Pan(window="stations", dx=step)).ok
+            frames.append(client.request(Render(window="stations",
+                                                format="png")))
+    assert all(isinstance(frame, FrameReply) for frame in frames)
+    assert server.tracer.spans == []
+    assert server.tracer.events == []
+    for frame in frames:
+        status, body = _get(server, f"/debug/trace?id={frame.trace_id}")
+        assert status == 200
+        doc = json.loads(body)
+        assert doc["request"]["command"] == "render"
+        names = {span["name"] for span in doc["spans"]}
+        assert {"server.dispatch", "request.render"} <= names
+
+
 def test_client_supplied_trace_context_is_joined(server):
     ctx = TraceContext.new(command="render")
     with connect(f"ws://{server.host}:{server.port}/ws") as client:
