@@ -155,8 +155,17 @@ class Drawable:
     def bbox(
         self, anchor_x: float, anchor_y: float, world_scale: float
     ) -> tuple[float, float, float, float]:
-        """Screen-pixel bounding box (x0, y0, x1, y1) — used for picking."""
+        """Screen-pixel bounding box (x0, y0, x1, y1) of the painted pixels —
+        used for culling and picking."""
         raise NotImplementedError
+
+    def _stroked(
+        self, box: tuple[float, float, float, float]
+    ) -> tuple[float, float, float, float]:
+        """An outline's ``box`` grown by the stroke: the rasterizer paints a
+        square of half side ``line_width // 2`` around every outline point."""
+        pad = self.style.line_width // 2
+        return (box[0] - pad, box[1] - pad, box[2] + pad, box[3] + pad)
 
     def __repr__(self) -> str:
         return (
@@ -219,7 +228,7 @@ class Line(Drawable):
 
     def bbox(self, anchor_x, anchor_y, world_scale):
         x0, y0, x1, y1 = self._endpoints(anchor_x, anchor_y, world_scale)
-        return (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+        return self._stroked((min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)))
 
 
 class Rectangle(Drawable):
@@ -262,7 +271,8 @@ class Rectangle(Drawable):
             surface.draw_rect(x0, y0, x1, y1, self.color, self.style.line_width)
 
     def bbox(self, anchor_x, anchor_y, world_scale):
-        return self._corners(anchor_x, anchor_y, world_scale)
+        box = self._corners(anchor_x, anchor_y, world_scale)
+        return box if self.style.filled else self._stroked(box)
 
 
 class Circle(Drawable):
@@ -297,7 +307,8 @@ class Circle(Drawable):
     def bbox(self, anchor_x, anchor_y, world_scale):
         x, y = self._origin(anchor_x, anchor_y, world_scale)
         r = self.radius * self._scale(world_scale)
-        return (x - r, y - r, x + r, y + r)
+        box = (x - r, y - r, x + r, y + r)
+        return box if self.style.filled else self._stroked(box)
 
 
 class Polygon(Drawable):
@@ -339,7 +350,8 @@ class Polygon(Drawable):
         pts = self._screen_vertices(anchor_x, anchor_y, world_scale)
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
-        return (min(xs), min(ys), max(xs), max(ys))
+        box = (min(xs), min(ys), max(xs), max(ys))
+        return box if self.style.filled else self._stroked(box)
 
 
 class Text(Drawable):
@@ -449,7 +461,7 @@ class ViewerDrawable(Drawable):
         surface.draw_rect(x0, y0, x1, y1, self.color, max(1, self.style.line_width))
 
     def bbox(self, anchor_x, anchor_y, world_scale):
-        return self.frame(anchor_x, anchor_y, world_scale)
+        return self._stroked(self.frame(anchor_x, anchor_y, world_scale))
 
 
 # ---------------------------------------------------------------------------

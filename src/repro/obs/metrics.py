@@ -76,6 +76,13 @@ def _label_key(label: Hashable | None) -> str:
     return str(label)
 
 
+def _by_key(values: dict[Hashable, Any]) -> dict[str, Any]:
+    """``values`` keyed by :func:`_label_key`, in insertion order; of two
+    labels with the same key, the later-inserted one wins.  The dict is
+    copied first, so a concurrent update cannot change it mid-read."""
+    return {_label_key(label): value for label, value in list(values.items())}
+
+
 class Counter(_Metric):
     """A monotonically increasing count, broken down by label."""
 
@@ -110,16 +117,15 @@ class Counter(_Metric):
                 self.values[None] = self.values.get(None, 0) + removed
             return True
 
+    def by_label(self) -> dict[str, int | float]:
+        """Each label's count, keyed as in :meth:`snapshot` but unsorted."""
+        return _by_key(self.values)
+
     def snapshot(self) -> dict[str, Any]:
         return {
             "kind": self.kind,
             "total": self.total(),
-            "by_label": {
-                _label_key(label): value
-                for label, value in sorted(
-                    self.values.items(), key=lambda kv: _label_key(kv[0])
-                )
-            },
+            "by_label": dict(sorted(self.by_label().items())),
         }
 
 
@@ -147,15 +153,14 @@ class Gauge(_Metric):
         with self._update_lock:
             return self.values.pop(label, None) is not None
 
+    def by_label(self) -> dict[str, float]:
+        """Each label's value, keyed as in :meth:`snapshot` but unsorted."""
+        return _by_key(self.values)
+
     def snapshot(self) -> dict[str, Any]:
         return {
             "kind": self.kind,
-            "by_label": {
-                _label_key(label): value
-                for label, value in sorted(
-                    self.values.items(), key=lambda kv: _label_key(kv[0])
-                )
-            },
+            "by_label": dict(sorted(self.by_label().items())),
         }
 
 
@@ -205,6 +210,12 @@ class Histogram(_Metric):
     def count(self, label: Hashable = None) -> int:
         stats = self._stats.get(label)
         return int(stats[0]) if stats else 0
+
+    def by_label(self) -> dict[str, tuple[int, float]]:
+        """Each label's ``(count, sum)``, keyed as in :meth:`snapshot` but
+        unsorted: what means and rates need, without the buckets."""
+        return _by_key({label: (int(stats[0]), stats[1])
+                        for label, stats in list(self._stats.items())})
 
     def mean(self, label: Hashable = None) -> float:
         stats = self._stats.get(label)
@@ -306,6 +317,10 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._metrics)
+
+    def metrics(self) -> list[_Metric]:
+        """Every registered metric, in registration order."""
+        return list(self._metrics.values())
 
     def reset(self) -> None:
         """Zero every metric, keeping registrations."""

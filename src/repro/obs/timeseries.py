@@ -12,7 +12,7 @@ module adds the time axis:
   span rollups) into one :class:`TimeSeries` per metric/label, deriving
   per-interval **deltas** and **rates** for counters so cache hit-rate and
   render throughput can be watched evolving across a session.  Sampling is
-  cheap (a lock-guarded walk of the snapshot dicts) and safe to run from a
+  cheap (a lock-guarded walk of each metric's values) and safe to run from a
   background thread (:meth:`MetricsRecorder.start`) while engines on
   other threads fire concurrently.
 
@@ -36,7 +36,13 @@ from time import perf_counter
 from typing import Any, Iterator
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, global_registry
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    global_registry,
+)
 from repro.obs.trace import Tracer
 
 __all__ = [
@@ -110,37 +116,51 @@ class TimeSeries:
                 f"{self.capacity} samples)")
 
 
-def _flatten_metric(name: str, snap: dict[str, Any]) -> dict[str, float]:
-    """One metric snapshot → {series key: numeric value}.
+def _flatten_metric(metric: Counter | Gauge | Histogram) -> dict[str, float]:
+    """One metric's current values → {series key: numeric value}.
 
     Counters contribute their per-label values plus a ``_total``; gauges
     their per-label values; histograms their per-label count/sum/mean.
+    Labels are keyed as in the metric's snapshot (``by_label``), which
+    skips the snapshot's sorting and histogram buckets.
     """
-    kind = snap.get("kind")
+    name = metric.name
     out: dict[str, float] = {}
-    if kind == "counter":
-        out[f"{name}|_total"] = float(snap.get("total", 0))
-        for label, value in snap.get("by_label", {}).items():
+    if metric.kind == "counter":
+        out[f"{name}|_total"] = float(metric.total())
+        for label, value in metric.by_label().items():
             if label != "_total":
                 out[f"{name}|{label}"] = float(value)
-    elif kind == "gauge":
-        for label, value in snap.get("by_label", {}).items():
+    elif metric.kind == "gauge":
+        for label, value in metric.by_label().items():
             out[f"{name}|{label}"] = float(value)
-    elif kind == "histogram":
-        for label, stats in snap.get("by_label", {}).items():
-            count = float(stats.get("count", 0))
-            total = float(stats.get("sum", 0.0))
-            out[f"{name}|{label}|count"] = count
-            out[f"{name}|{label}|sum"] = total
+    elif metric.kind == "histogram":
+        for label, (count, total) in metric.by_label().items():
+            out[f"{name}|{label}|count"] = float(count)
+            out[f"{name}|{label}|sum"] = float(total)
             if count:
                 out[f"{name}|{label}|mean"] = total / count
     return out
 
 
+class _Lane:
+    """The series one key feeds; counters also feed a delta series and,
+    from the second sample on, a rate series, from their previous value.
+    Holding them saves the recorder two series lookups per counter key."""
+
+    __slots__ = ("series", "delta", "rate", "previous")
+
+    def __init__(self, series: TimeSeries, delta: TimeSeries | None):
+        self.series = series
+        self.delta = delta
+        self.rate: TimeSeries | None = None
+        self.previous: float | None = None
+
+
 class MetricsRecorder:
     """Samples a :class:`MetricsRegistry` into ring-buffer time series.
 
-    Each :meth:`sample` walks the registry snapshot and appends the current
+    Each :meth:`sample` walks the registry's metrics and appends the current
     value of every metric/label to its series; for **counters** it also
     derives a ``delta`` series (increase since the previous sample) and a
     ``rate`` series (delta per second of wall time between samples), which is
@@ -165,8 +185,8 @@ class MetricsRecorder:
         self._clock = clock
         self._series: dict[str, TimeSeries] = {}
         self._kinds: dict[str, str] = {}  # metric name -> kind, as sampled
-        self._prev_counts: dict[str, float] = {}
-        self._derived_keys: dict[str, tuple[str, str]] = {}
+        #: metric|label key -> the series it feeds and its counter state
+        self._lanes: dict[str, _Lane] = {}
         self._prev_t: float | None = None
         self._origin: float | None = None
         self._lock = threading.Lock()
@@ -189,33 +209,35 @@ class MetricsRecorder:
         first sample establishes the origin, so exported times start near 0.
         """
         now = self._clock() if t is None else t
-        snapshot = self.registry.snapshot()
+        metrics = self.registry.metrics()
         with self._lock:
             if self._origin is None:
                 self._origin = now
             rel = now - self._origin
             elapsed = None if self._prev_t is None else rel - self._prev_t
-            get_series = self._get_series
-            prev_counts = self._prev_counts
-            derived = self._derived_keys
-            for name, snap in snapshot.items():
-                kind = snap.get("kind", "counter")
-                self._kinds[name] = kind
+            lanes = self._lanes
+            for metric in metrics:
+                kind = metric.kind
+                self._kinds[metric.name] = kind
                 is_counter = kind == "counter"
-                for key, value in _flatten_metric(name, snap).items():
-                    get_series(key).append(rel, value)
-                    if is_counter:
-                        previous = prev_counts.get(key)
-                        delta = value - previous if previous is not None \
-                            else value
-                        prev_counts[key] = value
-                        keys = derived.get(key)
-                        if keys is None:
-                            keys = derived[key] = (f"{key}|delta",
-                                                   f"{key}|rate")
-                        get_series(keys[0]).append(rel, delta)
-                        if elapsed is not None and elapsed > 0:
-                            get_series(keys[1]).append(rel, delta / elapsed)
+                for key, value in _flatten_metric(metric).items():
+                    lane = lanes.get(key)
+                    if lane is None:
+                        lane = lanes[key] = _Lane(
+                            self._get_series(key),
+                            self._get_series(f"{key}|delta") if is_counter
+                            else None)
+                    lane.series.append(rel, value)
+                    if lane.delta is None:
+                        continue
+                    previous = lane.previous
+                    delta = value - previous if previous is not None else value
+                    lane.previous = value
+                    lane.delta.append(rel, delta)
+                    if elapsed is not None and elapsed > 0:
+                        if lane.rate is None:
+                            lane.rate = self._get_series(f"{key}|rate")
+                        lane.rate.append(rel, delta / elapsed)
             if self.tracer is not None:
                 for name, roll in _span_rollup(self.tracer).items():
                     self._get_series(f"span.{name}|count").append(
@@ -272,9 +294,9 @@ class MetricsRecorder:
 
         The recorder-side half of the session-cardinality fix: series keys
         are ``metric|label[|qualifier]``, so pruning matches on the label
-        segment and also clears the counter delta/rate bookkeeping
-        (``_prev_counts`` / ``_derived_keys``) so a recycled label starts
-        from a clean slate.  Returns the number of series removed.
+        segment and also drops the key's lane (its counter delta/rate
+        state) so a recycled label starts from a clean slate.  Returns the
+        number of series removed.
         """
         wanted = str(label)
 
@@ -286,9 +308,8 @@ class MetricsRecorder:
             doomed = [key for key in self._series if matches(key)]
             for key in doomed:
                 del self._series[key]
-            for table in (self._prev_counts, self._derived_keys):
-                for key in [key for key in table if matches(key)]:
-                    del table[key]
+            for key in [key for key in self._lanes if matches(key)]:
+                del self._lanes[key]
         return len(doomed)
 
     # -- access -----------------------------------------------------------

@@ -6,6 +6,11 @@ It offers exactly the primitives the paper's drawables need — lines
 fill), bitmap text — plus blitting (for nested wormhole/magnifier viewers),
 PPM and PNG export, and an ASCII view for terminals and tests.
 
+Lines, circle outlines and text are computed as whole point sets or masks
+(closed-form Bresenham and midpoint points, the font's glyph table) and
+painted with one numpy write each; ``tests/raster_reference.py`` holds the
+per-pixel loops they must match.
+
 All coordinates are float pixels (x right, y down) and are clipped to the
 canvas bounds; drawing off-canvas is silently partial, never an error.
 """
@@ -22,7 +27,7 @@ import numpy as np
 from repro.display.drawables import Color, resolve_color
 from repro.errors import DisplayError
 from repro.obs.trace import current_tracer
-from repro.render.font import CHAR_HEIGHT, CHAR_WIDTH, glyph_rows
+from repro.render.font import CHAR_HEIGHT, text_mask
 
 __all__ = ["Canvas", "WHITE", "BLACK"]
 
@@ -67,6 +72,18 @@ def _pack_indices(index: np.ndarray, depth: int) -> np.ndarray:
     for slot in range(1, per_byte):
         packed |= padded[:, slot::per_byte] << (8 - depth * (slot + 1))
     return packed
+
+
+#: x and y signs of the four mirror images of an octant point; the other
+#: four octants swap the point's coordinates.
+_OCTANT_SIGNS = np.array([[[1], [-1], [1], [-1]], [[1], [1], [-1], [-1]]])
+
+
+def _offset_reach(centre: int, size: int, half: int) -> tuple[int, int]:
+    """The offsets t >= 0, as an inclusive range, for which ``centre + t``
+    or ``centre - t`` lies within ``half`` of the span [0, size)."""
+    low, high = -half - centre, size - 1 + half - centre
+    return max(0, low, -high), max(high, -low)
 
 
 def _png_chunk(tag: bytes, payload: bytes) -> bytes:
@@ -149,42 +166,80 @@ class Canvas:
     # Primitives
     # ------------------------------------------------------------------
 
-    def _thick_point(self, x: int, y: int, color: Color, width: int) -> None:
-        if width <= 1:
-            if self.in_bounds(x, y):
-                self.pixels[y, x] = color
+    def _paint_points(self, xs: np.ndarray, ys: np.ndarray, color: Color,
+                      width: int) -> None:
+        """Paint the square of side ``2 * (width // 2) + 1`` centred on each
+        int64 point (xs[i], ys[i]) — one pixel for ``width <= 1`` — clipped
+        to the canvas.
+
+        Single pixels are one fancy-index write.  Squares are marked on a
+        boolean grid over the points' extent, widened one axis at a time by
+        OR-ing shifted copies, and painted with one masked write, so the
+        memory stays within the points plus their extent on the canvas,
+        whatever the width.
+        """
+        half = max(0, width // 2)
+        # Viewed as unsigned, coordinates below -half wrap past any canvas
+        # size, so one comparison per axis keeps the squares that can reach
+        # the canvas.
+        inside = ((xs + half).view(np.uint64) < self.width + 2 * half) & (
+            (ys + half).view(np.uint64) < self.height + 2 * half)
+        xs, ys = xs[inside], ys[inside]
+        if not half:
+            self.pixels[ys, xs] = color
             return
-        half = width // 2
-        x0 = max(0, x - half)
-        y0 = max(0, y - half)
-        x1 = min(self.width, x + half + 1)
-        y1 = min(self.height, y + half + 1)
-        if x0 < x1 and y0 < y1:
-            self.pixels[y0:y1, x0:x1] = color
+        if not len(xs):
+            return
+        x_low, y_low = int(xs.min()), int(ys.min())
+        marks = np.zeros((int(ys.max()) - y_low + 1, int(xs.max()) - x_low + 1),
+                         dtype=bool)
+        marks[ys - y_low, xs - x_low] = True
+        side = 2 * half + 1
+        rows = np.zeros((marks.shape[0], marks.shape[1] + side - 1), dtype=bool)
+        for shift in range(side):
+            rows[:, shift:shift + marks.shape[1]] |= marks
+        squares = np.zeros((rows.shape[0] + side - 1, rows.shape[1]), dtype=bool)
+        for shift in range(side):
+            squares[shift:shift + rows.shape[0]] |= rows
+        left, top = x_low - half, y_low - half
+        x0, y0 = max(0, left), max(0, top)
+        x1 = min(self.width, left + squares.shape[1])
+        y1 = min(self.height, top + squares.shape[0])
+        self.pixels[y0:y1, x0:x1][
+            squares[y0 - top:y1 - top, x0 - left:x1 - left]] = color
 
     def draw_line(
         self, x0: float, y0: float, x1: float, y1: float, color: Color, width: int = 1
     ) -> None:
-        """Bresenham line with optional thickness."""
+        """Bresenham line with optional thickness.
+
+        Bresenham's walk steps the major axis (the longer of |dx|, |dy|)
+        once per point; after k steps the minor axis has stepped
+        ``(2 k d_minor + d_major) // (2 d_major)`` times, the integer
+        nearest ``k d_minor / d_major`` (halves round up).  The points come
+        from that closed form, only for the steps whose major coordinate
+        lies within the stroke's half width of the canvas.
+        """
         self.draw_ops += 1
         ix0, iy0, ix1, iy1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
-        dx = abs(ix1 - ix0)
-        dy = -abs(iy1 - iy0)
         sx = 1 if ix0 < ix1 else -1
         sy = 1 if iy0 < iy1 else -1
-        err = dx + dy
-        x, y = ix0, iy0
-        while True:
-            self._thick_point(x, y, color, width)
-            if x == ix1 and y == iy1:
-                break
-            e2 = 2 * err
-            if e2 >= dy:
-                err += dy
-                x += sx
-            if e2 <= dx:
-                err += dx
-                y += sy
+        dx, dy = abs(ix1 - ix0), abs(iy1 - iy0)
+        x_major = dx >= dy
+        if x_major:
+            start, step, size, major, minor = ix0, sx, self.width, dx, dy
+        else:
+            start, step, size, major, minor = iy0, sy, self.height, dy, dx
+        half = max(0, width // 2)
+        # Steps k with start + step * k in [-half, size - 1 + half].
+        low, high = sorted(((-half - start) * step, (size - 1 + half - start) * step))
+        k = np.arange(max(0, low), min(major, high) + 1)
+        along = start + step * k
+        across = (k * (2 * minor) + major) // (2 * major or 1)
+        if x_major:
+            self._paint_points(along, iy0 + sy * across, color, width)
+        else:
+            self._paint_points(ix0 + sx * across, along, color, width)
 
     def draw_rect(
         self, x0: float, y0: float, x1: float, y1: float, color: Color, width: int = 1
@@ -210,29 +265,45 @@ class Canvas:
     def draw_circle(
         self, cx: float, cy: float, radius: float, color: Color, width: int = 1
     ) -> None:
-        """Midpoint circle."""
+        """Midpoint circle.
+
+        The midpoint walk visits each octant row y = 0, 1, ... while x >= y,
+        at the column x(y) nearest ``sqrt(r² - y²)``, and mirrors it into
+        the eight octants.  In closed form x(y) is
+        ``floor(sqrt(r² - y²) + 0.5)``, computed in float64; that is exact
+        for r < 2**24, since r² - y² is an integer, so its root lies at
+        least about 1 / (8 x) from the nearest half, far beyond the two
+        roundings' error of about x / 2**52.  x(y) >= y holds exactly while
+        2y² - y + 1 <= r², so the last row is the integer part of
+        (1 + sqrt(8r² - 7)) / 4.  Only rows whose mirrored points can reach
+        the canvas are computed, so the work is bounded by the canvas size,
+        not the radius.
+        """
         self.draw_ops += 1
         r = int(round(radius))
-        if r <= 0:
-            self._thick_point(int(round(cx)), int(round(cy)), color, width)
-            return
         cxi, cyi = int(round(cx)), int(round(cy))
-        x, y = r, 0
-        err = 1 - r
-        while x >= y:
-            for px, py in (
-                (cxi + x, cyi + y), (cxi - x, cyi + y),
-                (cxi + x, cyi - y), (cxi - x, cyi - y),
-                (cxi + y, cyi + x), (cxi - y, cyi + x),
-                (cxi + y, cyi - x), (cxi - y, cyi - x),
-            ):
-                self._thick_point(px, py, color, width)
-            y += 1
-            if err < 0:
-                err += 2 * y + 1
-            else:
-                x -= 1
-                err += 2 * (y - x) + 1
+        if r <= 0:
+            self._paint_points(np.array([cxi]), np.array([cyi]), color, width)
+            return
+        last = (1 + math.isqrt(8 * r * r - 7)) // 4
+        half = max(0, width // 2)
+        # Every octant point offsets the centre by ±y along one axis, so a
+        # row y can paint only if that offset reaches the canvas on an axis.
+        (low_a, high_a), (low_b, high_b) = sorted((
+            _offset_reach(cxi, self.width, half),
+            _offset_reach(cyi, self.height, half),
+        ))
+        high_a, high_b = min(high_a, last), min(high_b, last)
+        y = np.concatenate((np.arange(low_a, high_a + 1),
+                            np.arange(max(low_b, high_a + 1), high_b + 1)))
+        x = (np.sqrt(r * r - y * y) + 0.5).astype(np.int64)
+        across = np.concatenate((x, y))
+        down = np.concatenate((y, x))
+        self._paint_points(
+            (cxi + across * _OCTANT_SIGNS[0]).ravel(),
+            (cyi + down * _OCTANT_SIGNS[1]).ravel(),
+            color, width,
+        )
 
     def fill_circle(self, cx: float, cy: float, radius: float, color: Color) -> None:
         self.draw_ops += 1
@@ -287,22 +358,17 @@ class Canvas:
                     self.pixels[y, xi0 : xi1 + 1] = color
 
     def draw_text(self, x: float, y: float, text: str, color: Color) -> None:
-        """Paint ``text`` with its top-left corner at (x, y)."""
+        """Paint ``text`` with its top-left corner at (x, y): one masked
+        write of the string's glyph mask (:func:`text_mask`), clipped."""
         self.draw_ops += 1
-        cursor = int(round(x))
-        top = int(round(y))
-        for char in text:
-            rows = glyph_rows(char)
-            for row_index, row_bits in enumerate(rows):
-                py = top + row_index
-                if not 0 <= py < self.height:
-                    continue
-                for col in range(CHAR_WIDTH):
-                    if row_bits & (1 << (CHAR_WIDTH - 1 - col)):
-                        px = cursor + col
-                        if 0 <= px < self.width:
-                            self.pixels[py, px] = color
-            cursor += CHAR_WIDTH + 1
+        left, top = int(round(x)), int(round(y))
+        mask = text_mask(text)
+        x0, y0 = max(0, left), max(0, top)
+        x1 = min(self.width, left + mask.shape[1])
+        y1 = min(self.height, top + CHAR_HEIGHT)
+        if x0 < x1 and y0 < y1:
+            region = self.pixels[y0:y1, x0:x1]
+            region[mask[y0 - top:y1 - top, x0 - left:x1 - left]] = color
 
     # ------------------------------------------------------------------
     # Composition and export
@@ -345,6 +411,13 @@ class Canvas:
         ascending 24-bit key order, stored at the smallest bit depth (1, 2,
         4 or 8) that holds it, so the bytes depend only on the pixels and
         the background colour — equal frames encode to equal bytes.
+
+        Indexed scanlines deflate with the run-length strategy (``Z_RLE``:
+        matches only against the previous byte).  A frame's index rows are
+        long runs of the background index, so this costs about a quarter of
+        the default strategy's time for a few percent more bytes.  RGB
+        scanlines keep the default strategy, whose distant matches they
+        need (RLE can be 10x larger there).
         """
         keys = _pixel_keys(self.pixels)
         background = _color_key(self.background)
@@ -360,10 +433,12 @@ class Canvas:
                 [palette & 0xFF, palette >> 8 & 0xFF, palette >> 16], axis=1)
             color_type = 3
             plte = _png_chunk(b"PLTE", rgb.astype(np.uint8).tobytes())
+            deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
         else:
             # PNG palettes hold at most 256 entries: fall back to RGB.
             scanlines = self.pixels.reshape(self.height, self.width * 3)
             color_type, depth, plte = 2, 8, b""
+            deflate = zlib.compressobj(6)
         header = struct.pack(">IIBBBBB", self.width, self.height, depth,
                              color_type, 0, 0, 0)
         # Each scanline gets filter byte 0 (None).
@@ -373,7 +448,7 @@ class Canvas:
             b"\x89PNG\r\n\x1a\n"
             + _png_chunk(b"IHDR", header)
             + plte
-            + _png_chunk(b"IDAT", zlib.compress(raw, level=6))
+            + _png_chunk(b"IDAT", deflate.compress(raw) + deflate.flush())
             + _png_chunk(b"IEND", b"")
         )
 

@@ -5,11 +5,17 @@ Lowercase letters render with the uppercase glyphs (the original Tioga-2
 screenshots used small X11 fonts; glyph aesthetics are not load-bearing).
 Unknown characters render as a hollow box so missing-glyph bugs are visible
 rather than silent.
+
+The rasterizer paints a string as one boolean mask (:func:`text_mask`)
+cut from a table built once at import: one 7x6 cell per glyph, the sixth
+column being the blank spacing column, plus the unknown-glyph box.
 """
 
 from __future__ import annotations
 
-__all__ = ["GLYPHS", "glyph_rows", "CHAR_WIDTH", "CHAR_HEIGHT"]
+import numpy as np
+
+__all__ = ["GLYPHS", "glyph_rows", "text_mask", "CHAR_WIDTH", "CHAR_HEIGHT"]
 
 CHAR_WIDTH = 5
 CHAR_HEIGHT = 7
@@ -84,11 +90,45 @@ GLYPHS: dict[str, tuple[int, ...]] = {
 _UNKNOWN = (0b11111, 0b10001, 0b10001, 0b10001, 0b10001, 0b10001, 0b11111)
 
 
+#: Every glyph's bit-rows, the unknown box last; :data:`_CELLS` holds the
+#: same glyphs as boolean cells, row for row.
+_ROWS = (*GLYPHS.values(), _UNKNOWN)
+_INDEX: dict[str, int] = {char: i for i, char in enumerate(GLYPHS)}
+
+
+def _glyph_index(char: str) -> int:
+    """Row of ``char``'s glyph in :data:`_ROWS`: its own glyph, else its
+    uppercase's, else the unknown box."""
+    index = _INDEX.get(char)
+    if index is None:
+        index = _INDEX.get(char.upper(), len(GLYPHS))
+    return index
+
+
 def glyph_rows(char: str) -> tuple[int, ...]:
     """The 7 bit-rows for one character (lowercase folds to uppercase)."""
-    if char in GLYPHS:
-        return GLYPHS[char]
-    upper = char.upper()
-    if upper in GLYPHS:
-        return GLYPHS[upper]
-    return _UNKNOWN
+    return _ROWS[_glyph_index(char)]
+
+
+def _glyph_cell(rows: tuple[int, ...]) -> np.ndarray:
+    """One glyph as a CHAR_HEIGHT x (CHAR_WIDTH + 1) boolean cell, the last
+    column blank."""
+    cell = np.zeros((CHAR_HEIGHT, CHAR_WIDTH + 1), dtype=bool)
+    for row_index, row_bits in enumerate(rows):
+        for col in range(CHAR_WIDTH):
+            cell[row_index, col] = bool(row_bits >> (CHAR_WIDTH - 1 - col) & 1)
+    return cell
+
+
+_CELLS = np.stack([_glyph_cell(rows) for rows in _ROWS])
+_CELLS.flags.writeable = False
+
+
+def text_mask(text: str) -> np.ndarray:
+    """The ink of ``text`` as a CHAR_HEIGHT x len(text) * (CHAR_WIDTH + 1)
+    boolean mask, each glyph followed by its spacing column — the pixels
+    :func:`glyph_rows` lights, laid out left to right."""
+    cells = _CELLS[[_glyph_index(char) for char in text]]
+    # cells is (len(text), CHAR_HEIGHT, CHAR_WIDTH + 1); lay the glyphs
+    # side by side.
+    return cells.transpose(1, 0, 2).reshape(CHAR_HEIGHT, -1)

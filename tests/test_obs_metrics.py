@@ -51,6 +51,18 @@ class TestCounter:
         }
 
 
+    def test_snapshot_keys_sorted_and_later_label_wins(self):
+        # Labels 1 and "1" render to one key; the later-inserted keeps it.
+        for metric, update in ((Counter("c"), "inc"), (Gauge("g"), "set")):
+            getattr(metric, update)(2, label="b")
+            getattr(metric, update)(3, label=1)
+            getattr(metric, update)(4, label="1")
+            getattr(metric, update)(5, label=None)
+            by_label = metric.snapshot()["by_label"]
+            assert list(by_label.items()) == [("1", 4), ("_total", 5), ("b", 2)]
+            assert metric.by_label() == {"b": 2, "1": 4, "_total": 5}
+
+
 class TestGauge:
     def test_last_write_wins(self):
         gauge = Gauge("g")
@@ -62,6 +74,13 @@ class TestGauge:
 
 
 class TestHistogram:
+    def test_by_label_is_count_and_sum(self):
+        hist = Histogram("h", buckets=[1.0])
+        hist.observe(0.5, label="a")
+        hist.observe(3.0, label="a")
+        hist.observe(7.0)
+        assert hist.by_label() == {"a": (2, 3.5), "_total": (1, 7.0)}
+
     def test_bucketing_and_stats(self):
         hist = Histogram("h", buckets=[1.0, 10.0])
         for value in (0.5, 1.0, 2.0, 100.0):

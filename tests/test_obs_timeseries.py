@@ -101,6 +101,63 @@ def test_recorder_samples_labels_gauges_and_histograms():
     assert recorder.latest("lat|_total|mean") == 2.25
 
 
+def test_recorder_series_match_the_registry_snapshot():
+    # The recorder reads each metric's unsorted ``by_label`` instead of the
+    # registry snapshot; every series must still carry the snapshot's
+    # values, including the counter total beside an unlabeled count, and
+    # the later of two labels that share a key.
+    registry = MetricsRegistry()
+    counter = registry.counter("ops")
+    counter.inc(4)
+    counter.inc(2, label=1)
+    counter.inc(3, label="1")
+    counter.inc(1, label="z")
+    gauge = registry.gauge("depth")
+    gauge.set(9.0, label="q")
+    gauge.set(1.5, label=None)
+    histogram = registry.histogram("lat", buckets=(1.0, 10.0))
+    histogram.observe(0.5, label="a")
+    histogram.observe(4.0, label="a")
+    histogram.observe(12.0)
+    recorder = MetricsRecorder(registry)
+    recorder.sample(t=1.0)
+
+    expected = {}
+    for name, snap in registry.snapshot().items():
+        for label, value in snap["by_label"].items():
+            if snap["kind"] == "histogram":
+                expected[f"{name}|{label}|count"] = value["count"]
+                expected[f"{name}|{label}|sum"] = value["sum"]
+                expected[f"{name}|{label}|mean"] = value["sum"] / value["count"]
+            elif not (snap["kind"] == "counter" and label == "_total"):
+                expected[f"{name}|{label}"] = value
+        if snap["kind"] == "counter":
+            expected[f"{name}|_total"] = snap["total"]
+    sampled = {key: recorder.latest(key) for key in expected}
+    assert sampled == expected
+    assert sampled["ops|_total"] == 10.0
+    assert sampled["ops|1"] == 3.0
+
+
+def test_recorder_restarts_a_pruned_label_from_a_clean_slate():
+    registry = MetricsRegistry()
+    counter = registry.counter("cmds")
+    counter.inc(5, label="sid-3")
+    recorder = MetricsRecorder(registry)
+    recorder.sample(t=1.0)
+    recorder.sample(t=2.0)
+    recorder.prune_label("sid-3")
+    registry.prune_label("sid-3")
+    # A new session reuses the label: its series, delta and rate start over.
+    counter.inc(2, label="sid-3")
+    recorder.sample(t=3.0)
+    recorder.sample(t=5.0)
+    assert recorder.series("cmds|sid-3").values() == [2.0, 2.0]
+    assert recorder.delta("cmds", "sid-3").values() == [2.0, 0.0]
+    assert recorder.rate("cmds", "sid-3").values() == [2.0, 0.0]
+    assert recorder.series("cmds|_total").values() == [5.0, 5.0, 7.0, 7.0]
+
+
 def test_recorder_snapshot_schema_and_validator_round_trip():
     registry = MetricsRegistry()
     registry.counter("c").inc()

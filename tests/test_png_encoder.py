@@ -3,6 +3,8 @@ canvas queries against their per-channel numpy definitions."""
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,17 @@ class TestSyntheticCanvases:
         assert first.copy().png_bytes() == first.png_bytes()
         many = canvas_with_colors(257)
         assert many.copy().png_bytes() == many.png_bytes()
+
+    @pytest.mark.parametrize("total,strategy", [(5, zlib.Z_RLE),
+                                                (257, zlib.Z_DEFAULT_STRATEGY)])
+    def test_deflate_strategy_follows_colour_type(self, total, strategy):
+        # Indexed scanlines deflate run-length only; RGB scanlines keep the
+        # default strategy, whose distant matches they need.
+        data = canvas_with_colors(total).png_bytes()
+        idat = dict(chunks(data))[b"IDAT"]
+        deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 8, strategy)
+        raw = zlib.decompress(idat)
+        assert deflate.compress(raw) + deflate.flush() == idat
 
     def test_encoding_leaves_pixels_unchanged(self):
         canvas = canvas_with_colors(5)

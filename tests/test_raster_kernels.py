@@ -1,0 +1,209 @@
+"""The canvas raster kernels against the per-pixel reference loops.
+
+``Canvas.draw_line``, ``draw_circle`` and ``draw_text`` paint whole point
+sets and glyph masks with numpy writes; ``tests/raster_reference.py`` keeps
+the Bresenham, midpoint and glyph loops they replaced.  Every test here
+paints the same primitive both ways onto equal canvases and compares the
+pixels.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import repro.render.canvas as canvas_module
+import repro.render.font as font_module
+from raster_reference import (
+    reference_draw_circle,
+    reference_draw_line,
+    reference_draw_text,
+    reference_raster,
+)
+from repro.core.scenarios import FIGURES
+from repro.data.weather import build_weather_database
+from repro.render.canvas import Canvas
+from repro.render.font import CHAR_HEIGHT, CHAR_WIDTH, GLYPHS
+
+INK = (20, 40, 200)
+#: Line endpoints in [-9, 9] overhang this canvas on every side.
+LINE_CANVAS = (12, 11)
+
+
+def assert_same_pixels(kernel, reference, size, *args) -> None:
+    """Paint ``args`` with the kernel and the reference on equal blank
+    canvases of ``size`` (width, height)."""
+    painted, expected = Canvas(*size), Canvas(*size)
+    kernel(painted, *args)
+    reference(expected, *args)
+    if not np.array_equal(painted.pixels, expected.pixels):
+        diff = np.argwhere((painted.pixels != expected.pixels).any(axis=2))
+        pytest.fail(f"{kernel.__name__}{args}: pixels differ at (y, x) {diff[:5].tolist()}")
+    assert painted.draw_ops == expected.draw_ops == 1
+
+
+class TestLines:
+    """The closed-form Bresenham points and the clip to the canvas."""
+
+    def test_every_endpoint_pair_width_1(self):
+        for x0, y0, x1, y1 in itertools.product(range(-9, 10), repeat=4):
+            assert_same_pixels(Canvas.draw_line, reference_draw_line, LINE_CANVAS,
+                               x0, y0, x1, y1, INK, 1)
+
+    @pytest.mark.parametrize("width", [2, 3, 4])
+    def test_thick_strokes(self, width):
+        # Every other coordinate: the stroke square does not depend on the
+        # endpoints, so this keeps every octant, length parity and edge
+        # overhang at a tenth of the full sweep's cost.
+        for x0, y0, x1, y1 in itertools.product(range(-9, 10, 2), repeat=4):
+            assert_same_pixels(Canvas.draw_line, reference_draw_line, LINE_CANVAS,
+                               x0, y0, x1, y1, INK, width)
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 5])
+    def test_fractional_and_long_lines(self, width):
+        # Rounded float endpoints, and lines whose steps mostly fall far
+        # outside the canvas.
+        for x0, y0, x1, y1 in [(-0.5, 0.5, 10.49, 7.5), (1.5, -2.5, 2.5, 20.5),
+                               (-4000, 5, 4000, 6), (6, -3000.2, 5, 2999.7),
+                               (-500, -480, 520, 470), (11.6, 10.6, -0.4, -0.6)]:
+            assert_same_pixels(Canvas.draw_line, reference_draw_line, LINE_CANVAS,
+                               x0, y0, x1, y1, INK, width)
+
+    @pytest.mark.parametrize("width", [101, 201])
+    def test_wide_strokes_across_the_canvas(self, width):
+        # Squares far wider than the canvas is tall, on canvas-length lines
+        # in both axis orders and straddling every edge.
+        for x0, y0, x1, y1 in [(0, 50, 639, 70), (-80, -30, 720, 130),
+                               (320, -200, 300, 300), (600, 0, 10, 99),
+                               (-60, 150, 700, 180)]:
+            assert_same_pixels(Canvas.draw_line, reference_draw_line, (640, 100),
+                               x0, y0, x1, y1, INK, width)
+
+    def test_wide_stroke_memory_is_bounded_by_the_canvas(self):
+        # The squares of a width-201 stroke along a 640 px line would be
+        # 26M points, over a gigabyte as index arrays; the marks grid needs
+        # its extent on the canvas only.
+        import tracemalloc
+
+        canvas = Canvas(640, 100)
+        tracemalloc.start()
+        try:
+            canvas.draw_line(0, 50, 639, 50, INK, 201)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert (canvas.pixels == INK).all()
+
+
+class TestCircles:
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("centre", [(20, 15), (0, 15), (39, 15), (20, 0),
+                                        (20, 29)],
+                             ids=["inside", "left", "right", "top", "bottom"])
+    def test_radii_0_to_300(self, centre, width):
+        for radius in range(301):
+            assert_same_pixels(Canvas.draw_circle, reference_draw_circle,
+                               (40, 30), *centre, radius, INK, width)
+
+    @pytest.mark.parametrize("radius", [0.49, 0.5, 2.5, 3.5001, 7.2])
+    def test_fractional_centre_and_radius(self, radius):
+        for cx, cy in [(-0.5, 3.5), (4.49, -0.51), (38.7, 29.5)]:
+            assert_same_pixels(Canvas.draw_circle, reference_draw_circle,
+                               (40, 30), cx, cy, radius, INK, 2)
+
+    @pytest.mark.parametrize("centre", [(-150, 15), (20, -130), (-90, -90),
+                                        (170, 140)])
+    def test_far_centres_whose_arc_crosses_the_canvas(self, centre):
+        for radius in range(80, 260, 7):
+            for width in (1, 4, 61):
+                assert_same_pixels(Canvas.draw_circle, reference_draw_circle,
+                                   (40, 30), *centre, radius, INK, width)
+
+    def test_huge_radius_paints_its_arc_in_canvas_time(self):
+        # The arc of a 2**24 - 1 px circle centred far left crosses a
+        # 40 x 30 canvas as the column x = 20 (it bends by under a pixel
+        # over 15 rows).  Only rows that reach the canvas are computed;
+        # all ~11.9M octant rows would take about a gigabyte.
+        r = 2**24 - 1
+        canvas = Canvas(40, 30)
+        canvas.draw_circle(20 - r, 15, r, INK, 1)
+        painted = np.argwhere((canvas.pixels != 255).any(axis=2))
+        assert painted.tolist() == [[y, 20] for y in range(30)]
+
+    def test_octant_columns_exact_for_large_radii(self):
+        # x(y) = floor(sqrt(r² - y²) + 0.5) in float64 against the integer
+        # nearest root, near the documented 2**24 bound, where the
+        # reference loop is too slow to run; and the last row's formula.
+        def nearest_root(r: int, y: int) -> int:
+            squares = r * r - y * y
+            root = math.isqrt(squares)
+            return root + (squares - root * root > root)
+
+        for r in (2**24 - 1, 2**24 - 3, 12_345_677, 9_999_991):
+            last = (1 + math.isqrt(8 * r * r - 7)) // 4
+            assert nearest_root(r, last) >= last
+            assert nearest_root(r, last + 1) < last + 1
+            ys = sorted(set(range(200)) | set(range(last - 200, last + 1))
+                        | {int(last * f) for f in np.linspace(0, 1, 2001)})
+            y = np.array(ys, dtype=np.int64)
+            x = (np.sqrt(r * r - y * y) + 0.5).astype(np.int64)
+            assert x.tolist() == [nearest_root(r, yi) for yi in ys], r
+
+
+class TestText:
+    ALL = "".join(GLYPHS)
+    STRINGS = [ALL, ALL.lower(), "Baton Rouge", "é€\x00ß☃Ab", ""]
+
+    @pytest.mark.parametrize("text", STRINGS,
+                             ids=["glyphs", "lowercase", "mixed", "unknown", "empty"])
+    def test_clipped_at_each_edge(self, text):
+        width = len(text) * (CHAR_WIDTH + 1)
+        for x, y in [(3, 4), (-2.6, 4), (-width + 4, 4), (30, 4), (3, -3),
+                     (3, -CHAR_HEIGHT + 1), (3, 8.4), (3, 10.6), (60, 40),
+                     (-width, 4), (3, -CHAR_HEIGHT)]:
+            assert_same_pixels(Canvas.draw_text, reference_draw_text,
+                               (36, 12), x, y, text, INK)
+
+    def test_every_glyph_alone(self):
+        for char in list(GLYPHS) + ["a", "z", "é", "☃"]:
+            assert_same_pixels(Canvas.draw_text, reference_draw_text,
+                               (8, 9), 1, 1, char, INK)
+
+
+@pytest.fixture(scope="module")
+def figure_db():
+    return build_weather_database(extra_stations=10, every_days=60)
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURES))
+def test_figures_match_the_reference_raster(figure_db, figure):
+    session = FIGURES[figure](figure_db).session
+    for name in sorted(session.windows):
+        window = session.window(name)
+        painted = window.render()
+        with reference_raster():
+            expected = window.render()
+        np.testing.assert_array_equal(painted.pixels, expected.pixels)
+
+
+def module_dict_sizes(module) -> dict[str, int]:
+    """The module's globals count and the size of each dict among them."""
+    sizes = {"<globals>": len(vars(module))}
+    sizes.update((name, len(value)) for name, value in vars(module).items()
+                 if isinstance(value, dict))
+    return sizes
+
+
+def test_no_module_state_grows_with_input():
+    before = [module_dict_sizes(canvas_module), module_dict_sizes(font_module)]
+    canvas = Canvas(64, 48)
+    for i in range(10_000):
+        canvas.draw_text(i % 64 - 8, i % 48 - 3, chr(0x100 + i) + chr(0x4E00 + i),
+                         INK)
+        canvas.draw_circle(32, 24, 1 + i, INK, 1 + i % 3)
+    after = [module_dict_sizes(canvas_module), module_dict_sizes(font_module)]
+    assert after == before

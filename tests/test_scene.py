@@ -8,6 +8,14 @@ from repro.dbms.parser import parse_expression
 from repro.dbms.relation import Method, RowSet
 from repro.dbms.tuples import Schema
 from repro.display.displayable import Composite, DisplayableRelation, Group
+from repro.display.drawables import (
+    Circle,
+    Line,
+    Polygon,
+    Rectangle,
+    Style,
+    ViewerDrawable,
+)
 from repro.errors import ViewerError
 from repro.render.canvas import Canvas
 from repro.render.scene import (
@@ -173,6 +181,62 @@ class TestRenderComposite:
         render_composite(canvas, relation, view, stats=stats)
         assert stats.tuples_rendered == 2
         assert canvas.count_nonbackground() > 50
+
+
+#: Stroked drawables whose unpadded bbox is anchor ± 3 on both axes.
+THICK = Style(line_width=5)
+STROKED = {
+    "line": Line((6.0, 6.0), offset=(-3.0, -3.0), style=THICK),
+    "circle": Circle(3.0, style=THICK),
+    "rectangle": Rectangle(6.0, 6.0, style=THICK),
+    "polygon": Polygon([(-3.0, -3.0), (3.0, -3.0), (0.0, 3.0)], style=THICK),
+    "viewer": ViewerDrawable("elsewhere", 6.0, 6.0, style=THICK),
+}
+
+
+class TestThickStrokeCulling:
+    """A stroke paints ``line_width // 2`` pixels beyond its outline, so a
+    drawable whose outline ends just off the canvas can still paint visible
+    pixels; culling must keep it."""
+
+    WIDTH, HEIGHT = 40, 30
+    # Screen anchors whose unpadded bbox ends 1.6 px past the top/left edge
+    # or 1.4 px past the bottom/right one (beyond the cull's 1 px slack),
+    # while the rounded outline still lies within 2 px of the canvas.
+    ANCHORS = {
+        "top": (20.0, -4.6),
+        "bottom": (20.0, HEIGHT + 4.4),
+        "left": (-4.6, 15.0),
+        "right": (WIDTH + 4.4, 15.0),
+    }
+
+    def render(self, drawable, anchor, cull):
+        rows = [{"label": "s", "px": anchor[0] - self.WIDTH / 2,
+                 "py": self.HEIGHT / 2 - anchor[1], "level": 0.0}]
+        relation = DisplayableRelation(RowSet.from_dicts(SCHEMA, rows), name="s")
+        relation = relation.with_method_added(Method("x", "float", parse_expression("px")))
+        relation = relation.with_method_added(Method("y", "float", parse_expression("py")))
+        relation = relation.with_method_added(
+            Method("display", "drawables", lambda row: [drawable]))
+        canvas = Canvas(self.WIDTH, self.HEIGHT)
+        view = ViewState(center=(0.0, 0.0), elevation=float(self.WIDTH),
+                         viewport=(self.WIDTH, self.HEIGHT))
+        render_composite(canvas, relation, view, cull=cull)
+        return canvas
+
+    @pytest.mark.parametrize("edge", sorted(ANCHORS))
+    @pytest.mark.parametrize("kind", sorted(STROKED))
+    def test_cull_keeps_strokes_straddling_the_edge(self, kind, edge):
+        anchor = self.ANCHORS[edge]
+        culled = self.render(STROKED[kind], anchor, cull=True)
+        unculled = self.render(STROKED[kind], anchor, cull=False)
+        assert unculled.count_nonbackground() > 0
+        assert culled.ppm_bytes() == unculled.ppm_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(STROKED))
+    def test_bbox_covers_the_stroke(self, kind):
+        drawable = STROKED[kind]
+        assert drawable.bbox(10.0, 10.0, 1.0) == (5.0, 5.0, 15.0, 15.0)
 
 
 class TestWormholeRendering:
