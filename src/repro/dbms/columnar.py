@@ -16,13 +16,18 @@ Row identity: a batch built from existing tuples keeps references to the
 original :class:`Tuple` objects; selection-only kernels (Restrict, Limit,
 Distinct, OrderBy) carry them through, so converting back to rows returns
 the *same* objects the serial backend would have produced — not equal
-copies.  The scene-graph culling path depends on this (it recovers source
-indices by identity).  Schema-changing kernels (Project, Rename, GroupBy,
-Join) drop the originals and rebuild rows via :meth:`Tuple.trusted` —
-except under lineage capture (``repro.obs.lineage``), where those kernels
-materialize their output rows once, re-attach them to the outgoing batch,
-and record output-row → input-row mappings, so backward walks compose by
-identity across the whole columnar pipeline.
+copies.  Schema-changing kernels (Project, Rename, GroupBy, Join) drop the
+originals; their rows are built from the columns via
+:meth:`Tuple.trusted` — except under lineage capture
+(``repro.obs.lineage``), where those kernels materialize their output rows
+once, re-attach them to the outgoing batch, and record output-row →
+input-row mappings, so backward walks compose by identity across the whole
+columnar pipeline.
+
+Late materialization: a demanded columnar result stays one batch, and
+:class:`BatchRows` is its row sequence.  Each Tuple is built on first
+access and memoized, so the viewer builds tuples only for the rows it
+paints, and indexing the same position always returns the same object.
 
 There is no backend knob: the plan optimizer
 (:func:`repro.dbms.plan_rewrite.columnarize_plan`) moves each worthwhile
@@ -31,7 +36,9 @@ subtree onto the vectorized kernels.  See ``docs/COLUMNAR.md``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import threading
+from collections.abc import Sequence as SequenceABC
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from repro.dbms import types as T
 from repro.dbms.tuples import Schema, Tuple
 
 __all__ = [
+    "BatchRows",
     "ColumnBatch",
     "DEFAULT_BATCH_ROWS",
     "NUMPY_DTYPES",
@@ -81,13 +89,20 @@ def _column_array(values: Sequence, atomic) -> np.ndarray:
 
 
 class ColumnBatch:
-    """One batch of rows in columnar form: an array per field plus a mask."""
+    """One batch of rows in columnar form: an array per field plus a mask.
 
-    __slots__ = ("schema", "_columns", "mask", "rows", "_length")
+    Row identity travels in ``rows``, an object array of the original
+    Tuples, or in ``origin``, a :class:`BatchRows` plus one position in it
+    per row: the rows of a late-forced result, built only if asked for.
+    At most one of the two is set; selections carry either along.
+    """
+
+    __slots__ = ("schema", "_columns", "mask", "rows", "origin", "_length")
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray],
                  mask: np.ndarray | None = None,
-                 rows: np.ndarray | None = None):
+                 rows: np.ndarray | None = None,
+                 origin: tuple[BatchRows, np.ndarray] | None = None):
         self.schema = schema
         self._columns = columns
         if columns:
@@ -97,6 +112,7 @@ class ColumnBatch:
         self.mask = (mask if mask is not None
                      else np.ones(self._length, dtype=bool))
         self.rows = rows    # object array of the original Tuples, or None
+        self.origin = origin
 
     def __len__(self) -> int:
         return self._length
@@ -164,10 +180,16 @@ class ColumnBatch:
             for name in schema.names
         }
         mask = np.concatenate([b.mask for b in batches])
-        rows = None
+        rows = origin = None
+        first = batches[0].origin
+        source = first[0] if first is not None else None
         if all(b.rows is not None for b in batches):
             rows = np.concatenate([b.rows for b in batches])
-        return cls(schema, columns, mask=mask, rows=rows)
+        elif source is not None and all(
+                b.origin is not None and b.origin[0] is source
+                for b in batches):
+            origin = (source, np.concatenate([b.origin[1] for b in batches]))
+        return cls(schema, columns, mask=mask, rows=rows, origin=origin)
 
     # -- access -------------------------------------------------------------
 
@@ -182,42 +204,40 @@ class ColumnBatch:
         """Back to row form.
 
         Returns the original Tuple objects when the batch still carries
-        them; otherwise rebuilds tuples via the trusted constructor —
-        every value came out of a validated tuple (``.tolist()`` converts
-        numpy scalars back to the native Python types the serial backend
-        holds), so re-coercion would only burn time.
+        them, or its origin's tuples; otherwise rebuilds tuples via the
+        trusted constructor — every value came out of a validated tuple
+        (``.tolist()`` converts numpy scalars back to the native Python
+        types the serial backend holds), so re-coercion would only burn
+        time.
         """
         if self.rows is not None:
             return self.rows
-        schema = self.schema
-        lists = [self._columns[name].tolist() for name in schema.names]
-        if len(lists) == 1:
-            return [Tuple.trusted(schema, (value,)) for value in lists[0]]
-        trusted = Tuple.trusted
-        return [trusted(schema, values) for values in zip(*lists)]
+        if self.origin is not None:
+            source, positions = self.origin
+            return source.rows_at(positions.tolist())
+        return _build_rows(self.schema, self.arrays(), len(self))
 
     # -- selection (keeps row identity) -------------------------------------
 
+    def _select(self, selector) -> "ColumnBatch":
+        columns = {name: arr[selector] for name, arr in self._columns.items()}
+        rows = self.rows[selector] if self.rows is not None else None
+        origin = self.origin
+        if origin is not None:
+            origin = (origin[0], origin[1][selector])
+        return ColumnBatch(self.schema, columns, mask=self.mask[selector],
+                           rows=rows, origin=origin)
+
     def take(self, indices: np.ndarray) -> "ColumnBatch":
         """Rows at ``indices``, in that order."""
-        columns = {name: arr[indices] for name, arr in self._columns.items()}
-        rows = self.rows[indices] if self.rows is not None else None
-        return ColumnBatch(self.schema, columns, mask=self.mask[indices],
-                           rows=rows)
+        return self._select(indices)
 
     def take_mask(self, keep: np.ndarray) -> "ColumnBatch":
         """Rows where ``keep`` is true, in input order."""
-        columns = {name: arr[keep] for name, arr in self._columns.items()}
-        rows = self.rows[keep] if self.rows is not None else None
-        return ColumnBatch(self.schema, columns, mask=self.mask[keep],
-                           rows=rows)
+        return self._select(keep)
 
     def slice(self, start: int, stop: int) -> "ColumnBatch":
-        columns = {name: arr[start:stop]
-                   for name, arr in self._columns.items()}
-        rows = self.rows[start:stop] if self.rows is not None else None
-        return ColumnBatch(self.schema, columns, mask=self.mask[start:stop],
-                           rows=rows)
+        return self._select(slice(start, stop))
 
     # -- schema changes (drop row identity) ----------------------------------
 
@@ -231,6 +251,107 @@ class ColumnBatch:
         columns = {(new if name == old else name): arr
                    for name, arr in self._columns.items()}
         return ColumnBatch(schema, columns, mask=self.mask)
+
+
+def _build_rows(schema: Schema, arrays: Sequence[np.ndarray],
+                count: int) -> list[Tuple]:
+    """Tuples over the values of ``arrays`` (one per field, ``count``
+    long), built by the trusted constructor."""
+    trusted = Tuple.trusted
+    if not arrays:
+        return [trusted(schema, ()) for __ in range(count)]
+    if len(arrays) == 1:
+        return [trusted(schema, (value,)) for value in arrays[0].tolist()]
+    lists = [array.tolist() for array in arrays]
+    return [trusted(schema, values) for values in zip(*lists)]
+
+
+class BatchRows(SequenceABC):
+    """The rows of one :class:`ColumnBatch` as a read-only sequence.
+
+    A row's Tuple is built on first access and memoized, so indexing a
+    position returns the same object every time, from any thread.  A batch
+    that still carries its original rows (selection-only kernels, lineage
+    capture) hands them back by identity, and one with an ``origin`` hands
+    back its origin's tuples.  :meth:`rows_at` builds the missing tuples
+    among a set of positions in one pass, as :meth:`ColumnBatch.to_rows`
+    would; indexing and iteration go through it.  Compares equal to any
+    tuple or list of equal rows.
+    """
+
+    __slots__ = ("batch", "_memo", "_missing", "_lock")
+
+    def __init__(self, batch: ColumnBatch):
+        self.batch = batch
+        if batch.rows is not None:
+            self._memo: list[Tuple | None] = batch.rows.tolist()
+            self._missing = 0
+        else:
+            self._memo = [None] * len(batch)
+            self._missing = len(batch)
+        self._lock = threading.Lock()
+
+    def as_batch(self) -> ColumnBatch:
+        """The batch, for a downstream kernel: its selections' rows are
+        this sequence's tuples, as they would be on the row path."""
+        batch = self.batch
+        if batch.rows is not None or batch.origin is not None:
+            return batch
+        return ColumnBatch(batch.schema, batch._columns, mask=batch.mask,
+                           origin=(self, np.arange(len(batch))))
+
+    def __len__(self) -> int:
+        return len(self._memo)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self.rows_at(range(*index.indices(len(self._memo)))))
+        row = self._memo[index]
+        if row is None:
+            (row,) = self.rows_at([range(len(self._memo))[index]])
+        return row
+
+    def __iter__(self) -> Iterator[Tuple]:
+        if self._missing:
+            self.rows_at(range(len(self._memo)))
+        return iter(self._memo)
+
+    def rows_at(self, positions: Sequence[int]) -> list[Tuple]:
+        """The rows at ``positions`` (non-negative), building the missing
+        ones in one pass."""
+        memo = self._memo
+        if self._missing:
+            missing = [pos for pos in positions if memo[pos] is None]
+            if missing:
+                batch = self.batch
+                index = np.array(missing, dtype=np.intp)
+                if batch.origin is not None:
+                    source, origin = batch.origin
+                    built = source.rows_at(origin[index].tolist())
+                else:
+                    built = _build_rows(
+                        batch.schema,
+                        [array[index] for array in batch.arrays()],
+                        len(missing))
+                # Publish only where no other thread published first, so
+                # every caller sees one object per position.
+                with self._lock:
+                    for pos, row in zip(missing, built):
+                        if memo[pos] is None:
+                            memo[pos] = row
+                            self._missing -= 1
+        return [memo[pos] for pos in positions]
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, (tuple, list, BatchRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"BatchRows({len(self._memo)} rows)"
 
 
 DEFAULT_BATCH_ROWS = 65_536

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.dbms import types as T
 from repro.dbms.columnar import (
+    BatchRows,
     ColumnBatch,
     DEFAULT_BATCH_ROWS,
     NUMPY_DTYPES,
@@ -1022,6 +1023,13 @@ class LazyRowSet(RowSet):
 
     An error raised mid-stream is remembered and re-raised on every later
     demand; a half-buffered result can never silently pose as complete.
+
+    A plan whose root is :class:`ToRowsNode` is forced late: when nothing
+    has streamed yet, :meth:`force` takes the columnar result as one batch
+    (kept in ``column_batch``) and the rows become a
+    :class:`~repro.dbms.columnar.BatchRows` over it, which builds each
+    Tuple on first access.  Any other plan, or one a consumer already
+    streams, buffers its rows as they arrive.
     """
 
     __slots__ = ("_plan", "_buffer", "_iter", "_done", "_error", "_forced",
@@ -1031,11 +1039,12 @@ class LazyRowSet(RowSet):
         # Deliberately no super().__init__: the parent would materialize.
         self._schema = plan.schema
         self._plan = plan
-        self._buffer: list[Tuple] = []
+        # A list while rows arrive; the final sequence once done.
+        self._buffer: Sequence[Tuple] = []
         self._iter: Iterator[Tuple] | None = None
         self._done = False
         self._error: BaseException | None = None
-        self._forced: tuple[Tuple, ...] | None = None
+        self._forced: Sequence[Tuple] | None = None
         self.column_batch = None
         self.location_memo = None
         self.stats_memo = None
@@ -1058,6 +1067,9 @@ class LazyRowSet(RowSet):
 
     def stream(self) -> Iterator[Tuple]:
         """Yield rows, sharing one plan execution among all consumers."""
+        if self._done:
+            yield from self._buffer
+            return
         pos = 0
         while True:
             buffer = self._buffer
@@ -1083,13 +1095,32 @@ class LazyRowSet(RowSet):
             self._iter = None
             raise
 
-    def force(self) -> tuple[Tuple, ...]:
-        """Run the plan to completion; further demands are free."""
+    def force(self) -> Sequence[Tuple]:
+        """Run the plan to completion; further demands are free.
+
+        Returns a tuple, or a :class:`BatchRows` when the plan ran late
+        (see the class docstring).
+        """
         if self._forced is None:
-            for __ in self.stream():
-                pass
-            self._forced = tuple(self._buffer)
+            plan = self._plan
+            if type(plan) is ToRowsNode and not self.has_started:
+                try:
+                    batch = plan.execute_batch()
+                except Exception as exc:
+                    self._error = exc
+                    raise
+                self._finish(BatchRows(batch))
+            else:
+                for __ in self.stream():
+                    pass
+                self._forced = tuple(self._buffer)
         return self._forced
+
+    def _finish(self, rows: Sequence[Tuple]) -> None:
+        if isinstance(rows, BatchRows):
+            self.column_batch = rows.batch
+        self._buffer = self._forced = rows
+        self._done = True
 
     @property
     def has_started(self) -> bool:
@@ -1105,12 +1136,12 @@ class LazyRowSet(RowSet):
         """Install an externally computed result (e.g. a result-cache hit).
 
         Only legal before any execution has started; the plan never runs.
+        A :class:`BatchRows` is shared as it is, with its batch and the
+        tuples it has built.
         """
         if self.has_started:
             raise RuntimeError("cannot adopt rows: plan execution has started")
-        self._buffer = list(rows)
-        self._forced = tuple(self._buffer)
-        self._done = True
+        self._finish(rows if isinstance(rows, BatchRows) else tuple(rows))
 
     def replace_plan(self, plan: PlanNode) -> None:
         """Swap in an equivalent plan (e.g. a columnarized rewrite).
@@ -1129,7 +1160,7 @@ class LazyRowSet(RowSet):
     # _rows shadows the parent's slot with a forcing property, so every
     # RowSet method (len, indexing, equality, .rows) works transparently.
     @property
-    def _rows(self) -> tuple[Tuple, ...]:  # type: ignore[override]
+    def _rows(self) -> Sequence[Tuple]:  # type: ignore[override]
         return self.force()
 
     def __iter__(self) -> Iterator[Tuple]:
@@ -1277,7 +1308,8 @@ class ToColumnsNode(ColumnarNode):
     For materialized leaves — a Scan over a RowSet, a Cache over an
     already-forced lazy set — the whole source is converted once and the
     batch memoized on the row set (``RowSet.column_batch``), so repeated
-    renders of an unchanged table skip the per-tuple walk entirely; the
+    renders of an unchanged table skip the per-tuple walk entirely, and a
+    late-forced lazy set's own batch is reused without building a tuple; the
     leaf's counters are advanced as if it had streamed (EXPLAIN must read
     backend-independently).  Any other child is executed through the row
     protocol and re-batched at ``batch_rows`` granularity; the optimizer
@@ -1313,9 +1345,12 @@ class ToColumnsNode(ColumnarNode):
         if isinstance(source, tuple):
             return ColumnBatch.from_rows(self._schema, source)
         batch = source.column_batch
-        if batch is None or batch.schema is not self._schema:
+        if batch is None or batch.schema != self._schema:
             batch = ColumnBatch.from_rows(self._schema, source.rows)
             source.column_batch = batch
+        rows = source.rows
+        if isinstance(rows, BatchRows) and rows.batch is batch:
+            return rows.as_batch()
         return batch
 
     def _produce_columns(self) -> Iterator[ColumnBatch]:
@@ -1360,13 +1395,43 @@ class ToRowsNode(PlanNode):
     """Column-to-row adapter at the top edge of a columnar region.
 
     Speaks the plain row protocol to its parent; batches that still carry
-    their original Tuple objects hand them back by identity.
+    their original Tuple objects hand them back by identity.  At the root
+    of a demanded plan it is not pulled row by row: :class:`LazyRowSet`
+    takes the whole result from :meth:`execute_batch`, and rows are built
+    on first access.
     """
 
     label = "ToRows"
 
     def __init__(self, child: ColumnarNode):
         super().__init__((child,), child.schema)
+
+    def execute_batch(self) -> ColumnBatch:
+        """Run one execution and return its result as one batch.
+
+        Leaves the counters and the ``plan.node`` span one row-protocol
+        execution leaves, so EXPLAIN cannot tell the two apart.
+        """
+        if _VERIFY_HOOK is not None:
+            _VERIFY_HOOK(self)
+        stats = self.stats
+        stats.opens += 1
+        with current_tracer().span(
+            "plan.node", op=self.label, desc=self.describe()
+        ) as span:
+            start = perf_counter()
+            try:
+                batches = list(self._children[0].column_batches())
+                batch = (ColumnBatch.concat(batches) if batches
+                         else ColumnBatch.from_rows(self._schema, ()))
+            finally:
+                stats.wall_s += perf_counter() - start
+            n = len(batch)
+            stats.rows_in += n
+            stats.rows_out += n
+            stats.batches += (n + BATCH_SIZE - 1) // BATCH_SIZE
+            span.set(rows_in=n, rows_out=n, opens=stats.opens)
+        return batch
 
     def _produce(self) -> Iterator[Tuple]:
         stats = self.stats

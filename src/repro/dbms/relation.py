@@ -116,7 +116,8 @@ class RowSet:
     ``column_batch`` memoizes the rows' columnar conversion (a
     ``ColumnBatch``, set by the columnar backend's ``ToColumns`` adapter;
     None until first converted), so the batch lives exactly as long as the
-    row set it was converted from.  ``location_memo`` likewise holds the
+    row set it was converted from.  A lazy row set forced late holds its
+    result batch there from the start.  ``location_memo`` likewise holds the
     viewer's location columns (``repro.render.scene.location_columns``),
     keyed by the location definitions; None until first rendered.
     ``stats_memo`` holds the rows' column statistics
@@ -152,7 +153,10 @@ class RowSet:
         return self._schema
 
     @property
-    def rows(self) -> tuple[Tuple, ...]:
+    def rows(self) -> Sequence[Tuple]:
+        """The rows in order: a tuple, or for a lazy row set forced late a
+        read-only sequence that builds each row on first access
+        (:class:`~repro.dbms.columnar.BatchRows`)."""
         return self._rows
 
     def __len__(self) -> int:
@@ -283,13 +287,18 @@ class Table:
     def replace_row(self, old: Tuple, new: Tuple) -> bool:
         """Replace the first row equal to ``old`` with ``new`` (Section 8 update).
 
-        Returns True when a row was replaced.
+        Returns True when a row was replaced.  Every row carries the
+        table's schema, so the schema half of ``Tuple.__eq__`` is checked
+        once and the scan compares values only.
         """
         if new.schema != self._schema:
             raise SchemaError("replacement row does not match table schema")
+        if old.schema != self._schema:
+            return False
+        values = old.values
         with self._lock:
             for pos, row in enumerate(self._rows):
-                if row == old:
+                if row is old or row.values == values:
                     self._rows[pos] = new
                     self._bump(replaced=pos)
                     return True

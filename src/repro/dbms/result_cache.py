@@ -32,6 +32,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Sequence
 
+from repro.dbms.columnar import BatchRows
 from repro.dbms.plan import (
     CacheNode,
     ColumnarDistinctNode,
@@ -253,6 +254,9 @@ def _epoch_fresh(epoch: int | dict[str, int]) -> bool:
 class ResultCache:
     """Process-wide LRU of materialized plan results.
 
+    A result is a tuple of rows or, for a late-forced columnar plan, the
+    :class:`BatchRows` over its column batch (see ``docs/RESULT_CACHE.md``).
+
     Keys are ``(plan fingerprint, storage epoch)``-equivalent: the epoch
     stamp a result was computed at is stored with the entry, and a lookup
     only hits while that stamp is fresh (:func:`_epoch_fresh`).  A stamp is
@@ -282,7 +286,7 @@ class ResultCache:
         self._evictions = registry.counter(
             "cache.evict", "result-cache entries dropped (LRU or stale)")
 
-    def lookup(self, key: tuple) -> tuple[tuple[Tuple, ...], Any] | None:
+    def lookup(self, key: tuple) -> tuple[Sequence[Tuple], Any] | None:
         """Return ``(rows, meta)`` on a fresh hit, else None."""
         with self._lock:
             entry = self._entries.get(key)
@@ -311,7 +315,9 @@ class ResultCache:
         global epoch, or a :func:`repro.dbms.relation.table_epochs`
         snapshot of the plan's read set.  If a relevant mutation landed
         mid-execution the rows reflect a snapshot no longer current and
-        must not be cached.
+        must not be cached.  A :class:`BatchRows` result is stored as it
+        is, so every session it serves shares its batch and the tuples it
+        has built; any other sequence is stored as a tuple.
         """
         if not _epoch_fresh(epoch):
             return False
@@ -326,7 +332,9 @@ class ResultCache:
                 for old in stale:
                     del self._entries[old]
                 self._evictions.inc(len(stale))
-            self._entries[key] = (tuple(rows), meta, pins, epoch)
+            if not isinstance(rows, BatchRows):
+                rows = tuple(rows)
+            self._entries[key] = (rows, meta, pins, epoch)
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -21,9 +21,10 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.dbms.columnar import ColumnBatch, field_column
+from repro.dbms.columnar import BatchRows, ColumnBatch, field_column
 from repro.dbms.expr import FieldRef
 from repro.dbms.expr_compile import VectorFallback, compile_expression
+from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
 from repro.display.displayable import (
@@ -350,17 +351,18 @@ def _render_entry(
             shared = list(display.compute(
                 relation.methods.row_view(source[kept[0]])
             ))
-    items: list[RenderedItem] = []
+    if shared is None and isinstance(source, BatchRows):
+        source.rows_at(kept.tolist())    # display_of reads every kept row
+    # (bbox, tuple index, drawable) per painted drawable, in paint order.
+    painted: list[tuple[tuple, int, Any]] = []
     with tracer.span("render.draw", relation=relation.name) as draw_span:
         for index, anchor_x, anchor_y in zip(
             kept.tolist(), px[kept].tolist(), py[kept].tolist()
         ):
-            row = source[index]
             drawables = shared
             if drawables is None:
-                drawables = relation.display_of(
-                    relation.methods.row_view(row, extra={SEQ_FIELD: index})
-                )
+                drawables = relation.display_of(relation.methods.row_view(
+                    source[index], extra={SEQ_FIELD: index}))
             painted_any = False
             for drawable in drawables:
                 bbox = drawable.bbox(anchor_x, anchor_y, scale)
@@ -380,19 +382,19 @@ def _render_entry(
                         canvas, drawable, anchor_x, anchor_y, scale,
                         resolver, depth, stats,
                     )
-                items.append(
-                    RenderedItem(
-                        bbox,
-                        relation.name,
-                        relation.source_table,
-                        row,
-                        index,
-                        drawable.kind,
-                        drawable,
-                    )
-                )
+                painted.append((bbox, index, drawable))
             if painted_any:
                 stats.tuples_rendered += 1
+        # Only the painted rows' tuples: a late-materialized row set builds
+        # them here, in one pass.
+        indices = [index for __, index, __ in painted]
+        rows = (source.rows_at(indices) if isinstance(source, BatchRows)
+                else [source[index] for index in indices])
+        items = [
+            RenderedItem(bbox, relation.name, relation.source_table, row,
+                         index, drawable.kind, drawable)
+            for (bbox, index, drawable), row in zip(painted, rows)
+        ]
         draw_span.set(items=len(items))
     return items
 
@@ -430,16 +432,17 @@ def _evaluate_locations(relation: DisplayableRelation) -> tuple[np.ndarray, ...]
     """Compute :func:`location_columns` from scratch.
 
     A location attribute that is a stored column, or a bare reference to
-    one, is read from the tuples.  A computed one runs as a numpy kernel
-    over the stored columns (:func:`_compiled_column`), "computing
-    attribute values only where necessary" (§5.1) at array speed.  When
-    any location attribute cannot be compiled, or its kernel cannot
-    vouch for the exact per-tuple values, every column comes from the
-    per-tuple ``location_of`` loop instead, which also raises the same
-    ``EvaluationError``, at the same tuple, as it always has.
+    one, is read from the row set (:func:`_stored_column`).  A computed
+    one runs as a numpy kernel over the stored columns
+    (:func:`_compiled_column`), "computing attribute values only where
+    necessary" (§5.1) at array speed.  When any location attribute cannot
+    be compiled, or its kernel cannot vouch for the exact per-tuple
+    values, every column comes from the per-tuple ``location_of`` loop
+    instead, which also raises the same ``EvaluationError``, at the same
+    tuple, as it always has.
     """
-    source = relation.rows.rows
-    count = len(source)
+    rows = relation.rows
+    count = len(rows)
     custom = relation.has_custom_location
     attrs = relation.location_attrs if custom else relation.slider_dims
     computed: dict[str, np.ndarray] = {}
@@ -447,9 +450,9 @@ def _evaluate_locations(relation: DisplayableRelation) -> tuple[np.ndarray, ...]
     for attr in attrs:
         position = _stored_position(relation, attr)
         if position is not None:
-            columns.append(np.fromiter(
-                map(float, (row.values[position] for row in source)),
-                dtype=np.float64, count=count))
+            # astype calls float() on object cells, as the tuples would.
+            name = rows.schema.names[position]
+            columns.append(_stored_column(rows, name).astype(np.float64))
             continue
         column = _compiled_column(relation, attr, computed)
         if column is None:
@@ -502,7 +505,7 @@ def _compiled_column(
     stored = relation.rows.schema
     for dep in method.depends - known.keys():
         if dep in stored:
-            known[dep] = field_column(stored, relation.rows.rows, dep)
+            known[dep] = _stored_column(relation.rows, dep)
             continue
         column = _compiled_column(relation, dep, known)
         if column is None:
@@ -525,6 +528,19 @@ def _compiled_column(
         values = values.astype(np.float64, copy=False)
         return None if np.isnan(values).any() else values
     return values if values.dtype.kind in "iu" else None
+
+
+def _stored_column(rows: RowSet, name: str) -> np.ndarray:
+    """Stored field ``name`` of every row, as an array.
+
+    Read from the row set's column batch when it has one — a late-forced
+    columnar result or a converted table snapshot — so no tuple is built
+    or read; otherwise converted from the tuples (:func:`field_column`).
+    """
+    batch = rows.column_batch
+    if batch is not None and batch.schema == rows.schema:
+        return batch.column(name)
+    return field_column(rows.schema, rows.rows, name)
 
 
 def _stored_position(relation: DisplayableRelation, attr: str) -> int | None:
