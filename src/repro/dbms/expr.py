@@ -24,7 +24,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.dbms import types as T
 from repro.dbms.tuples import Schema
-from repro.errors import EvaluationError, ExpressionError, TypeCheckError
+from repro.errors import (
+    DisplayError,
+    EvaluationError,
+    ExpressionError,
+    TypeCheckError,
+)
 
 __all__ = [
     "Expr",
@@ -376,6 +381,9 @@ class Call(Expr):
             return self.fn.apply(*values)
         except (EvaluationError, TypeCheckError):
             raise
+        except DisplayError as exc:
+            # A malformed drawable keeps its own error class (and wire code).
+            raise DisplayError(f"error in {self.fn.name}(): {exc}") from exc
         except Exception as exc:
             raise EvaluationError(f"error in {self.fn.name}(): {exc}") from exc
 

@@ -19,7 +19,7 @@ attributes are ordinary expressions over the base tuple, e.g.::
 
 from __future__ import annotations
 
-import math
+from math import isfinite
 from typing import Any, Sequence
 
 from repro.dbms import types as T
@@ -100,6 +100,13 @@ class Style:
         return f"Style(line_width={self.line_width}, filled={self.filled})"
 
 
+def _not_finite(what: str, values: tuple) -> DisplayError:
+    """The error for geometry the rasterizer cannot place: an infinite or
+    NaN offset, size or delta (a literal such as ``1e400`` parses as inf).
+    Callers test with ``isfinite`` inline: drawables are built per tuple."""
+    return DisplayError(f"{what} must be finite, got {values}")
+
+
 class Drawable:
     """Base drawable: offset + color + style + unit system."""
 
@@ -115,6 +122,8 @@ class Drawable:
         if units not in ("screen", "world"):
             raise DisplayError(f"units must be 'screen' or 'world', got {units!r}")
         self.offset = (float(offset[0]), float(offset[1]))
+        if not (isfinite(self.offset[0]) and isfinite(self.offset[1])):
+            raise _not_finite("drawable offset", self.offset)
         self.color = resolve_color(color)
         self.style = style or Style()
         self.units = units
@@ -132,8 +141,11 @@ class Drawable:
 
     def with_offset(self, dx: float, dy: float) -> "Drawable":
         """A copy shifted by (dx, dy) in this drawable's units."""
+        offset = (self.offset[0] + dx, self.offset[1] + dy)
+        if not (isfinite(offset[0]) and isfinite(offset[1])):
+            raise _not_finite("drawable offset", offset)
         clone = self.copy()
-        clone.offset = (self.offset[0] + dx, self.offset[1] + dy)
+        clone.offset = offset
         return clone
 
     def with_color(self, color: Any) -> "Drawable":
@@ -213,6 +225,8 @@ class Line(Drawable):
     ):
         super().__init__(offset, color, style, units)
         self.delta = (float(delta[0]), float(delta[1]))
+        if not (isfinite(self.delta[0]) and isfinite(self.delta[1])):
+            raise _not_finite("line delta", self.delta)
 
     def copy(self) -> "Line":
         return Line(self.delta, self.offset, self.color, self.style, self.units)
@@ -246,6 +260,8 @@ class Rectangle(Drawable):
         units: str = "screen",
     ):
         super().__init__(offset, color, style, units)
+        if not (isfinite(width) and isfinite(height)):
+            raise _not_finite("rectangle size", (width, height))
         if width < 0 or height < 0:
             raise DisplayError(f"rectangle size must be non-negative, got {width}x{height}")
         self.width = float(width)
@@ -289,6 +305,8 @@ class Circle(Drawable):
         units: str = "screen",
     ):
         super().__init__(offset, color, style, units)
+        if not isfinite(radius):
+            raise _not_finite("circle radius", (radius,))
         if radius < 0:
             raise DisplayError(f"circle radius must be non-negative, got {radius}")
         self.radius = float(radius)
@@ -330,6 +348,8 @@ class Polygon(Drawable):
                 f"polygon needs at least 3 vertices, got {len(vertices)}"
             )
         self.vertices = [(float(vx), float(vy)) for vx, vy in vertices]
+        if not all(isfinite(x) and isfinite(y) for x, y in self.vertices):
+            raise _not_finite("polygon vertices", tuple(self.vertices))
 
     def copy(self) -> "Polygon":
         return Polygon(self.vertices, self.offset, self.color, self.style, self.units)
@@ -420,6 +440,9 @@ class ViewerDrawable(Drawable):
         super().__init__(offset, color, style, units="screen")
         if not destination:
             raise DisplayError("wormhole needs a destination canvas name")
+        geometry = (width, height, dest_elevation, *dest_location)
+        if not all(map(isfinite, geometry)):
+            raise _not_finite("viewer geometry", geometry)
         if width <= 0 or height <= 0:
             raise DisplayError(f"viewer size must be positive, got {width}x{height}")
         if dest_elevation <= 0:

@@ -7,9 +7,12 @@ fill), bitmap text — plus blitting (for nested wormhole/magnifier viewers),
 PPM and PNG export, and an ASCII view for terminals and tests.
 
 Lines, circle outlines and text are computed as whole point sets or masks
-(closed-form Bresenham and midpoint points, the font's glyph table) and
-painted with one numpy write each; ``tests/raster_reference.py`` holds the
-per-pixel loops they must match.
+(closed-form Bresenham and midpoint points, the font's glyph table), and
+filled discs as the row runs of any number of discs at once
+(:meth:`Canvas.fill_circles`; ``fill_circle`` is one disc of it); each is
+painted with one numpy write.  ``tests/raster_reference.py`` holds the
+per-pixel and per-row loops they must match (``reference_fill_circle`` for
+the discs).
 
 All coordinates are float pixels (x right, y down) and are clipped to the
 canvas bounds; drawing off-canvas is silently partial, never an error.
@@ -306,23 +309,72 @@ class Canvas:
         )
 
     def fill_circle(self, cx: float, cy: float, radius: float, color: Color) -> None:
-        self.draw_ops += 1
-        r = radius
-        if r <= 0:
-            self.set_pixel(cx, cy, color)
+        self.fill_circles((cx,), (cy,), radius, color)
+
+    def fill_circles(self, cx, cy, radius: float, color: Color) -> None:
+        """Discs of one ``radius`` centred on (cx[i], cy[i]), one draw op
+        each, painted with one numpy write.
+
+        Each disc paints what the row loop ``reference_fill_circle`` in
+        ``tests/raster_reference.py`` paints: every canvas row y in
+        [floor(cy - r), ceil(cy + r)] with ``span = r² - (y - cy)² >= 0``
+        gets the run [round(cx - √span), round(cx + √span)], clipped to the
+        canvas.  ``np.rint`` rounds half to even, as ``round`` does.  A
+        radius ``<= 0`` paints the pixel nearest each centre; a NaN radius,
+        or a centre that is not finite, paints nothing.
+
+        The discs share one colour, so their paint order does not matter.
+        A disc spans fewer than ``2r + 4`` rows and its runs fewer than
+        ``2r + 3`` columns, so the rows and then the pixels of every disc
+        are one padded grid, masked to the runs.  Discs are taken a canvas
+        area of grid cells at a time, so the working arrays stay within a
+        few canvases in size however many discs there are.
+        """
+        centres = np.array((cx, cy), dtype=np.float64).reshape(2, -1)
+        self.draw_ops += centres.shape[1]
+        r = float(radius)
+        if math.isnan(r):
             return
-        y0 = max(0, int(math.floor(cy - r)))
-        y1 = min(self.height - 1, int(math.ceil(cy + r)))
-        for y in range(y0, y1 + 1):
-            dy = y - cy
-            span = r * r - dy * dy
-            if span < 0:
-                continue
-            half = math.sqrt(span)
-            x0 = max(0, int(round(cx - half)))
-            x1 = min(self.width - 1, int(round(cx + half)))
-            if x0 <= x1:
-                self.pixels[y, x0 : x1 + 1] = color
+        finite = np.isfinite(centres).all(axis=0)
+        if not finite.all():
+            centres = centres[:, finite]
+        cx, cy = centres
+        width, height = self.width, self.height
+        if r <= 0:
+            # Clipped first: an index beyond the canvas is all that matters.
+            self._paint_points(
+                np.rint(np.clip(cx, -1.0, width)).astype(np.int64),
+                np.rint(np.clip(cy, -1.0, height)).astype(np.int64),
+                color, 1)
+            return
+        rows = min(height, int(min(2 * r, height)) + 4)
+        cols = min(width, int(min(2 * r, width)) + 3)
+        top = np.maximum(np.floor(cy - r), 0.0)
+        bottom = np.minimum(np.ceil(cy + r), height - 1.0)
+        step = max(1, width * height // (rows * cols))
+        for first in range(0, len(cx), step):
+            chunk = slice(first, first + step)
+            self._fill_discs(cx[chunk], cy[chunk], top[chunk], bottom[chunk],
+                             r, rows, cols, color)
+
+    def _fill_discs(self, cx: np.ndarray, cy: np.ndarray, top: np.ndarray,
+                    bottom: np.ndarray, r: float, rows: int, cols: int,
+                    color: Color) -> None:
+        """Paint the discs centred on (cx, cy) whose rows on the canvas are
+        [top, bottom], through (disc, row) and (disc, row, column) grids of
+        ``rows`` rows and ``cols`` columns (see :meth:`fill_circles`)."""
+        y = top[:, None] + np.arange(rows, dtype=np.float64)
+        dy = y - cy[:, None]
+        span = r * r - dy * dy
+        half = np.sqrt(np.maximum(span, 0.0))
+        x0 = np.maximum(np.rint(cx[:, None] - half), 0.0)
+        x1 = np.minimum(np.rint(cx[:, None] + half), self.width - 1.0)
+        runs = (y <= bottom[:, None]) & (span >= 0)
+        x = x0[..., None] + np.arange(cols, dtype=np.float64)
+        paint = (x <= x1[..., None]) & runs[..., None]
+        # Exact integers: every painted index is a canvas pixel.
+        flat = (y * self.width)[..., None] + x
+        self.pixels.reshape(-1, 3)[flat[paint].astype(np.int64)] = color
 
     def draw_polygon(
         self, points: list[tuple[float, float]], color: Color, width: int = 1

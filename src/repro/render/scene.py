@@ -12,6 +12,11 @@ components in drawing order, recording culling statistics (benchmarked by the
 Perf-3 experiment) and a display list of :class:`RenderedItem` records used
 for picking (the Section-8 update path starts from a click).  Wormhole
 drawables recursively render their destination canvas through a resolver.
+
+Filtering is array work: one mask over memoized location columns.  Painting
+is too when every tuple draws the same filled circle (a display that reads
+no fields): the discs are culled by bounding box and painted as arrays, in
+one surface call.  Every other display is painted tuple by tuple.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.display.displayable import (
     DisplayableRelation,
     Group,
 )
-from repro.display.drawables import ViewerDrawable
+from repro.display.drawables import Circle, ViewerDrawable
 from repro.errors import ViewerError
 from repro.obs.trace import current_tracer
 from repro.render.canvas import Canvas
@@ -304,6 +309,14 @@ def _render_entry(
     The mask's true positions are the kept tuples' indices, and only those
     tuples' display attributes are evaluated.  ``cull=False`` keeps every
     tuple and paints drawables whether or not they touch the canvas.
+
+    A display that reads no fields is computed once.  When it is one filled
+    circle, :func:`_paint_discs` culls and paints all kept anchors as
+    arrays; otherwise the drawables are painted tuple by tuple, in the
+    tuple-major order overlapping marks of several drawables need.  Both
+    produce the same pixels, display list and statistics, and the
+    ``render.draw`` span's ``batched`` attribute says which ran.  Only the
+    painted rows' tuples are built for the display list.
     """
     relation = entry.relation
     width, height = view.viewport
@@ -351,40 +364,52 @@ def _render_entry(
             shared = list(display.compute(
                 relation.methods.row_view(source[kept[0]])
             ))
+    # One filled circle for every tuple is one shape at many anchors: it is
+    # culled and painted as arrays, in one surface call.
+    disc = shared[0] if shared is not None and len(shared) == 1 else None
+    if not (type(disc) is Circle and disc.style.filled):
+        disc = None
     if shared is None and isinstance(source, BatchRows):
         source.rows_at(kept.tolist())    # display_of reads every kept row
     # (bbox, tuple index, drawable) per painted drawable, in paint order.
     painted: list[tuple[tuple, int, Any]] = []
-    with tracer.span("render.draw", relation=relation.name) as draw_span:
-        for index, anchor_x, anchor_y in zip(
-            kept.tolist(), px[kept].tolist(), py[kept].tolist()
-        ):
-            drawables = shared
-            if drawables is None:
-                drawables = relation.display_of(relation.methods.row_view(
-                    source[index], extra={SEQ_FIELD: index}))
-            painted_any = False
-            for drawable in drawables:
-                bbox = drawable.bbox(anchor_x, anchor_y, scale)
-                # One pixel of slack: rasterization rounds coordinates, so
-                # a bbox ending fractionally off-canvas can still touch
-                # pixels.
-                if cull and (
-                    bbox[2] < -1.0 or bbox[0] > width + 1.0
-                    or bbox[3] < -1.0 or bbox[1] > height + 1.0
-                ):
-                    continue
-                drawable.paint(canvas, anchor_x, anchor_y, scale)
-                stats.drawables_painted += 1
-                painted_any = True
-                if isinstance(drawable, ViewerDrawable):
-                    _render_wormhole(
-                        canvas, drawable, anchor_x, anchor_y, scale,
-                        resolver, depth, stats,
-                    )
-                painted.append((bbox, index, drawable))
-            if painted_any:
-                stats.tuples_rendered += 1
+    with tracer.span("render.draw", relation=relation.name,
+                     batched=disc is not None) as draw_span:
+        if disc is not None:
+            painted = _paint_discs(canvas, disc, kept, px[kept], py[kept],
+                                   view, cull)
+            stats.drawables_painted += len(painted)
+            stats.tuples_rendered += len(painted)
+        else:
+            for index, anchor_x, anchor_y in zip(
+                kept.tolist(), px[kept].tolist(), py[kept].tolist()
+            ):
+                drawables = shared
+                if drawables is None:
+                    drawables = relation.display_of(relation.methods.row_view(
+                        source[index], extra={SEQ_FIELD: index}))
+                painted_any = False
+                for drawable in drawables:
+                    bbox = drawable.bbox(anchor_x, anchor_y, scale)
+                    # One pixel of slack: rasterization rounds coordinates, so
+                    # a bbox ending fractionally off-canvas can still touch
+                    # pixels.
+                    if cull and (
+                        bbox[2] < -1.0 or bbox[0] > width + 1.0
+                        or bbox[3] < -1.0 or bbox[1] > height + 1.0
+                    ):
+                        continue
+                    drawable.paint(canvas, anchor_x, anchor_y, scale)
+                    stats.drawables_painted += 1
+                    painted_any = True
+                    if isinstance(drawable, ViewerDrawable):
+                        _render_wormhole(
+                            canvas, drawable, anchor_x, anchor_y, scale,
+                            resolver, depth, stats,
+                        )
+                    painted.append((bbox, index, drawable))
+                if painted_any:
+                    stats.tuples_rendered += 1
         # Only the painted rows' tuples: a late-materialized row set builds
         # them here, in one pass.
         indices = [index for __, index, __ in painted]
@@ -397,6 +422,41 @@ def _render_entry(
         ]
         draw_span.set(items=len(items))
     return items
+
+
+def _paint_discs(
+    canvas: Canvas,
+    disc: Circle,
+    kept: np.ndarray,
+    anchor_x: np.ndarray,
+    anchor_y: np.ndarray,
+    view: ViewState,
+    cull: bool,
+) -> list[tuple[tuple, int, Any]]:
+    """Paint one filled circle at every kept anchor: the per-tuple draw loop
+    of :func:`_render_entry` over arrays.
+
+    Origins and bounding boxes use ``Drawable._origin`` and ``Circle.bbox``
+    arithmetic term for term, the bbox cull keeps its one pixel of slack,
+    and the surviving discs go to the surface's ``fill_circles`` in tuple
+    order.  Returns the painted (bbox, tuple index, drawable) triples.
+    """
+    width, height = view.viewport
+    s = disc._scale(view.scale)
+    r = disc.radius * s
+    # Python float arithmetic overflows to inf silently.
+    with np.errstate(all="ignore"):
+        x = anchor_x + disc.offset[0] * s
+        y = anchor_y - disc.offset[1] * s
+        x0, y0, x1, y1 = x - r, y - r, x + r, y + r
+    if cull:
+        on = ~((x1 < -1.0) | (x0 > width + 1.0)
+               | (y1 < -1.0) | (y0 > height + 1.0))
+        x, y, kept = x[on], y[on], kept[on]
+        x0, y0, x1, y1 = x0[on], y0[on], x1[on], y1[on]
+    canvas.fill_circles(x, y, r, disc.color)
+    boxes = zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist())
+    return list(zip(boxes, kept.tolist(), itertools.repeat(disc)))
 
 
 def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:

@@ -89,9 +89,13 @@ class SvgCanvas:
         )
 
     def fill_circle(self, cx, cy, radius, color: Color) -> None:
-        self.elements.append(
-            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{max(radius, 0.5):.2f}" '
-            f'fill="{_rgb(color)}"/>'
+        self.fill_circles((cx,), (cy,), radius, color)
+
+    def fill_circles(self, cx, cy, radius, color: Color) -> None:
+        """One ``<circle>`` per centre, in order."""
+        tail = f'" r="{max(radius, 0.5):.2f}" fill="{_rgb(color)}"/>'
+        self.elements.extend(
+            f'<circle cx="{x:.2f}" cy="{y:.2f}{tail}' for x, y in zip(cx, cy)
         )
 
     def draw_polygon(self, points, color: Color, width: int = 1) -> None:

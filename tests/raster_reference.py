@@ -1,16 +1,18 @@
 """The per-pixel raster loops: the semantic reference for the canvas kernels.
 
-``Canvas.draw_line``, ``draw_circle`` and ``draw_text`` paint with numpy
-writes.  The functions here are the loops they replaced, kept as the
-definition of the pixels they must produce: a Bresenham walk, the midpoint
-circle and a glyph walk, each painting one point at a time through
-:func:`reference_thick_point`.  ``tests/test_raster_kernels.py`` compares
-the two pixel for pixel, and :func:`reference_raster` swaps these loops
-into ``Canvas`` so whole figures can be rendered through them.
+``Canvas.draw_line``, ``draw_circle``, ``draw_text`` and ``fill_circles``
+paint with numpy writes.  The functions here are the loops they replaced,
+kept as the definition of the pixels they must produce: a Bresenham walk,
+the midpoint circle and a glyph walk, each painting one point at a time
+through :func:`reference_thick_point`, and the disc's row loop, one run
+per row.  ``tests/test_raster_kernels.py`` compares the two pixel for
+pixel, and :func:`reference_raster` swaps these loops into ``Canvas`` so
+whole figures can be rendered through them.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 from repro.render.canvas import Canvas
@@ -86,6 +88,34 @@ def reference_draw_circle(canvas: Canvas, cx, cy, radius, color,
             err += 2 * (y - x) + 1
 
 
+def reference_fill_circle(canvas: Canvas, cx, cy, radius, color) -> None:
+    """A filled disc, one clipped run per row; a radius ``<= 0`` paints
+    the pixel nearest the centre."""
+    canvas.draw_ops += 1
+    r = radius
+    if r <= 0:
+        canvas.set_pixel(cx, cy, color)
+        return
+    y0 = max(0, int(math.floor(cy - r)))
+    y1 = min(canvas.height - 1, int(math.ceil(cy + r)))
+    for y in range(y0, y1 + 1):
+        dy = y - cy
+        span = r * r - dy * dy
+        if span < 0:
+            continue
+        half = math.sqrt(span)
+        x0 = max(0, int(round(cx - half)))
+        x1 = min(canvas.width - 1, int(round(cx + half)))
+        if x0 <= x1:
+            canvas.pixels[y, x0 : x1 + 1] = color
+
+
+def reference_fill_circles(canvas: Canvas, cx, cy, radius, color) -> None:
+    """:func:`reference_fill_circle` at each centre in turn."""
+    for x, y in zip(cx, cy):
+        reference_fill_circle(canvas, float(x), float(y), radius, color)
+
+
 def reference_draw_text(canvas: Canvas, x, y, text: str, color) -> None:
     """Paint ``text`` with its top-left corner at (x, y), glyph pixel by
     glyph pixel."""
@@ -108,13 +138,18 @@ def reference_draw_text(canvas: Canvas, x, y, text: str, color) -> None:
 
 @contextmanager
 def reference_raster():
-    """Paint every ``Canvas`` line, circle outline and text through the
-    reference loops for the duration of the block."""
-    saved = Canvas.draw_line, Canvas.draw_circle, Canvas.draw_text
+    """Paint every ``Canvas`` line, circle outline, disc and text through
+    the reference loops for the duration of the block."""
+    names = ("draw_line", "draw_circle", "draw_text", "fill_circle",
+             "fill_circles")
+    saved = [getattr(Canvas, name) for name in names]
     Canvas.draw_line = reference_draw_line
     Canvas.draw_circle = reference_draw_circle
     Canvas.draw_text = reference_draw_text
+    Canvas.fill_circle = reference_fill_circle
+    Canvas.fill_circles = reference_fill_circles
     try:
         yield
     finally:
-        Canvas.draw_line, Canvas.draw_circle, Canvas.draw_text = saved
+        for name, method in zip(names, saved):
+            setattr(Canvas, name, method)

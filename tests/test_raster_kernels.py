@@ -1,10 +1,11 @@
 """The canvas raster kernels against the per-pixel reference loops.
 
 ``Canvas.draw_line``, ``draw_circle`` and ``draw_text`` paint whole point
-sets and glyph masks with numpy writes; ``tests/raster_reference.py`` keeps
-the Bresenham, midpoint and glyph loops they replaced.  Every test here
-paints the same primitive both ways onto equal canvases and compares the
-pixels.
+sets and glyph masks with numpy writes, and ``fill_circles`` paints many
+discs' row runs with one; ``tests/raster_reference.py`` keeps the
+Bresenham, midpoint, glyph and disc-row loops they replaced.  Every test
+here paints the same primitive both ways onto equal canvases and compares
+the pixels.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from raster_reference import (
     reference_draw_circle,
     reference_draw_line,
     reference_draw_text,
+    reference_fill_circle,
     reference_raster,
 )
 from repro.core.scenarios import FIGURES
@@ -154,6 +156,114 @@ class TestCircles:
             assert x.tolist() == [nearest_root(r, yi) for yi in ys], r
 
 
+def assert_discs_match(size, cx, cy, radius) -> None:
+    """``fill_circles`` of every centre at once against
+    ``reference_fill_circle`` of one centre at a time, on equal blank
+    canvases of ``size`` (width, height): pixels and draw ops."""
+    painted, expected = Canvas(*size), Canvas(*size)
+    painted.fill_circles(np.array(cx, dtype=np.float64),
+                         np.array(cy, dtype=np.float64), radius, INK)
+    for x, y in zip(cx, cy):
+        reference_fill_circle(expected, x, y, radius, INK)
+    if not np.array_equal(painted.pixels, expected.pixels):
+        diff = np.argwhere((painted.pixels != expected.pixels).any(axis=2))
+        pytest.fail(f"fill_circles({cx}, {cy}, {radius}): pixels differ at "
+                    f"(y, x) {diff[:5].tolist()}")
+    assert painted.draw_ops == expected.draw_ops == len(cx)
+
+
+class TestDiscs:
+    """``fill_circles``: the disc row runs, their rounding and the clip."""
+
+    SIZE = (24, 18)
+
+    def test_random_fractional_centres_and_radii(self):
+        rng = np.random.default_rng(7)
+        for __ in range(400):
+            radius = float(rng.choice([rng.uniform(0, 3), rng.uniform(0, 14)]))
+            count = int(rng.integers(1, 6))
+            cx = rng.uniform(-12, 36, count).tolist()
+            cy = rng.uniform(-12, 30, count).tolist()
+            for x, y in zip(cx, cy):
+                assert_discs_match(self.SIZE, [x], [y], radius)
+            assert_discs_match(self.SIZE, cx, cy, radius)
+
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5, 7.0])
+    def test_half_pixel_centres(self, radius):
+        # Runs end at exact .5 here, where round-half-even and round-half-up
+        # disagree: 0.5 -> 0, 1.5 -> 2, 2.5 -> 2.
+        for cx, cy in itertools.product([-0.5, 0.5, 1.5, 2.5, 10.5, 11.0, 23.5],
+                                        [-0.5, 0.5, 3.5, 8.0, 16.5, 17.5]):
+            assert_discs_match(self.SIZE, [cx], [cy], radius)
+
+    @pytest.mark.parametrize("radius", [1.0, 3.0, 6.4, 40.0])
+    def test_discs_straddling_each_edge_or_off_canvas(self, radius):
+        width, height = self.SIZE
+        centres = [(-2.3, 9.0), (width + 1.7, 9.0), (12.0, -2.6), (12.0, height + 1.2),
+                   (-1.0, -1.0), (width, height), (-radius - 1.6, 9.0),
+                   (12.0, height + radius + 1.6), (-300.0, -300.0), (5e9, 7.0)]
+        for cx, cy in centres:
+            assert_discs_match(self.SIZE, [cx], [cy], radius)
+        assert_discs_match(self.SIZE, *zip(*centres), radius)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, -0.5])
+    def test_non_positive_radius_paints_the_nearest_pixel(self, radius):
+        centres = [(0.0, 0.0), (2.5, 3.5), (3.5, 2.5), (-0.5, 4.0), (-0.51, 4.0),
+                   (23.49, 17.5), (23.5, 5.0), (100.0, 100.0)]
+        for cx, cy in centres:
+            assert_discs_match(self.SIZE, [cx], [cy], radius)
+        assert_discs_match(self.SIZE, *zip(*centres), radius)
+
+    @pytest.mark.parametrize("radius", [0.1, 0.49, 0.5, 0.51, 0.7071, 0.99])
+    def test_sub_pixel_radius(self, radius):
+        # A disc under a pixel wide may paint nothing at all.
+        for cx, cy in itertools.product([3.0, 3.25, 3.5, 3.75], [4.0, 4.5, 4.3]):
+            assert_discs_match(self.SIZE, [cx], [cy], radius)
+
+    def test_empty_batch(self):
+        assert_discs_match(self.SIZE, [], [], 3.0)
+        assert_discs_match(self.SIZE, [], [], 0.0)
+
+    def test_non_finite_centres_and_radius_paint_nothing(self):
+        canvas = Canvas(*self.SIZE)
+        canvas.fill_circles([np.nan, np.inf, 5.0, -np.inf], [4.0, 4.0, np.nan, 4.0],
+                            2.0, INK)
+        canvas.fill_circles([5.0], [5.0], np.nan, INK)
+        assert canvas.count_nonbackground() == 0
+        assert canvas.draw_ops == 5
+        # The finite discs of a mixed batch still paint.
+        mixed, expected = Canvas(*self.SIZE), Canvas(*self.SIZE)
+        mixed.fill_circles([np.nan, 6.2, 14.0], [3.0, 7.7, np.inf], 2.5, INK)
+        reference_fill_circle(expected, 6.2, 7.7, 2.5, INK)
+        np.testing.assert_array_equal(mixed.pixels, expected.pixels)
+
+    def test_fill_circle_is_one_centre(self):
+        painted, expected = Canvas(*self.SIZE), Canvas(*self.SIZE)
+        painted.fill_circle(9.3, 7.5, 4.5, INK)
+        reference_fill_circle(expected, 9.3, 7.5, 4.5, INK)
+        np.testing.assert_array_equal(painted.pixels, expected.pixels)
+        assert painted.draw_ops == expected.draw_ops == 1
+
+    def test_overlapping_large_discs_stay_within_canvas_memory(self):
+        # 4,000 discs of radius 500 over a 64 x 48 canvas: each covers the
+        # canvas, so their grids would be ~12M cells at once; the kernel
+        # takes a canvas area of cells at a time.
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        cx, cy = rng.uniform(0, 64, 4000), rng.uniform(0, 48, 4000)
+        canvas = Canvas(64, 48)
+        tracemalloc.start()
+        try:
+            canvas.fill_circles(cx, cy, 500.0, INK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
+        assert (canvas.pixels == INK).all()
+        assert canvas.draw_ops == 4000
+
+
 class TestText:
     ALL = "".join(GLYPHS)
     STRINGS = [ALL, ALL.lower(), "Baton Rouge", "é€\x00ß☃Ab", ""]
@@ -188,6 +298,8 @@ def test_figures_match_the_reference_raster(figure_db, figure):
         with reference_raster():
             expected = window.render()
         np.testing.assert_array_equal(painted.pixels, expected.pixels)
+        assert painted.png_bytes() == expected.png_bytes()
+        assert painted.draw_ops == expected.draw_ops
 
 
 def module_dict_sizes(module) -> dict[str, int]:
