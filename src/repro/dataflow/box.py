@@ -13,6 +13,7 @@ in the lazy engine — the mechanism behind incremental programming.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any
 
 from repro.dataflow.ports import Port
@@ -22,6 +23,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dataflow.engine import FireContext
 
 __all__ = ["Box"]
+
+# Process-unique box serials: a box's id names a slot in one program, and a
+# replacement box (Replace Box) takes over its predecessor's id and starts
+# again at version 0, so only the serial tells the two apart.
+_BOX_SERIALS = itertools.count(1)
 
 
 class Box:
@@ -41,6 +47,7 @@ class Box:
         self.inputs: list[Port] = []
         self.outputs: list[Port] = []
         self.version = 0
+        self.serial = next(_BOX_SERIALS)
         self.box_id: int | None = None  # assigned when added to a Program
         self.label: str | None = None
 

@@ -49,8 +49,10 @@ class AddTableBox(Box):
 
     "For every relation known to the Tioga-2 system there is a box of the
     same name that takes no inputs and produces as output the tuples of the
-    relation."  The cache signature includes the table's version stamp, so a
-    Section-8 update refreshes every demanded visualization.
+    relation."  The cache signature includes the table's serial and version
+    stamp, so a Section-8 update refreshes every demanded visualization, and
+    a table dropped and re-created under the same name is never mistaken for
+    the old one.
     """
 
     type_name = "AddTable"
@@ -68,7 +70,8 @@ class AddTableBox(Box):
         name = self.require_param("table")
         if not database.has_table(name):
             return ("missing",)
-        return ("table", name, database.table(name).version)
+        table = database.table(name)
+        return ("table", name, table.serial, table.version)
 
 
 def _lazy(node: P.PlanNode, label: str) -> LazyRowSet:

@@ -8,12 +8,20 @@ evaluating only what is required to produce the demanded visualization."
 
 The engine pulls: demanding any output walks upstream, firing only the boxes
 on the demanded path, each at most once per change.  Results are memoized per
-box and keyed by a structural signature — the box's own version (bumped on
-parameter edits), its extra signature (e.g. the source table's version), and
-the signatures of its inputs — so an incremental program edit recomputes only
-the affected suffix of the graph.  This memoization is what makes "no
-distinction between constructing, modifying, and using a program" (§1.2)
-affordable; the ablation benchmarks measure it directly.
+box and keyed by a structural signature — the box's serial (unique per box
+object) and version (bumped on parameter edits), its extra signature (e.g.
+the source table's version), and the signatures of its inputs — so an
+incremental program edit recomputes only the affected suffix of the graph.
+This memoization is what makes "no distinction between constructing,
+modifying, and using a program" (§1.2) affordable; the ablation benchmarks
+measure it directly.
+
+Each memo entry also carries the *demand stamp* it was last validated
+under: the program's edit stamp, the process storage epoch, and the
+database's catalog version.  Nothing a signature reads can change while
+all three stand still, so a demand whose stamp matches the entry's is
+answered from the memo without walking the signature — the common case of
+a viewer re-demanding its input while nothing was edited.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
 from repro.dbms.plan import LazyRowSet
 from repro.dbms.plan_rewrite import optimize_plan
+from repro.dbms.relation import storage_epoch
 from repro.dbms.result_cache import cache_enabled, execute_cached
 from repro.display.displayable import Composite, DisplayableRelation, Group
 from repro.errors import GraphError, StaticAnalysisError, TiogaError
@@ -243,8 +252,8 @@ class Engine:
         self.stats = EngineStats(registry)
         self.preflight_enabled = preflight
         self._preflight_stamp: tuple | None = None
-        # box_id -> (signature, outputs dict)
-        self._cache: dict[int, tuple[tuple, dict[str, Any]]] = {}
+        # box_id -> (signature, outputs dict, demand stamp it was checked at)
+        self._cache: dict[int, tuple[tuple, dict[str, Any], tuple]] = {}
         if workers is not None:
             warnings.warn(
                 "Engine(workers=) is deprecated and has no effect; "
@@ -286,7 +295,7 @@ class Engine:
         outputs of an unchanged program lints once.  Returns ``None`` when
         the cached result is still valid and ``force`` is not set.
         """
-        stamp = self._edit_stamp()
+        stamp = self.program.edit_stamp()
         if not force and self._preflight_stamp == stamp:
             return None
         from repro.analyze.checker import check_program
@@ -303,11 +312,14 @@ class Engine:
         self._preflight_stamp = stamp
         return report
 
-    def _edit_stamp(self) -> tuple:
-        """Changes whenever the program's structure or any parameter does."""
+    def _demand_stamp(self) -> tuple:
+        """Changes whenever any box signature could: a program edit, a
+        stored-table mutation anywhere (the storage epoch), or a table
+        created, added or dropped in this engine's database."""
         return (
-            self.program.version,
-            tuple((box.box_id, box.version) for box in self.program.boxes()),
+            self.program.edit_stamp(),
+            storage_epoch(),
+            self.database.catalog_version,
         )
 
     # ------------------------------------------------------------------
@@ -341,15 +353,18 @@ class Engine:
             port_name = box.outputs[0].name
         else:
             box.output_port(port_name)  # validate
+        # Taken before any firing: a mutation during the demand leaves the
+        # entries it wrote stamped stale, so the next demand re-checks them.
+        stamp = self._demand_stamp()
         tracer = current_tracer()
         try:
             if not tracer.enabled:
-                outputs = self._evaluate_box(box_id, set())
+                outputs = self._evaluate_box(box_id, set(), stamp)
                 return self._force(outputs[port_name])
             with tracer.span(
                 "engine.demand", box=box_id, type=box.type_name, port=port_name
             ):
-                outputs = self._evaluate_box(box_id, set())
+                outputs = self._evaluate_box(box_id, set(), stamp)
                 return self._force(outputs[port_name])
         except TiogaError as exc:
             # Black-box telemetry: when a flight recorder is installed, the
@@ -389,7 +404,7 @@ class Engine:
             if not _all_required_inputs_connected(self.program, box):
                 continue
             if box.outputs:
-                outputs = self._evaluate_box(box_id, set())
+                outputs = self._evaluate_box(box_id, set(), self._demand_stamp())
                 for value in outputs.values():
                     self._force(value)
             else:
@@ -400,9 +415,13 @@ class Engine:
     # ------------------------------------------------------------------
 
     def _signature_of(self, box_id: int, visiting: set[int]) -> tuple:
-        """Structural cache signature: own version + extras + input sigs."""
+        """Structural cache signature: own serial and version + extras +
+        input sigs.  The serial tells apart two boxes of one type and
+        version, e.g. a replaced box and its replacement, or the old and
+        new source of a rewired input."""
         box = self.program.box(box_id)
-        parts: list[Any] = [box.type_name, box.version, box.signature(self.database)]
+        parts: list[Any] = [box.type_name, box.serial, box.version,
+                            box.signature(self.database)]
         for port in box.inputs:
             edge = self.program.edge_into_port(box_id, port.name)
             if edge is None:
@@ -414,27 +433,42 @@ class Engine:
                 )
         return tuple(parts)
 
-    def _evaluate_box(self, box_id: int, visiting: set[int]) -> dict[str, Any]:
+    def _evaluate_box(
+        self, box_id: int, visiting: set[int], stamp: tuple
+    ) -> dict[str, Any]:
+        """Memoized outputs of one box, firing it (and what it needs) on a
+        miss.  An entry stamped with the current demand stamp is a hit
+        without a signature walk; an older entry is re-checked by signature
+        and, when it still matches, re-stamped."""
         if box_id in visiting:  # pragma: no cover - connect() prevents cycles
             raise GraphError(f"cycle detected at box #{box_id}")
         box = self.program.box(box_id)
-        signature = self._signature_of(box_id, visiting)
         tracer = current_tracer()
         cached = self._cache.get(box_id)
-        if cached is not None and cached[0] == signature:
+        signature = None
+        if cached is not None and cached[2] != stamp:
+            signature = self._signature_of(box_id, visiting)
+            if cached[0] == signature:
+                cached = self._cache[box_id] = (signature, cached[1], stamp)
+            else:
+                cached = None
+        if cached is not None:
             self.stats.record_hit(box_id)
             if tracer.enabled:
                 tracer.event("engine.cache.hit", box=box_id,
                              type=box.type_name)
             return cached[1]
+        if signature is None:
+            signature = self._signature_of(box_id, visiting)
         self.stats.record_miss(box_id)
         if not tracer.enabled:
-            return self._fire_box(box, box_id, signature, visiting)
+            return self._fire_box(box, box_id, signature, visiting, stamp)
         with tracer.span("engine.fire", box=box_id, type=box.type_name):
-            return self._fire_box(box, box_id, signature, visiting)
+            return self._fire_box(box, box_id, signature, visiting, stamp)
 
     def _fire_box(
-        self, box: Box, box_id: int, signature: tuple, visiting: set[int]
+        self, box: Box, box_id: int, signature: tuple, visiting: set[int],
+        stamp: tuple,
     ) -> dict[str, Any]:
         """Evaluate inputs and fire one box (the cache-miss path).
 
@@ -453,7 +487,7 @@ class Engine:
                     f"cannot fire {box.describe()}: input {port.name!r} is "
                     "not connected"
                 )
-            upstream = self._evaluate_box(edge.src_box, visiting)
+            upstream = self._evaluate_box(edge.src_box, visiting, stamp)
             inputs[port.name] = upstream[edge.src_port]
 
         outputs = box.fire(inputs, FireContext(self, box))
@@ -463,7 +497,7 @@ class Engine:
                 f"{box.describe()} fired without producing outputs: {missing}"
             )
         self.stats.record_fire(box_id)
-        self._cache[box_id] = (signature, outputs)
+        self._cache[box_id] = (signature, outputs, stamp)
         return outputs
 
 

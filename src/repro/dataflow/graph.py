@@ -10,11 +10,15 @@ rules for program edits (Section 4.1) — notably the restricted Delete Box:
     deleted box's predecessor to its successor)."
 
 Every structural edit bumps the program's version, which the UI uses for
-undo snapshots and the engine for cache bookkeeping.
+undo snapshots and the engine for cache bookkeeping.  An input port takes at
+most one arrow, so the edges are also indexed by destination port; every
+edit goes through :meth:`Program._add_edge`/:meth:`Program._remove_edge`,
+which keep the list and the index together.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from repro.dataflow.box import Box
@@ -22,6 +26,8 @@ from repro.dataflow.ports import PortType, can_connect
 from repro.errors import GraphError, TypeCheckError
 
 __all__ = ["Edge", "Program"]
+
+_box_version = attrgetter("version")
 
 
 class Edge(NamedTuple):
@@ -43,8 +49,13 @@ class Program:
         self.name = name
         self._boxes: dict[int, Box] = {}
         self._edges: list[Edge] = []
+        self._edge_into: dict[tuple[int, str], Edge] = {}
         self._next_id = 1
         self.version = 0
+        #: ``(fingerprint stamp, fingerprint)`` of the last
+        #: :func:`repro.dataflow.serialize.program_fingerprint`; None until
+        #: first asked for.
+        self.fingerprint_memo: tuple[tuple, int] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -81,10 +92,17 @@ class Program:
         return [edge for edge in self._edges if edge.src_box == box_id]
 
     def edge_into_port(self, box_id: int, port_name: str) -> Edge | None:
-        for edge in self._edges:
-            if edge.dst_box == box_id and edge.dst_port == port_name:
-                return edge
-        return None
+        return self._edge_into.get((box_id, port_name))
+
+    def edit_stamp(self) -> tuple:
+        """Changes whenever the program's structure or any parameter does:
+        the structural version plus every box's parameter version.
+
+        Adding, removing or replacing a box bumps the structural version,
+        so under one version the versions line up box for box and the ids
+        need not be repeated.
+        """
+        return (self.version, tuple(map(_box_version, self._boxes.values())))
 
     def sinks(self) -> list[Box]:
         """Boxes with no outputs connected onward (typically viewers)."""
@@ -101,6 +119,27 @@ class Program:
 
     def _bump(self) -> None:
         self.version += 1
+
+    def _add_edge(self, edge: Edge) -> None:
+        """Append an arrow, unchecked; callers validate and bump.
+
+        ``connect`` admits one arrow per input; a hand-edited graph may
+        carry more, and the index then keeps the first, as a scan of the
+        edge list in order would.
+        """
+        self._edges.append(edge)
+        self._edge_into.setdefault((edge.dst_box, edge.dst_port), edge)
+
+    def _remove_edge(self, edge: Edge) -> None:
+        """Remove an arrow (ValueError if absent); callers bump."""
+        self._edges.remove(edge)
+        key = (edge.dst_box, edge.dst_port)
+        if self._edge_into.get(key) == edge:
+            del self._edge_into[key]
+            for other in self._edges:
+                if (other.dst_box, other.dst_port) == key:
+                    self._edge_into[key] = other
+                    break
 
     def add_box(
         self, box: Box, label: str | None = None, box_id: int | None = None
@@ -177,13 +216,13 @@ class Program:
         edge = Edge(src_box, src_port, dst_box, dst_port)
         if self._would_cycle(edge):
             raise GraphError(f"edge {edge} would create a cycle")
-        self._edges.append(edge)
+        self._add_edge(edge)
         self._bump()
         return edge
 
     def disconnect(self, edge: Edge) -> None:
         try:
-            self._edges.remove(edge)
+            self._remove_edge(edge)
         except ValueError as exc:
             raise GraphError(f"no such edge {edge}") from exc
         self._bump()
@@ -234,17 +273,17 @@ class Program:
             if incoming:
                 pred = incoming[0]
                 for succ in outgoing:
-                    self._edges.remove(succ)
-                    self._edges.append(
+                    self._remove_edge(succ)
+                    self._add_edge(
                         Edge(pred.src_box, pred.src_port, succ.dst_box, succ.dst_port)
                     )
             else:
                 # No predecessor: successors become dangling-free by removal
                 # of the edges themselves (their inputs are simply unset).
                 for succ in outgoing:
-                    self._edges.remove(succ)
+                    self._remove_edge(succ)
         for edge in self.edges_into(box_id):
-            self._edges.remove(edge)
+            self._remove_edge(edge)
         del self._boxes[box_id]
         box.box_id = None
         self._bump()
@@ -294,11 +333,11 @@ class Program:
             # Roll back to a consistent state before propagating.
             for stale in list(self._edges):
                 if stale.src_box == box_id or stale.dst_box == box_id:
-                    self._edges.remove(stale)
+                    self._remove_edge(stale)
             del self._boxes[box_id]
             box.box_id = None
             if edge not in self._edges:
-                self._edges.append(edge)
+                self._add_edge(edge)
             self._bump()
             raise
         return box_id

@@ -16,13 +16,19 @@ older versions) still load.
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 from repro.dataflow.graph import Edge, Program
 from repro.dataflow.registry import instantiate
 from repro.errors import CatalogError
 
-__all__ = ["program_to_dict", "program_from_dict", "clone_program"]
+__all__ = [
+    "program_to_dict",
+    "program_from_dict",
+    "clone_program",
+    "program_fingerprint",
+]
 
 _FORMAT = "tioga2-program-v1"
 
@@ -47,6 +53,26 @@ def program_to_dict(program: Program) -> dict[str, Any]:
         "boxes": boxes,
         "edges": edges,
     }
+
+
+def program_fingerprint(program: Program) -> int:
+    """A content hash of the serialized program, computed once per edit.
+
+    The hash is of the canonical JSON form, so two sessions holding equal
+    programs (say, two clients of one hosted program) get equal
+    fingerprints.  It is memoized on the program object against its name
+    and edit stamp (:meth:`Program.edit_stamp`): every edit that can change
+    the serialized form bumps the program's version or a box's version, so
+    repeated calls on an unchanged program are a stamp comparison.
+    """
+    stamp = (program.name, program.edit_stamp())
+    memo = program.fingerprint_memo
+    if memo is not None and memo[0] == stamp:
+        return memo[1]
+    fingerprint = hash(json.dumps(
+        program_to_dict(program), sort_keys=True, default=str))
+    program.fingerprint_memo = (stamp, fingerprint)
+    return fingerprint
 
 
 def _jsonable_params(params: dict[str, Any]) -> dict[str, Any]:

@@ -8,6 +8,7 @@ and program menus (§3).
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable
 
 from repro.dbms import types as T
@@ -16,6 +17,11 @@ from repro.dbms.tuples import Schema
 from repro.errors import CatalogError
 
 __all__ = ["ColumnStats", "Database", "TableStats", "stats_for"]
+
+# Catalog versions are drawn from one process-wide count: ``next`` is atomic
+# under the GIL, so two sessions editing one catalog at once can never both
+# write the same version (a ``+= 1`` could).
+_CATALOG_VERSIONS = itertools.count(1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +131,9 @@ class Database:
     def __init__(self, name: str = "tioga"):
         self.name = name
         self._tables: dict[str, Table] = {}
+        #: Changes whenever the set of tables changes (create, add, drop);
+        #: the engine's demand stamp reads it.
+        self.catalog_version = next(_CATALOG_VERSIONS)
         self._programs: dict[str, dict[str, Any]] = {}
         self._boxes: dict[str, Any] = {}
 
@@ -138,6 +147,7 @@ class Database:
             raise CatalogError(f"table {name!r} already exists")
         table = Table(name, schema)
         self._tables[name] = table
+        self.catalog_version = next(_CATALOG_VERSIONS)
         return table
 
     def add_table(self, table: Table) -> Table:
@@ -145,12 +155,14 @@ class Database:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
+        self.catalog_version = next(_CATALOG_VERSIONS)
         return table
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"no table {name!r} to drop")
         del self._tables[name]
+        self.catalog_version = next(_CATALOG_VERSIONS)
 
     def table(self, name: str) -> Table:
         try:

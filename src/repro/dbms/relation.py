@@ -18,6 +18,7 @@ Three classes realize that here:
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import (
     TYPE_CHECKING,
@@ -63,6 +64,11 @@ __all__ = [
 _EPOCH_LOCK = threading.Lock()
 _STORAGE_EPOCH = 0
 _TABLE_EPOCHS: dict[str, int] = {}
+
+# Process-unique table serials: a dropped and recreated table of the same
+# name restarts its version at 0, so (name, version) alone does not name one
+# table's contents.  ``next`` on a count is atomic under the GIL.
+_TABLE_SERIALS = itertools.count(1)
 
 
 def storage_epoch() -> int:
@@ -196,12 +202,17 @@ class Table:
     on different server threads share tables, so mutations and snapshot
     builds hold one lock: a snapshot never pairs rows with a carried batch
     from another version.
+
+    ``serial`` is unique per table object in the process; with ``version``
+    it names one table's contents, even across a drop and re-create under
+    the same name.
     """
 
     def __init__(self, name: str, schema: Schema):
         if not name:
             raise SchemaError("table name must be non-empty")
         self.name = name
+        self.serial = next(_TABLE_SERIALS)
         self._schema = schema
         self._rows: list[Tuple] = []
         self._version = 0

@@ -364,11 +364,13 @@ class CommandExecutor:
     def _frame_key(self, command: Render, window) -> tuple | None:
         """Everything a frame's pixels depend on, or None when unsure.
 
-        Program structure (serialized), the full per-member view state, the
-        viewport geometry, and the global storage epoch — any table update
-        anywhere bumps the epoch and orphans every cached frame.
+        Program structure (a hash of the serialized program, computed once
+        per edit — :func:`~repro.dataflow.serialize.program_fingerprint`),
+        the full per-member view state, the viewport geometry, and the
+        global storage epoch — any table update anywhere bumps the epoch and
+        orphans every cached frame.
         """
-        from repro.dataflow.serialize import program_to_dict
+        from repro.dataflow.serialize import program_fingerprint
         from repro.dbms.relation import storage_epoch
 
         if any(not glass.deleted for glass in window.magnifiers):
@@ -377,9 +379,7 @@ class CommandExecutor:
             return None
         viewer = window.viewer
         try:
-            program_fp = hash(json.dumps(
-                program_to_dict(self.session.program),
-                sort_keys=True, default=str))
+            program_fp = program_fingerprint(self.session.program)
             views = []
             for member in viewer.member_names():
                 view = viewer.view(member)

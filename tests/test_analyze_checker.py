@@ -71,7 +71,7 @@ class TestCleanPrograms:
 class TestE101UnknownPort:
     def trigger(self, db):
         program, source, restrict, _viewer = simple_program(db)
-        program._edges.append(Edge(source, "nope", restrict, "in"))
+        program._add_edge(Edge(source, "nope", restrict, "in"))
         return program
 
     def test_trigger(self, stations_db):
@@ -80,7 +80,9 @@ class TestE101UnknownPort:
 
     def test_clean_after_fix(self, stations_db):
         program = self.trigger(stations_db)
-        program._edges = [e for e in program._edges if e.src_port != "nope"]
+        for edge in program.edges():
+            if edge.src_port == "nope":
+                program._remove_edge(edge)
         assert "T2-E101" not in check_program(program, stations_db).codes()
 
     def test_connect_carries_diagnostic(self, stations_db):
@@ -111,7 +113,7 @@ class TestE102IncompatibleKinds:
         else:
             # A G output into a non-overloadable R input cannot be built
             # through connect(); a hand-edited graph can carry it.
-            program._edges.append(Edge(stitch, "out", join, "left"))
+            program._add_edge(Edge(stitch, "out", join, "left"))
         program.connect(join, "out", viewer, "in")
         return program
 

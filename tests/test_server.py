@@ -356,6 +356,37 @@ def test_pick_after_cached_frame_matches_fresh_session(server):
             assert a.result == b.result
 
 
+def test_edited_program_misses_the_frame_another_session_cached(server):
+    # The frame key holds the program's fingerprint, memoized per edit:
+    # once session A edits a box parameter, A's next render must not be
+    # served the frame session B cached for the program A had before.
+    url = f"ws://{server.host}:{server.port}/ws"
+    with connect(url) as a, connect(url) as b:
+        assert a.request(OpenProgram(name="fig4")).ok
+        assert b.request(OpenProgram(name="fig4")).ok
+        old = b.request(Render(window="stations"))
+        assert isinstance(old, FrameReply)
+        shared = a.request(Render(window="stations"))
+        assert shared.render_ms == 0.0  # equal programs share B's frame
+        assert shared.data_bytes() == old.data_bytes()
+
+        held = server.sessions[a.session]
+        (display,) = [
+            box for box in held.session.program.boxes_of_type("SetAttribute")
+            if box.param("name") == "display"
+        ]
+        with held.lock:
+            held.session.set_param(display.box_id, "definition",
+                                   "filled_circle(6, 'red')")
+        edited = a.request(Render(window="stations"))
+        assert isinstance(edited, FrameReply)
+        assert edited.render_ms > 0.0
+        assert edited.data_bytes() != old.data_bytes()
+        again = b.request(Render(window="stations"))
+        assert again.render_ms == 0.0  # B's program is unchanged
+        assert again.data_bytes() == old.data_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Session lifecycle: explicit delete, idle expiry
 # ---------------------------------------------------------------------------
