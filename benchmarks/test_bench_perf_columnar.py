@@ -225,57 +225,3 @@ def test_perf_columnar_join_restrict(record_columnar):
         row_s, col_s, counters,
     ))
     assert speedup >= 5.0
-
-
-# ---------------------------------------------------------------------------
-# Arm 4: hazard-guard elision (guarded vs statically proven unguarded)
-# ---------------------------------------------------------------------------
-
-def test_perf_columnar_guard_elision(points_db_20k, record_columnar):
-    """Arithmetic restrict with a division, guarded vs proven-unguarded.
-
-    The divisor has the shape ``y*y + 1.0`` — structurally >= 1.0 — so the
-    abstract interpreter proves ``div_zero`` impossible and the compiler
-    drops the vectorized zero-scan pre-check from the kernel.  Both arms
-    run the *columnar* backend; the ablation is purely the guard, so rows
-    must match exactly and the unguarded arm must record elisions.
-    """
-    from repro.analyze.absint import set_absint_enabled
-    from repro.dbms.expr_compile import ELIDED_COUNTER
-
-    rows = points_db_20k.table("Points").snapshot()
-    predicate = parse_predicate(
-        "x_pos / (y_pos * y_pos + 1.0) > 0.25", rows.schema)
-
-    def columnar_plan():
-        root, __ = columnarize_plan(
-            P.RestrictNode(P.ScanNode(rows, name="Points"), predicate))
-        return root
-
-    elided = global_registry().counter(*ELIDED_COUNTER)
-    guarded_s, guarded_rows = _best_of(columnar_plan, _pull, rounds=5)
-    before = elided.value()
-    set_absint_enabled(True)
-    try:
-        (unguarded_s, unguarded_rows), counters = _counter_deltas(
-            lambda: _best_of(columnar_plan, _pull, rounds=5))
-    finally:
-        set_absint_enabled(False)
-    counters["absint.guards_elided"] = elided.value() - before
-    assert counters["absint.guards_elided"] > 0
-    assert counters["columnar.fallback"] == 0
-    assert [r.values for r in guarded_rows] == \
-        [r.values for r in unguarded_rows]
-    speedup = guarded_s / unguarded_s
-    record_columnar({
-        "name": "guard_elision_arith_restrict",
-        "workload": {"points": 20_000, "kept": len(guarded_rows)},
-        "arms": {
-            "guarded": {"seconds": round(guarded_s, 6)},
-            "unguarded": {"seconds": round(unguarded_s, 6)},
-        },
-        "speedup": round(speedup, 2),
-        "counters": counters,
-    })
-    # Dropping a guard can only remove work; leave generous jitter slack.
-    assert speedup >= 0.8

@@ -56,11 +56,6 @@ if _os.environ.get("REPRO_PLAN_VERIFY") == "1":
 
     _install_verifier()
 
-if _os.environ.get("REPRO_ABSINT") == "1":
-    from repro.analyze.absint import install_from_env as _install_absint
-
-    _install_absint()
-
 if _os.environ.get("REPRO_TRACE") == "1":
     from repro.obs.trace import install_from_env as _install_tracer
 

@@ -13,10 +13,9 @@ stable ``T2-*`` codes (catalog: ``docs/STATIC_ANALYSIS.md``):
   (``repro.analyze.planverify``) — plan-IR invariant verification, also
   installable as a runtime hook via ``REPRO_PLAN_VERIFY=1``;
 - :func:`check_program_deep` / :func:`abstract_eval`
-  (``repro.analyze.absint``) — abstract interpretation over expressions,
-  programs, and plans (interval/nullability/constancy/sign domains);
-  ``REPRO_ABSINT=1`` installs its hazard prover as the plan annotator so
-  the columnar compiler can elide proven-impossible runtime guards.
+  (``repro.analyze.absint``) — abstract interpretation over expressions
+  and programs (interval/nullability/constancy/sign domains), behind
+  ``repro lint --deep``.
 
 The heavy passes are imported lazily so ``repro.analyze.diagnostics`` stays
 importable from low-level modules (e.g. ``repro.dataflow.graph``) without
@@ -51,8 +50,6 @@ __all__ = [
     "assert_valid_plan",
     "install_from_env",
     "abstract_eval",
-    "absint_enabled",
-    "set_absint_enabled",
 ]
 
 _LAZY = {
@@ -68,10 +65,8 @@ _LAZY = {
     "HazardProofs": "repro.analyze.absint",
     "Interval": "repro.analyze.absint",
     "abstract_eval": "repro.analyze.absint",
-    "absint_enabled": "repro.analyze.absint",
     "analyze_hazards": "repro.analyze.absint",
     "check_program_deep": "repro.analyze.absint",
-    "set_absint_enabled": "repro.analyze.absint",
 }
 
 

@@ -1,4 +1,4 @@
-"""Abstract interpretation over expressions, plans, and programs.
+"""Abstract interpretation over expressions and programs.
 
 This is the static mirror of the *values* that flow through a Tioga-2
 program, the way :mod:`repro.analyze.checker` is the static mirror of the
@@ -18,7 +18,7 @@ Entry facts come from :func:`repro.dbms.catalog.stats_for` (per-column
 min/max over immutable row sets, memoized per table version); the
 evaluator then runs the same structural recursion as ``Expr.infer`` but
 over abstract values, collecting **hazard proofs** at every site where the
-columnar compiler would otherwise emit a runtime guard:
+columnar compiler emits a runtime guard:
 
 ``div_zero``
     the divisor's interval excludes 0 (sound even for NaN-bearing columns:
@@ -30,38 +30,25 @@ columnar compiler would otherwise emit a runtime guard:
     the argument's interval lies in ``[0, inf)`` (a NaN argument never
     trips the ``x < 0`` guard either way).
 
-Proofs are keyed by the *identity* of the expression node — the plan node
-holds the same live ``Expr`` objects the compiler walks, so the keys line
-up by construction.
+Proofs are keyed by the *identity* of the expression node.
 
-The same machinery powers:
-
-* guard elision in :func:`repro.dbms.expr_compile.compile_expression`
-  (``hazards=`` parameter), surfaced as ``proof=`` in EXPLAIN and counted
-  in ``absint.proofs`` / ``absint.guards_elided``;
-* the ``T2-W204``/``T2-W205`` rewrites (always-true/false Restrict
-  elimination, statically-empty-subtree pruning) applied by
-  :func:`repro.dbms.plan_rewrite.optimize_plan` and re-certified by the
-  plan verifier;
-* :func:`check_program_deep` — whole-program propagation along the wires
-  (``repro lint --deep``), reusing the per-box transfer registry for
-  schemas and emitting ``T2-I301`` proof notes with source positions.
-
-Enable with ``REPRO_ABSINT=1`` or :func:`set_absint_enabled`; everything
-here is advisory — with the interpreter off, compiled kernels keep their
-runtime guards and behave exactly as before.
+The machinery powers :func:`check_program_deep` — whole-program
+propagation along the wires (``repro lint --deep``), reusing the per-box
+transfer registry for schemas and emitting ``T2-W204`` (dead predicate),
+``T2-W205`` (statically empty viewer) and ``T2-I301`` (proof note)
+diagnostics with source positions.  Everything here is advisory: nothing
+at run time consults it, and compiled kernels keep all their runtime
+guards.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.analyze.diagnostics import Diagnostic, Report
-from repro.dbms import plan as P
 from repro.dbms import types as T
-from repro.dbms.catalog import Database, TableStats, stats_for
+from repro.dbms.catalog import Database, TableStats
 from repro.dbms.expr import (
     Binary,
     Call,
@@ -71,25 +58,16 @@ from repro.dbms.expr import (
     Literal,
     Unary,
 )
-from repro.dbms.expr_compile import ELIDED_COUNTER
-from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Schema
 
 __all__ = [
     "AbstractValue",
     "HazardProofs",
     "Interval",
-    "PROOFS_COUNTER",
     "abstract_eval",
-    "absint_enabled",
-    "absint_rewrite_plan",
     "analyze_hazards",
     "check_program_deep",
     "env_from_stats",
-    "install_from_env",
-    "plan_column_facts",
-    "prove_plan_predicate",
-    "set_absint_enabled",
     "top_env",
 ]
 
@@ -97,13 +75,6 @@ _INF = float("inf")
 
 #: Largest int magnitude float64 represents exactly (mirror of expr_compile).
 _EXACT_INT = 2 ** 53
-
-#: Canonical declaration for the proof counter; ``stats --check`` verifies
-#: every declaration site uses the identical description.
-PROOFS_COUNTER = (
-    "absint.proofs",
-    "hazard-impossibility proofs produced by the abstract interpreter",
-)
 
 _UNKNOWN = object()  # constancy lattice top ("no known constant")
 
@@ -402,9 +373,8 @@ def _square_iv(iv: Interval) -> Interval:
 class HazardProofs:
     """Proof facts collected during one abstract evaluation.
 
-    ``proven`` is keyed by ``(id(expr_node), kind)`` — the compiler walks
-    the very same live ``Expr`` objects, so identity keys are stable for
-    the lifetime of the plan that holds them.
+    ``proven`` is keyed by ``(id(expr_node), kind)``, so identity keys are
+    stable for the lifetime of the expression tree that holds them.
     """
 
     __slots__ = ("proven", "notes")
@@ -424,9 +394,6 @@ class HazardProofs:
 
     def __len__(self) -> int:
         return len(self.proven)
-
-    def proof_text(self) -> str:
-        return "; ".join(self.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -787,15 +754,8 @@ def env_from_stats(
 
 
 # ---------------------------------------------------------------------------
-# Plan-level facts and predicate refinement
+# Predicate refinement
 # ---------------------------------------------------------------------------
-
-#: Unary plan ops that only drop or reorder rows: child facts pass through.
-_ROW_SUBSET_OPS = frozenset((
-    "SampleNode", "LimitNode", "OrderByNode", "DistinctNode",
-    "ToColumnsNode", "ToRowsNode",
-    "ColumnarLimitNode", "ColumnarDistinctNode", "ColumnarOrderByNode",
-))
 
 
 def _refine_env(
@@ -841,221 +801,6 @@ def _refine_env(
         fact.type, iv, maybe_nan=False, const=fact.const
     )
     return out
-
-
-def plan_column_facts(node: P.PlanNode) -> dict[str, AbstractValue]:
-    """Abstract facts about the columns ``node`` produces.
-
-    Facts over-approximate: any operator that only drops/reorders rows
-    passes its child's facts through unchanged.  Unknown operators (joins,
-    aggregates, ...) return the typed top of their schema, so structural
-    proofs still apply downstream of them."""
-    if isinstance(node, P.ScanNode):
-        source = getattr(node, "_source", None)
-        if isinstance(source, P.LazyRowSet):
-            # Never force the lazy set: derive facts from its plan instead.
-            return plan_column_facts(source.plan)
-        if isinstance(source, RowSet):
-            return env_from_stats(stats_for(source), node.schema)
-        return top_env(node.schema)
-    if isinstance(node, P.CacheNode):
-        # The cached plan appears as the child (for EXPLAIN continuity).
-        return plan_column_facts(node.children[0])
-    if isinstance(node, (P.RestrictNode, P.ColumnarRestrictNode)):
-        env = plan_column_facts(node.children[0])
-        predicate = getattr(node, "predicate", None)
-        if predicate is not None:
-            env = _refine_env(env, predicate, node.children[0].schema)
-        return env
-    if isinstance(node, (P.ProjectNode, P.ColumnarProjectNode)):
-        child = plan_column_facts(node.children[0])
-        return {
-            name: child.get(name, AbstractValue.top(node.schema.type_of(name)))
-            for name in node.schema.names
-        }
-    if isinstance(node, (P.RenameNode, P.ColumnarRenameNode)):
-        child = plan_column_facts(node.children[0])
-        mapping = _rename_mapping(node)
-        out: dict[str, AbstractValue] = {}
-        for name in node.schema.names:
-            old = mapping.get(name, name)
-            out[name] = child.get(
-                old, AbstractValue.top(node.schema.type_of(name))
-            )
-        return out
-    if type(node).__name__ in _ROW_SUBSET_OPS and node.children:
-        return plan_column_facts(node.children[0])
-    return top_env(node.schema)
-
-
-def _rename_mapping(node: P.PlanNode) -> dict[str, str]:
-    """new-name -> old-name for a (columnar) rename node."""
-    mapping = getattr(node, "mapping", None)
-    if isinstance(mapping, dict):  # ColumnarRenameNode: old -> new
-        return {new: old for old, new in mapping.items()}
-    old = getattr(node, "_old", None)
-    new = getattr(node, "_new", None)
-    if isinstance(old, str) and isinstance(new, str):
-        return {new: old}
-    return {}
-
-
-# ---------------------------------------------------------------------------
-# The plan annotator (hook installed into repro.dbms.plan)
-# ---------------------------------------------------------------------------
-
-
-def _proofs_counter():
-    from repro.obs import global_registry
-
-    return global_registry().counter(*PROOFS_COUNTER)
-
-
-def prove_plan_predicate(
-    predicate: Expr, child: P.PlanNode
-) -> HazardProofs:
-    """The annotator: prove away hazards in a plan predicate.
-
-    Called by compiled plan nodes at construction; the returned proofs are
-    handed to :func:`repro.dbms.expr_compile.compile_predicate` to elide
-    the corresponding runtime guards."""
-    env = plan_column_facts(child)
-    proofs = analyze_hazards(predicate, child.schema, env)
-    if proofs.proven:
-        _proofs_counter().inc(len(proofs.proven))
-    return proofs
-
-
-def absint_enabled() -> bool:
-    """Is the abstract interpreter installed as the plan annotator?"""
-    return P.plan_annotator() is not None
-
-
-def set_absint_enabled(enabled: bool) -> bool:
-    """Install (or remove) the plan annotator; returns the previous state."""
-    previous = absint_enabled()
-    P.set_plan_annotator(prove_plan_predicate if enabled else None)
-    return previous
-
-
-def install_from_env(environ: Mapping[str, str] | None = None) -> bool:
-    """Enable the interpreter when ``REPRO_ABSINT=1`` (the CLI/env hook)."""
-    environ = os.environ if environ is None else environ
-    if environ.get("REPRO_ABSINT") == "1":
-        set_absint_enabled(True)
-        return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Certified rewrites: dead predicates and statically empty subtrees
-# ---------------------------------------------------------------------------
-
-
-def _predicate_truth(node: P.RestrictNode) -> bool | None:
-    """The constant truth value of a Restrict's predicate, if provable."""
-    env = plan_column_facts(node.children[0])
-    verdict = abstract_eval(node.predicate, env, node.children[0].schema)
-    if verdict.is_const and isinstance(verdict.const, bool):
-        return verdict.const
-    return None
-
-
-def _empty_scan(schema: Schema) -> P.ScanNode:
-    return P.ScanNode(RowSet(schema, ()), name="empty")
-
-
-def _is_statically_empty(node: P.PlanNode) -> bool:
-    return (
-        isinstance(node, P.ScanNode)
-        and isinstance(getattr(node, "_source", None), RowSet)
-        and not isinstance(node._source, P.LazyRowSet)
-        and len(node._source) == 0
-    )
-
-
-#: Ops through which emptiness propagates (empty input => empty output).
-_EMPTY_CLOSED = (
-    P.ProjectNode, P.RenameNode, P.RestrictNode, P.OrderByNode,
-    P.DistinctNode, P.LimitNode, P.SampleNode,
-)
-_EMPTY_JOINS = (
-    P.CrossProductNode, P.NestedLoopJoinNode, P.HashJoinNode,
-    P.ThetaJoinNode,
-)
-
-
-def absint_rewrite_plan(
-    root: P.PlanNode, log: list[str] | None = None
-) -> tuple[P.PlanNode, list[str]]:
-    """Apply the abstract-interpretation rewrites to a plan.
-
-    * an always-**true** Restrict is removed (``T2-W204``);
-    * an always-**false** Restrict becomes an empty scan (``T2-W204`` +
-      ``T2-W205``), and emptiness is then propagated upward through
-      every operator that cannot manufacture tuples from nothing.
-
-    Runs inside :func:`repro.dbms.plan_rewrite.optimize_plan` (when the
-    interpreter is enabled) *before* columnarization, and
-    the optimizer's existing schema check + plan verifier re-certify the
-    rewritten tree."""
-    log = log if log is not None else []
-
-    def walk(node: P.PlanNode) -> P.PlanNode:
-        # Leaves end the recursion; columnar kernels hold internal
-        # templates besides ``children`` and are left untouched — this
-        # pass runs before that rewrite.
-        if isinstance(node, (P.ScanNode, P.CacheNode)) or \
-                node.backend != "row":
-            return node
-        node._children = tuple(walk(child) for child in node.children)
-
-        if isinstance(node, P.RestrictNode):
-            truth = _predicate_truth(node)
-            if truth is True:
-                log.append(
-                    f"absint: removed always-true restrict "
-                    f"({node.predicate}) [T2-W204]"
-                )
-                return node.children[0]
-            if truth is False:
-                log.append(
-                    f"absint: restrict ({node.predicate}) is always false; "
-                    f"replaced subtree with an empty scan [T2-W204, T2-W205]"
-                )
-                return _empty_scan(node.schema)
-
-        children_empty = [
-            _is_statically_empty(child) for child in node.children
-        ]
-        if isinstance(node, P.UnionNode):
-            if all(children_empty):
-                log.append("absint: pruned empty union [T2-W205]")
-                return _empty_scan(node.schema)
-            if any(children_empty):
-                keep = node.children[0 if children_empty[1] else 1]
-                if keep.schema == node.schema:
-                    log.append(
-                        "absint: dropped statically-empty union arm "
-                        "[T2-W205]"
-                    )
-                    return keep
-        elif isinstance(node, _EMPTY_JOINS):
-            if any(children_empty):
-                log.append(
-                    f"absint: pruned {type(node).__name__} over a "
-                    f"statically-empty input [T2-W205]"
-                )
-                return _empty_scan(node.schema)
-        elif isinstance(node, _EMPTY_CLOSED) and children_empty[0]:
-            log.append(
-                f"absint: pruned {type(node).__name__} over a "
-                f"statically-empty input [T2-W205]"
-            )
-            return _empty_scan(node.schema)
-        return node
-
-    return walk(root), log
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ reporting violations as ``T2-E111`` diagnostics:
   (entered only through a ``ToColumns`` adapter), and a columnar region is
   consumed only through a ``ToRows`` adapter — no bare backend crossings.
 
-Constructors check these once; rewrites (:mod:`repro.dbms.plan_rewrite`)
-mutate ``_children`` in place, so a buggy rewrite is exactly what this
-verifier exists to catch.  Setting ``REPRO_PLAN_VERIFY=1`` installs
-:func:`assert_valid_plan` as the verification hook that runs on every
-``PlanNode.open()`` and after every ``optimize_plan`` pass.
+Constructors check these once; backend selection
+(:func:`repro.dbms.plan_rewrite.columnarize_plan`) mutates ``_children`` in
+place, so a buggy region swap is exactly what this verifier exists to
+catch.  Setting ``REPRO_PLAN_VERIFY=1`` installs :func:`assert_valid_plan`
+as the verification hook that runs on every ``PlanNode.open()`` and after
+every ``optimize_plan`` call.
 """
 
 from __future__ import annotations

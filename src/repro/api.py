@@ -24,8 +24,7 @@ read changes — see ``docs/RESULT_CACHE.md``.
 Also new: the columnar execution backend.  The plan optimizer runs on
 every demand and moves eligible subtrees onto vectorized numpy kernels —
 identical rows, order, and pixels, large speedups on scans/filters/joins
-— with no knob to set; ``Engine(columnar=)`` is a deprecated no-op.  See
-``docs/COLUMNAR.md``.
+— with no knob to set.  See ``docs/COLUMNAR.md``.
 
 Also new: time-series telemetry and the self-hosted dashboard.
 :class:`MetricsRecorder` samples the process metrics into ring-buffer
@@ -39,9 +38,7 @@ Tioga-2 program — see ``docs/OBSERVABILITY.md`` and ``docs/DASHBOARD.md``.
 Also new: static analysis.  :func:`check_program` lints a program without
 executing it; :func:`check_program_deep` additionally runs the abstract
 interpreter (interval/nullability/constancy/sign domains) for dead
-predicates and statically empty results; :func:`set_absint_enabled` (or
-``REPRO_ABSINT=1``) feeds the same analysis to the plan compiler so
-proven-impossible runtime guards are elided from columnar kernels — see
+predicates and statically empty results — see
 ``docs/STATIC_ANALYSIS.md``.
 
 Also new: why-provenance.  ``Engine(lineage=True)`` (or ``REPRO_LINEAGE=1``,
@@ -66,10 +63,12 @@ Deprecated this release (removed next): mutating a :class:`Viewer`
 directly (``viewer.pan``/``pan_to``/``zoom``/``set_elevation``/
 ``set_slider``).  Those methods now emit :class:`DeprecationWarning` and
 forward to the protocol layer's internals; call the ``Session`` wrappers
-instead.  ``Engine(workers=)`` is accepted for one more release but has no
-effect and emits :class:`DeprecationWarning`: morsel-parallel execution
-was removed, together with its config class and the ``config_from_env``,
-``default_config``, and ``set_default_config`` helpers.
+instead.
+
+Removed: ``Engine(workers=)`` and ``Engine(columnar=)`` (both were no-ops
+for one release and now raise :class:`TypeError`), and the runtime switch
+that fed the abstract interpreter to the plan compiler; the interpreter
+stays behind :func:`check_program_deep` and ``repro lint --deep``.
 """
 
 from __future__ import annotations
@@ -77,10 +76,8 @@ from __future__ import annotations
 from repro.analyze import (
     Diagnostic,
     Report,
-    absint_enabled,
     check_program,
     check_program_deep,
-    set_absint_enabled,
 )
 from repro.core import (
     CanvasWindow,
@@ -247,8 +244,6 @@ __all__ = [
     "Report",
     "check_program",
     "check_program_deep",
-    "absint_enabled",
-    "set_absint_enabled",
     # Boxes
     "AddTableBox",
     "RestrictBox",

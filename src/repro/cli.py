@@ -779,8 +779,6 @@ def _cmd_stats(args) -> int:
     # `stats` invocation surfaces the full counter taxonomy even when the
     # run happens not to exercise the cache or the columnar backend — the
     # snapshot then always carries the complete, pinned key set.
-    from repro.analyze.absint import PROOFS_COUNTER
-    from repro.dbms.expr_compile import ELIDED_COUNTER
     from repro.dbms.result_cache import result_cache
 
     result_cache()
@@ -789,12 +787,10 @@ def _cmd_stats(args) -> int:
     global_registry().counter(
         "columnar.fallback",
         "column batches re-evaluated on the row path after a data hazard")
-    # The absint pair's declaration strings live next to the code that
-    # increments them; importing the tuples keeps `--check` conflict-free.
-    global_registry().counter(*PROOFS_COUNTER)
-    global_registry().counter(*ELIDED_COUNTER)
-    # Same convention for the lineage counters: cold runs (capture off, no
-    # why-walks) still emit the full lineage.* key set with zero totals.
+    # The lineage counters' declaration strings live next to the code that
+    # increments them; importing the tuples keeps `--check` conflict-free,
+    # and cold runs (capture off, no why-walks) still emit the full
+    # lineage.* key set with zero totals.
     from repro.obs.lineage import (
         DROPPED_COUNTER,
         MAPPINGS_COUNTER,

@@ -162,6 +162,15 @@ class EncapsulatedBox(Box):
             boundary_outputs=self.param("boundary_outputs"),
         )
 
+    def signature(self, database: Any) -> tuple:
+        """The inner boxes' signatures: a change to a table the inner
+        program reads (through a nested encapsulated box too) reaches
+        this box's memo entry."""
+        inner = program_from_dict(self.require_param("program"))
+        return tuple(
+            (box.box_id, box.signature(database)) for box in inner.boxes()
+        )
+
     def fire(self, inputs: dict[str, Any], context) -> dict[str, Any]:
         from repro.dataflow.engine import Engine
 

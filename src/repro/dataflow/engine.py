@@ -26,7 +26,6 @@ a viewer re-demanding its input while nothing was edited.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 from repro.dataflow.box import Box
@@ -76,18 +75,17 @@ def _force_value(value: Any, cache: bool) -> Any:
 def _force_lazy(lazy: LazyRowSet, cache: bool) -> None:
     """Optimize and materialize one lazy row set, cache-aware.
 
-    An unstarted plan goes through :func:`optimize_plan` first — restrict
-    merging and pushdown, absint's certified rewrites when it is on, and
-    the per-subtree choice of the columnar backend — so the plan decides
-    the backend, not a knob.  A cache hit installs the shared rows
-    (``lazy.adopt``) and slaved viewers and repeated renders share one
-    materialization this way; ``lazy.cache_status`` records "hit"/"miss"
-    for EXPLAIN.  Fingerprints are taken on the *pre-rewrite* plan, so a
-    hit skips the optimizer, and the rewrites preserve rows and order, so
-    one entry serves any backend choice.  Plans that have already started
-    streaming (a downstream consumer pulled through a CacheNode first) are
-    left untouched: rewriting or adopting into a half-filled shared buffer
-    would corrupt other consumers.
+    An unstarted plan goes through :func:`optimize_plan` first — the
+    per-subtree choice of the columnar backend, then verification — so
+    the plan decides the backend, not a knob.  A cache hit installs the
+    shared rows (``lazy.adopt``) and slaved viewers and repeated renders
+    share one materialization this way; ``lazy.cache_status`` records
+    "hit"/"miss" for EXPLAIN.  Fingerprints are taken on the *pre-optimization* plan,
+    so a hit skips the optimizer, and backend selection preserves rows and
+    order, so one entry serves any backend choice.  Plans that have
+    already started streaming (a downstream consumer pulled through a
+    CacheNode first) are left untouched: rewriting or adopting into a
+    half-filled shared buffer would corrupt other consumers.
     """
     if lazy.is_materialized:
         return
@@ -242,9 +240,7 @@ class Engine:
         preflight: bool = False,
         registry: MetricsRegistry | None = None,
         *,
-        workers: int | None = None,
         cache: bool | None = None,
-        columnar: bool | None = None,
         lineage: bool | LineageConfig | None = None,
     ):
         self.program = program
@@ -254,21 +250,6 @@ class Engine:
         self._preflight_stamp: tuple | None = None
         # box_id -> (signature, outputs dict, demand stamp it was checked at)
         self._cache: dict[int, tuple[tuple, dict[str, Any], tuple]] = {}
-        if workers is not None:
-            warnings.warn(
-                "Engine(workers=) is deprecated and has no effect; "
-                "use cache=True to reuse plan results (docs/API.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if columnar is not None:
-            warnings.warn(
-                "Engine(columnar=) is deprecated and has no effect; the "
-                "optimizer picks the backend per plan subtree "
-                "(docs/COLUMNAR.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         # Result cache: None follows the process-wide default (on while a
         # TiogaServer runs), True/False pin it (docs/RESULT_CACHE.md).
         self.cache = cache_enabled() if cache is None else bool(cache)

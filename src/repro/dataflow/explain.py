@@ -145,9 +145,6 @@ def _plan_to_dict(node: PlanNode, counter: list[int]) -> dict[str, Any]:
         "children": [_plan_to_dict(child, counter) for child in node.children],
     }
     entry["backend"] = getattr(node, "backend", "row")
-    proof = getattr(node, "proof", None)
-    if proof is not None:
-        entry["proof"] = proof
     return entry
 
 

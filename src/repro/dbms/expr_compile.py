@@ -37,14 +37,8 @@ Exactness contract — the columnar backend must produce bit-identical rows:
   raise :class:`VectorFallback` instead of erroring eagerly: the serial
   backend's ``and``/``or`` short-circuit may skip the error entirely, so
   the kernel re-evaluates that batch row-at-a-time with exact serial
-  semantics (and counts it in ``columnar.fallback``).
-* When the abstract interpreter (:mod:`repro.analyze.absint`) has *proved*
-  a hazard impossible — the divisor's value range excludes 0, the int
-  operands are bounded within 2**53, the ``sqrt`` argument is provably
-  non-negative — the corresponding runtime guard is elided at compile
-  time (``hazards=`` parameter, counted in ``absint.guards_elided``).
-  Elision never changes results: the guard being elided is exactly the
-  branch the proof shows can never be taken.
+  semantics (and counts it in ``columnar.fallback``).  Every guard is
+  emitted: a batch that cannot trip it pays one vectorized check.
 
 TEXT and DATE columns live at ``object`` dtype where numpy applies the
 Python comparison operators elementwise — correct by construction, just
@@ -57,7 +51,7 @@ before trusting a compiled column (see ``docs/COLUMNAR.md``).
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -75,7 +69,6 @@ from repro.dbms.expr import (
 from repro.dbms.tuples import Schema
 
 __all__ = [
-    "ELIDED_COUNTER",
     "VectorFallback",
     "compile_expression",
     "compile_predicate",
@@ -95,34 +88,6 @@ _INT64_LIMIT = 2 ** 63
 #: Date-part functions compiled by applying their registered definition
 #: to each distinct date of the DATE column.
 _DATE_PARTS = frozenset({"year", "month", "day", "day_of_year"})
-
-#: Canonical declaration for the guard-elision counter, incremented once
-#: per guard site removed at compile time.  ``stats --check`` verifies
-#: every declaration site uses the identical description.
-ELIDED_COUNTER = (
-    "absint.guards_elided",
-    "runtime hazard guards elided from compiled kernels after a static "
-    "proof",
-)
-
-
-def _elided_counter():
-    from repro.obs.metrics import global_registry
-
-    return global_registry().counter(*ELIDED_COUNTER)
-
-
-class _NoProofs:
-    """Null object for the ``hazards`` parameter: proves nothing."""
-
-    __slots__ = ()
-
-    def proves(self, node: Expr, kind: str) -> bool:
-        return False
-
-
-_NO_PROOFS = _NoProofs()
-
 
 class VectorFallback(Exception):
     """A compiled kernel hit a data-dependent hazard in this batch.
@@ -201,8 +166,8 @@ def _compile_fieldref(expr: FieldRef, schema: Schema) -> CompiledExpr:
     return lambda batch: batch.column(name)
 
 
-def _compile_unary(expr: Unary, schema: Schema, hazards: Any) -> CompiledExpr:
-    inner = _compile(expr.operand, schema, hazards)
+def _compile_unary(expr: Unary, schema: Schema) -> CompiledExpr:
+    inner = _compile(expr.operand, schema)
     if expr.op == "-":
         def negate(batch: ColumnBatch) -> np.ndarray:
             x = inner(batch)
@@ -224,9 +189,9 @@ _COMPARE_UFUNCS = {
 _ARITH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
-def _compile_binary(expr: Binary, schema: Schema, hazards: Any) -> CompiledExpr:
-    left = _compile(expr.left, schema, hazards)
-    right = _compile(expr.right, schema, hazards)
+def _compile_binary(expr: Binary, schema: Schema) -> CompiledExpr:
+    left = _compile(expr.left, schema)
+    right = _compile(expr.right, schema)
     op = expr.op
 
     if op == "and":
@@ -235,20 +200,11 @@ def _compile_binary(expr: Binary, schema: Schema, hazards: Any) -> CompiledExpr:
         return lambda b: np.logical_or(_as_bool(left(b)), _as_bool(right(b)))
 
     if op == "/":
-        no_zero = hazards.proves(expr, "div_zero")
-        exact = hazards.proves(expr, "exact_int")
-        if no_zero:
-            _elided_counter().inc()
-        if exact:
-            _elided_counter().inc()
-        if no_zero and exact:
-            return lambda b: np.true_divide(left(b), right(b))
-
         def divide(batch: ColumnBatch) -> np.ndarray:
             l, r = left(batch), right(batch)
-            if not no_zero and np.any(r == 0):
+            if np.any(r == 0):
                 raise VectorFallback("division by zero in batch")
-            if not exact and getattr(l, "dtype", None) is not None and \
+            if getattr(l, "dtype", None) is not None and \
                     l.dtype.kind in "iu" and r.dtype.kind in "iu":
                 # Python divides the exact integers; numpy rounds each side
                 # to float64 first — identical only inside the exact range.
@@ -258,10 +214,6 @@ def _compile_binary(expr: Binary, schema: Schema, hazards: Any) -> CompiledExpr:
         return divide
 
     if op == "%":
-        if hazards.proves(expr, "div_zero"):
-            _elided_counter().inc()
-            return lambda b: np.mod(left(b), right(b))
-
         def modulo(batch: ColumnBatch) -> np.ndarray:
             l, r = left(batch), right(batch)
             if np.any(r == 0):
@@ -284,9 +236,6 @@ def _compile_binary(expr: Binary, schema: Schema, hazards: Any) -> CompiledExpr:
     if op in _COMPARE_UFUNCS:
         lt, rt = expr.left.infer(schema), expr.right.infer(schema)
         mixed = {lt, rt} == {T.INT, T.FLOAT}
-        if mixed and hazards.proves(expr, "exact_int"):
-            _elided_counter().inc()
-            mixed = False
         ufunc = _COMPARE_UFUNCS[op]
 
         def compare(batch: ColumnBatch) -> np.ndarray:
@@ -302,14 +251,14 @@ def _compile_binary(expr: Binary, schema: Schema, hazards: Any) -> CompiledExpr:
 
 
 def _compile_conditional(
-    expr: Conditional, schema: Schema, hazards: Any
+    expr: Conditional, schema: Schema
 ) -> CompiledExpr:
     if {expr.then_branch.infer(schema), expr.else_branch.infer(schema)} \
             == {T.INT, T.FLOAT}:
         raise _NotVectorizable("if with an int and a float branch")
-    condition = _compile(expr.condition, schema, hazards)
-    then_branch = _compile(expr.then_branch, schema, hazards)
-    else_branch = _compile(expr.else_branch, schema, hazards)
+    condition = _compile(expr.condition, schema)
+    then_branch = _compile(expr.then_branch, schema)
+    else_branch = _compile(expr.else_branch, schema)
 
     def choose(batch: ColumnBatch) -> np.ndarray:
         keep = _as_bool(condition(batch))
@@ -318,9 +267,9 @@ def _compile_conditional(
     return choose
 
 
-def _compile_call(expr: Call, schema: Schema, hazards: Any) -> CompiledExpr:
+def _compile_call(expr: Call, schema: Schema) -> CompiledExpr:
     name = expr.fn.name
-    args = [_compile(arg, schema, hazards) for arg in expr.args]
+    args = [_compile(arg, schema) for arg in expr.args]
 
     if name == "abs":
         def absolute(batch: ColumnBatch) -> np.ndarray:
@@ -330,13 +279,9 @@ def _compile_call(expr: Call, schema: Schema, hazards: Any) -> CompiledExpr:
             return np.abs(x)
         return absolute
     if name == "sqrt":
-        nonneg = hazards.proves(expr, "sqrt_nonneg")
-        if nonneg:
-            _elided_counter().inc()
-
         def sqrt(batch: ColumnBatch) -> np.ndarray:
             x = _require_fixed(np.asarray(args[0](batch)))
-            if not nonneg and np.any(x < 0):
+            if np.any(x < 0):
                 raise VectorFallback("sqrt of negative value in batch")
             return np.sqrt(x.astype(np.float64, copy=False))
         return sqrt
@@ -386,19 +331,19 @@ def _compile_call(expr: Call, schema: Schema, hazards: Any) -> CompiledExpr:
     raise _NotVectorizable(f"function {name}() is not vectorizable")
 
 
-def _compile(expr: Expr, schema: Schema, hazards: Any) -> CompiledExpr:
+def _compile(expr: Expr, schema: Schema) -> CompiledExpr:
     if isinstance(expr, Literal):
         return _compile_literal(expr)
     if isinstance(expr, FieldRef):
         return _compile_fieldref(expr, schema)
     if isinstance(expr, Unary):
-        return _compile_unary(expr, schema, hazards)
+        return _compile_unary(expr, schema)
     if isinstance(expr, Binary):
-        return _compile_binary(expr, schema, hazards)
+        return _compile_binary(expr, schema)
     if isinstance(expr, Conditional):
-        return _compile_conditional(expr, schema, hazards)
+        return _compile_conditional(expr, schema)
     if isinstance(expr, Call):
-        return _compile_call(expr, schema, hazards)
+        return _compile_call(expr, schema)
     raise _NotVectorizable(f"unknown expression node {type(expr).__name__}")
 
 
@@ -424,38 +369,29 @@ def _checker_accepts(expr: Expr, schema: Schema) -> bool:
     return checked is not None and inferred is not None and not diagnostics
 
 
-def compile_expression(
-    expr: Expr, schema: Schema, *, hazards: Any = None
-) -> CompiledExpr | None:
+def compile_expression(expr: Expr, schema: Schema) -> CompiledExpr | None:
     """Compile ``expr`` to an array program, or ``None`` if not vectorizable.
 
     The returned callable maps a :class:`ColumnBatch` (whose schema must
     match ``schema``) to one numpy array.  It may raise
     :class:`VectorFallback` on hazardous data; see the module docstring.
-    ``hazards`` is an optional proof object (duck-typed
-    ``proves(node, kind) -> bool``, see
-    :class:`repro.analyze.absint.HazardProofs`) whose proofs elide the
-    matching runtime guards.
     """
     if not _checker_accepts(expr, schema):
         return None
     try:
-        return _compile(expr, schema, hazards if hazards is not None
-                        else _NO_PROOFS)
+        return _compile(expr, schema)
     except _NotVectorizable:
         return None
 
 
-def compile_predicate(
-    expr: Expr, schema: Schema, *, hazards: Any = None
-) -> CompiledExpr | None:
+def compile_predicate(expr: Expr, schema: Schema) -> CompiledExpr | None:
     """Compile a boolean predicate to a mask program (or ``None``)."""
     try:
         if expr.infer(schema) is not T.BOOL:
             return None
     except Exception:
         return None
-    compiled = compile_expression(expr, schema, hazards=hazards)
+    compiled = compile_expression(expr, schema)
     if compiled is None:
         return None
     return lambda batch: _as_bool(compiled(batch))

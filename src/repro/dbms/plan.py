@@ -85,8 +85,6 @@ __all__ = [
     "AGGREGATES",
     "set_plan_verifier",
     "plan_verifier",
-    "set_plan_annotator",
-    "plan_annotator",
     "ColumnarNode",
     "ToColumnsNode",
     "ToRowsNode",
@@ -120,25 +118,6 @@ def set_plan_verifier(hook: Callable[["PlanNode"], None] | None) -> None:
 def plan_verifier() -> Callable[["PlanNode"], None] | None:
     """The installed verification hook, if any."""
     return _VERIFY_HOOK
-
-
-#: Optional abstract-interpretation hook consulted when predicate-bearing
-#: nodes compile their kernels.  ``repro.analyze.absint`` installs
-#: ``prove_plan_predicate`` here (``REPRO_ABSINT=1`` or
-#: ``set_absint_enabled``); the hook maps ``(predicate, child_node)`` to a
-#: proof object consumed by ``expr_compile.compile_predicate(hazards=...)``.
-_ABSINT_HOOK: Callable[[Expr, "PlanNode"], Any] | None = None
-
-
-def set_plan_annotator(hook: Callable[[Expr, "PlanNode"], Any] | None) -> None:
-    """Install (or clear, with ``None``) the plan annotation hook."""
-    global _ABSINT_HOOK
-    _ABSINT_HOOK = hook
-
-
-def plan_annotator() -> Callable[[Expr, "PlanNode"], Any] | None:
-    """The installed annotation hook, if any."""
-    return _ABSINT_HOOK
 
 
 def _lineage_store(node: "PlanNode") -> LineageStore | None:
@@ -343,9 +322,6 @@ def explain_plan(node: PlanNode, with_stats: bool = True) -> str:
         line = tail + _clip(current.describe())
         if getattr(current, "backend", "row") != "row":
             line += " <columnar>"
-        proof = getattr(current, "proof", None)
-        if proof:
-            line += f" proof={_clip(proof, 64)}"
         store = current.lineage
         if store is not None and len(store):
             line += f" lineage={len(store)}"
@@ -1471,17 +1447,7 @@ class ColumnarRestrictNode(ColumnarNode):
         self.predicate = predicate
         self.alias = alias
         self.template = template
-        #: Human-readable summary of the hazard proofs that elided guards
-        #: in the compiled kernel (shown as ``proof=`` in EXPLAIN).
-        self.proof: str | None = None
-        hazards = None
-        if _ABSINT_HOOK is not None:
-            hazards = _ABSINT_HOOK(predicate, child)
-            if hazards is not None and len(hazards):
-                self.proof = hazards.proof_text()
-        self._compiled = compile_predicate(
-            predicate, child.schema, hazards=hazards
-        )
+        self._compiled = compile_predicate(predicate, child.schema)
 
     @property
     def compiled(self) -> bool:

@@ -69,7 +69,7 @@ DEFAULT_MAX_MAPPINGS = 1_000_000
 oldest entry for each new one (counted in ``lineage.dropped``)."""
 
 #: Counter declaration tuples, importable by ``repro stats`` so cold JSON
-#: output pre-registers the lineage counters (the PROOFS_COUNTER pattern).
+#: output pre-registers the lineage counters.
 MAPPINGS_COUNTER = (
     "lineage.mappings", "lineage mappings recorded by plan operators")
 DROPPED_COUNTER = (

@@ -1,8 +1,8 @@
 """The row backend: the semantic reference for every engine demand.
 
 An engine demand runs :func:`repro.dbms.plan_rewrite.optimize_plan` on each
-unstarted plan, which merges and pushes restricts and moves worthwhile
-subtrees onto the columnar kernels.  :func:`row_backend` patches that call
+unstarted plan, which moves worthwhile subtrees onto the columnar
+kernels.  :func:`row_backend` patches that call
 to the identity, so plans execute exactly as the boxes emitted them, one
 tuple at a time on the row operators.  The equivalence suites
 (tests/test_cache_property.py, tests/test_columnar.py,

@@ -1,43 +1,29 @@
 """Abstract interpretation (repro.analyze.absint): domains, hazard proofs,
-guard elision, certified rewrites (T2-W204/T2-W205), and deep program
-checking (T2-I301)."""
+and deep program checking (T2-W204/T2-W205/T2-I301)."""
 
 from __future__ import annotations
 
 import gc
-import math
 import weakref
 
 import numpy as np
 import pytest
 
-from repro.analyze import absint
 from repro.analyze.absint import (
     AbstractValue,
     HazardProofs,
     Interval,
     abstract_eval,
-    absint_enabled,
-    absint_rewrite_plan,
     analyze_hazards,
     check_program_deep,
     env_from_stats,
-    install_from_env,
-    plan_column_facts,
-    set_absint_enabled,
-    top_env,
 )
 from repro.analyze.diagnostics import CODES, register_code
-from repro.analyze.planverify import assert_valid_plan
-from repro.dbms import plan as P
 from repro.dbms import types as T
 from repro.dbms.catalog import stats_for
-from repro.dbms.expr import Binary, Call, FieldRef, Literal
-from repro.dbms.parser import parse_expression, parse_predicate
-from repro.dbms.plan_rewrite import columnarize_plan, optimize_plan
+from repro.dbms.parser import parse_expression
 from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Schema
-from repro.obs import global_registry
 
 NUMS = Schema([("n", "int"), ("x", "float"), ("label", "text")])
 
@@ -53,14 +39,6 @@ def ev(source: str, env=None, schema: Schema = NUMS, proofs=None):
     return abstract_eval(
         parse_expression(source, schema), env or {}, schema, proofs
     )
-
-
-@pytest.fixture(autouse=True)
-def _absint_off():
-    """Every test starts (and ends) with the interpreter uninstalled."""
-    set_absint_enabled(False)
-    yield
-    set_absint_enabled(False)
 
 
 class TestInterval:
@@ -268,198 +246,6 @@ class TestEntryFacts:
         del rows, stats, probe
         gc.collect()
         assert freed() is None    # computing stats did not pin the rows
-
-
-class TestPlanColumnFacts:
-    def test_scan_uses_stats(self):
-        facts = plan_column_facts(P.ScanNode(num_rows(10)))
-        assert facts["n"].interval == Interval(0, 9)
-
-    def test_restrict_refines(self):
-        scan = P.ScanNode(num_rows(10))
-        node = P.RestrictNode(scan, parse_predicate("n > 5", NUMS))
-        facts = plan_column_facts(node)
-        assert facts["n"].interval == Interval(5, 9)
-
-    def test_project_and_rename(self):
-        scan = P.ScanNode(num_rows(10))
-        project = P.ProjectNode(scan, ["n"])
-        assert set(plan_column_facts(project)) == {"n"}
-        renamed = P.RenameNode(scan, "n", "m")
-        assert plan_column_facts(renamed)["m"].interval == Interval(0, 9)
-
-    def test_row_subset_ops_pass_through(self):
-        scan = P.ScanNode(num_rows(10))
-        node = P.LimitNode(P.OrderByNode(scan, ["n"]), 3)
-        assert plan_column_facts(node)["n"].interval == Interval(0, 9)
-
-    def test_unknown_op_is_typed_top_not_none(self):
-        join = P.HashJoinNode(
-            P.ScanNode(num_rows(3)), P.ScanNode(num_rows(3)), "n", "n"
-        )
-        facts = plan_column_facts(join)
-        assert set(facts) == set(join.schema.names)
-        assert all(v is not None for v in facts.values())
-
-    def test_lazy_scan_is_not_forced(self):
-        lazy = P.LazyRowSet(P.ScanNode(num_rows(10)))
-        facts = plan_column_facts(P.ScanNode(lazy))
-        assert facts["n"].interval == Interval(0, 9)
-        assert not lazy.has_started
-
-
-class TestGuardElision:
-    """End-to-end: enabling the interpreter elides proven guards while
-    producing identical rows, and EXPLAIN shows the proof."""
-
-    PREDICATE = "x / (x * x + 1.0) > 0.25"
-
-    def _plan(self):
-        scan = P.ScanNode(num_rows(50))
-        return P.RestrictNode(scan, parse_predicate(self.PREDICATE, NUMS))
-
-    def test_rows_identical_with_and_without(self):
-        baseline, _ = columnarize_plan(self._plan())
-        rows_off = list(baseline.execute())
-        set_absint_enabled(True)
-        proven, _ = columnarize_plan(self._plan())
-        rows_on = list(proven.execute())
-        assert rows_on == rows_off
-
-    def test_proof_attached_and_counters_advance(self):
-        proofs_before = global_registry().counter(
-            *absint.PROOFS_COUNTER).value()
-        from repro.dbms.expr_compile import ELIDED_COUNTER
-
-        elided_before = global_registry().counter(*ELIDED_COUNTER).value()
-        set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan())
-        restrict = plan.children[0]
-        assert isinstance(restrict, P.ColumnarRestrictNode)
-        assert restrict.proof is not None and "div_zero" in restrict.proof
-        assert global_registry().counter(
-            *absint.PROOFS_COUNTER).value() > proofs_before
-        assert global_registry().counter(
-            *ELIDED_COUNTER).value() > elided_before
-
-    def test_explain_text_shows_proof(self):
-        set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan())
-        assert "proof=" in P.explain_plan(plan)
-
-    def test_explain_json_shows_proof(self):
-        from repro.dataflow.explain import _plan_to_dict
-
-        set_absint_enabled(True)
-        plan, _ = columnarize_plan(self._plan())
-        tree = _plan_to_dict(plan, [0])
-        assert tree["children"][0]["proof"]
-
-    def test_no_proof_without_interpreter(self):
-        plan, _ = columnarize_plan(self._plan())
-        assert plan.children[0].proof is None
-        assert "proof=" not in P.explain_plan(plan)
-
-    def test_enable_disable_roundtrip(self):
-        assert absint_enabled() is False
-        assert set_absint_enabled(True) is False
-        assert absint_enabled() is True
-        assert set_absint_enabled(False) is True
-        assert absint_enabled() is False
-
-    def test_install_from_env(self):
-        assert install_from_env({}) is False
-        assert not absint_enabled()
-        assert install_from_env({"REPRO_ABSINT": "1"}) is True
-        assert absint_enabled()
-
-
-class TestCertifiedRewrites:
-    """T2-W204 / T2-W205: dead predicates and statically empty subtrees."""
-
-    def test_always_true_restrict_removed(self):
-        scan = P.ScanNode(num_rows(10))
-        node = P.RestrictNode(scan, parse_predicate("n >= 0", NUMS))
-        log: list[str] = []
-        rewritten, _ = absint_rewrite_plan(node, log)
-        assert rewritten is scan
-        assert any("T2-W204" in line for line in log)
-
-    def test_always_false_restrict_becomes_empty_scan(self):
-        node = P.RestrictNode(
-            P.ScanNode(num_rows(10)), parse_predicate("n > 100", NUMS)
-        )
-        log: list[str] = []
-        rewritten, _ = absint_rewrite_plan(node, log)
-        assert isinstance(rewritten, P.ScanNode)
-        assert len(rewritten.execute()) == 0
-        assert rewritten.schema == node.schema
-        assert any("T2-W205" in line for line in log)
-
-    def test_emptiness_propagates_through_closed_ops(self):
-        dead = P.RestrictNode(
-            P.ScanNode(num_rows(10)), parse_predicate("n > 100", NUMS)
-        )
-        plan = P.OrderByNode(P.ProjectNode(dead, ["n"]), ["n"])
-        rewritten, log = absint_rewrite_plan(plan)
-        assert isinstance(rewritten, P.ScanNode)
-        assert rewritten.schema.names == ("n",)
-
-    def test_empty_join_input_prunes_join(self):
-        dead = P.RestrictNode(
-            P.ScanNode(num_rows(5)), parse_predicate("n > 100", NUMS)
-        )
-        join = P.HashJoinNode(dead, P.ScanNode(num_rows(5)), "n", "n")
-        rewritten, log = absint_rewrite_plan(join)
-        assert isinstance(rewritten, P.ScanNode)
-        assert rewritten.schema == join.schema
-        assert any("T2-W205" in line for line in log)
-
-    def test_empty_union_arm_dropped(self):
-        live = P.ScanNode(num_rows(5))
-        dead = P.RestrictNode(
-            P.ScanNode(num_rows(5)), parse_predicate("n > 100", NUMS)
-        )
-        union = P.UnionNode(dead, live)
-        rewritten, _ = absint_rewrite_plan(union)
-        assert rewritten is live
-
-    def test_uncertain_predicate_untouched(self):
-        node = P.RestrictNode(
-            P.ScanNode(num_rows(10)), parse_predicate("n > 5", NUMS)
-        )
-        rewritten, log = absint_rewrite_plan(node)
-        assert rewritten is node and log == []
-
-    def test_cache_never_pruned(self):
-        cache = P.CacheNode(P.LazyRowSet(P.ScanNode(num_rows(0))))
-        rewritten, _ = absint_rewrite_plan(cache)
-        assert rewritten is cache
-
-    def test_optimize_plan_applies_and_verifier_certifies(self):
-        set_absint_enabled(True)
-        P.set_plan_verifier(assert_valid_plan)
-        try:
-            plan = P.ProjectNode(
-                P.RestrictNode(
-                    P.ScanNode(num_rows(20)), parse_predicate("n >= 0", NUMS)
-                ),
-                ["n"],
-            )
-            optimized, log = optimize_plan(plan)
-            assert any("absint" in line for line in log)
-            assert list(optimized.execute()) == list(
-                P.ProjectNode(P.ScanNode(num_rows(20)), ["n"]).execute()
-            )
-        finally:
-            P.set_plan_verifier(None)
-
-    def test_optimize_plan_untouched_when_disabled(self):
-        plan = P.RestrictNode(
-            P.ScanNode(num_rows(10)), parse_predicate("n >= 0", NUMS)
-        )
-        optimized, log = optimize_plan(plan)
-        assert not any("absint" in line for line in log)
 
 
 class TestDiagnosticCatalog:

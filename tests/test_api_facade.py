@@ -8,7 +8,6 @@ and deep module imports keep working for internal use.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro
@@ -46,6 +45,18 @@ class TestFacadeSurface:
                      "set_default_columnar_config"):
             assert name not in api.__all__
             assert not hasattr(api, name)
+
+    def test_removed_absint_knobs_are_gone(self):
+        # The runtime abstract-interpretation switch went with the plan
+        # rewrites it fed (docs/API.md, "Deprecations").
+        from repro import analyze
+        from repro.analyze import absint
+
+        for name in ("absint_enabled", "set_absint_enabled"):
+            assert name not in api.__all__
+            assert not hasattr(api, name)
+            assert name not in analyze.__all__
+            assert not hasattr(absint, name)
 
     def test_box_catalog_exported(self):
         for name in ("AddTableBox", "RestrictBox", "ProjectBox", "JoinBox",
@@ -111,26 +122,12 @@ class TestEndToEndThroughFacade:
         assert all(row["latitude"] > 40 for row in rows)
 
 
-class TestDeprecatedWorkersKnob:
-    def test_workers_warns_and_renders_identically(self):
-        scenario = api.build_fig4_station_map(api.open_db("weather"))
-        session = scenario.session
-        window = scenario.window()
-        baseline = window.render().pixels.copy()
-        with pytest.warns(DeprecationWarning, match="workers"):
-            session.engine = api.Engine(session.program, session.database,
-                                        workers=4)
-        assert np.array_equal(window.render().pixels, baseline)
-
-
-class TestDeprecatedColumnarKnob:
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_columnar_warns_and_renders_identically(self, columnar):
-        scenario = api.build_fig4_station_map(api.open_db("weather"))
-        session = scenario.session
-        window = scenario.window()
-        baseline = window.render().pixels.copy()
-        with pytest.warns(DeprecationWarning, match="columnar"):
-            session.engine = api.Engine(session.program, session.database,
-                                        columnar=columnar)
-        assert np.array_equal(window.render().pixels, baseline)
+class TestRemovedEngineKnobs:
+    @pytest.mark.parametrize("knob", [
+        pytest.param({"workers": 4}, id="workers"),
+        pytest.param({"columnar": True}, id="columnar-True"),
+        pytest.param({"columnar": False}, id="columnar-False"),
+    ])
+    def test_removed_knob_raises_type_error(self, knob):
+        with pytest.raises(TypeError):
+            api.Engine(api.Program("knobs"), api.open_db(), **knob)

@@ -520,18 +520,6 @@ class TestOptimizerOnDemand:
                for node in walk_tree(plan["tree"])}
         assert ("HashJoin", "columnar") in ops
 
-    def test_always_true_restrict_removed_under_absint(self, stations_db):
-        from repro.analyze.absint import set_absint_enabled
-        from repro.dataflow.boxes_db import RestrictBox
-
-        previous = set_absint_enabled(True)
-        try:
-            tree = self.demand(stations_db,
-                               RestrictBox(predicate="altitude > -1000.0"))
-        finally:
-            set_absint_enabled(previous)
-        assert "Restrict" not in {node["op"] for node in walk_tree(tree)}
-
 
 FIGURES = [
     "build_fig1_table_view",

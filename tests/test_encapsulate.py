@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core import Session
 from repro.dataflow.boxes_attr import SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox, ProjectBox, RestrictBox, SampleBox
 from repro.dataflow.encapsulate import EncapsulatedBox, HoleBox, collapse, encapsulate
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
 from repro.dataflow.program_ops import register_encapsulated
+from repro.dbms.catalog import Database
+from repro.dbms.tuples import Schema
+from repro.dbms.update import ScriptedDialog, generic_update
 from repro.errors import GraphError
 
 
@@ -174,3 +179,70 @@ class TestCollapse:
         assert new_id in program
         result = Engine(program, stations_db).output_of(tail)
         assert len(result.rows) == 3
+
+
+class TestInnerTableChanges:
+    """An encapsulated box's memo entry sees the tables its inner program
+    reads: a long-lived engine answers like a fresh one after a write."""
+
+    @staticmethod
+    def table_db() -> Database:
+        db = Database()
+        db.create_table(
+            "T", Schema([("name", "text"), ("n", "int")])
+        ).insert_many([{"name": "a", "n": 1}, {"name": "b", "n": 2}])
+        return db
+
+    @staticmethod
+    def names(engine: Engine, box_id: int) -> list[str]:
+        return [row["name"] for row in engine.output_of(box_id, "out1").rows]
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_insert_reaches_long_lived_engine(self, nested):
+        db = self.table_db()
+        program = Program()
+        src = program.add_box(AddTableBox(table="T"))
+        keep = program.add_box(RestrictBox(predicate="n > 0"))
+        program.connect(src, "out", keep, "in")
+        new_id, __ = collapse(program, {src, keep}, "enc")
+        if nested:
+            tail = program.add_box(ProjectBox(fields=["name"]))
+            program.connect(new_id, "out1", tail, "in")
+            new_id, __ = collapse(program, {new_id, tail}, "outer")
+        engine = Engine(program, db)
+        assert self.names(engine, new_id) == ["a", "b"]
+        db.table("T").insert({"name": "c", "n": 3})
+        assert self.names(engine, new_id) == ["a", "b", "c"]
+        assert self.names(Engine(program, db), new_id) == ["a", "b", "c"]
+
+    def test_session_render_after_generic_update(self, stations_db):
+        def build(session: Session):
+            stations = session.add_table("Stations")
+            keep = session.add_box("Restrict", {"predicate": "state = 'LA'"})
+            session.connect(stations, "out", keep, "in")
+            enc, __ = collapse(session.program, {stations, keep}, "la")
+            tail, port = enc, "out1"
+            for name, definition in (
+                ("x", "longitude"), ("y", "latitude"),
+                ("display", "filled_circle(3, 'blue')"),
+            ):
+                box = session.add_box(
+                    "SetAttribute", {"name": name, "definition": definition}
+                )
+                session.connect(tail, port, box, "in")
+                tail, port = box, "out"
+            session.add_viewer(tail, name="map", width=200, height=160)
+            session.pan_to("map", -91.8, 31.0)
+            session.set_elevation("map", 8.0)
+            return session.window("map")
+
+        window = build(Session(stations_db))
+        before = window.render().pixels.copy()
+        table = stations_db.table("Stations")
+        row = next(row for row in table if row["name"] == "Baton Rouge")
+        assert generic_update(
+            table, row, ScriptedDialog({"state": "TX"})).applied
+        after = window.render().pixels
+        assert not np.array_equal(after, before)
+        fresh = build(Session(stations_db)).render().pixels
+        assert np.array_equal(after, fresh)

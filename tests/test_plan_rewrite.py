@@ -1,9 +1,8 @@
-"""Unit + property tests: plan-IR rewrites (repro.dbms.plan_rewrite)."""
+"""Property tests: plan optimization (repro.dbms.plan_rewrite)."""
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -35,94 +34,12 @@ def restrict(child: P.PlanNode, source: str) -> P.RestrictNode:
     return P.RestrictNode(child, parse_predicate(source, child.schema))
 
 
-def rewrite(plan: P.PlanNode) -> tuple[P.PlanNode, list[str]]:
-    """``optimize_plan`` read back as the rewritten row plan.
-
-    The pass ends by moving worthwhile subtrees onto columnar kernels; each
-    kernel keeps the row operator it replaced as its ``template``, so the
-    row plan the rules produced is the template under the ToRows adapter.
-    Backend choices are dropped from the log.
-    """
-    optimized, log = optimize_plan(plan)
-    if isinstance(optimized, P.ToRowsNode):
-        optimized = optimized.children[0].template
-    return optimized, [line for line in log
-                       if not line.startswith("columnarized")]
-
-
-class TestRewriteRules:
-    def test_merges_adjacent_restricts(self):
-        plan = restrict(restrict(P.ScanNode(rows()), "a > 2"), "a < 8")
-        optimized, log = rewrite(plan)
-        assert isinstance(optimized, P.RestrictNode)
-        assert isinstance(optimized.children[0], P.ScanNode)
-        assert any("merged adjacent restricts" in line for line in log)
-
-    def test_pushes_restrict_below_rename(self):
-        renamed = P.RenameNode(P.ScanNode(rows()), "a", "alpha")
-        plan = restrict(renamed, "alpha > 4")
-        optimized, log = rewrite(plan)
-        assert isinstance(optimized, P.RenameNode)
-        inner = optimized.children[0]
-        assert isinstance(inner, P.RestrictNode)
-        assert "(a > 4)" in inner.describe()  # predicate rewritten to old name
-        assert any("pushed restrict below Rename" in line for line in log)
-
-    def test_pushes_restrict_below_project_orderby_distinct(self):
-        chain = P.DistinctNode(
-            P.OrderByNode(P.ProjectNode(P.ScanNode(rows()), ["a", "b"]), ["b"])
-        )
-        plan = restrict(chain, "a > 4")
-        optimized, __ = rewrite(plan)
-        # The restrict sank to just above the scan.
-        node = optimized
-        kinds = []
-        while True:
-            kinds.append(type(node).__name__)
-            if not node.children:
-                break
-            node = node.children[0]
-        assert kinds == [
-            "DistinctNode", "OrderByNode", "ProjectNode",
-            "RestrictNode", "ScanNode",
-        ]
-
-    def test_blocked_by_union(self):
-        union = P.UnionNode(P.ScanNode(rows(seed=1)), P.ScanNode(rows(seed=2)))
-        plan = restrict(union, "a > 4")
-        optimized, log = rewrite(plan)
-        assert isinstance(optimized, P.RestrictNode)
-        assert isinstance(optimized.children[0], P.UnionNode)
-        assert log == []
-
-    def test_blocked_by_group_by(self):
-        grouped = P.GroupByNode(
-            P.ScanNode(rows()), ["tag"], [("count", "a", "c")]
-        )
-        plan = restrict(grouped, "c > 1")
-        optimized, log = rewrite(plan)
-        assert isinstance(optimized, P.RestrictNode)
-        assert isinstance(optimized.children[0], P.GroupByNode)
-        assert log == []
-
-    def test_blocked_by_sample_limit_and_cache(self):
-        for child in (
-            P.SampleNode(P.ScanNode(rows()), 0.5, seed=1),
-            P.LimitNode(P.ScanNode(rows()), 5),
-            P.CacheNode(P.LazyRowSet(P.ScanNode(rows()))),
-        ):
-            plan = restrict(child, "a > 4")
-            optimized, log = rewrite(plan)
-            assert type(optimized.children[0]) is type(child)
-            assert log == []
-
-
 def random_plan(rng: random.Random, depth: int = 4) -> P.PlanNode:
     """A random single-branch plan over a random base row set.
 
     Samples only semantics-stable operators (no Bernoulli sampling without a
     seed; everything here is deterministic), stacking restricts and renames
-    so the rewriter has real work to do.
+    so backend selection has regions to find.
     """
     node: P.PlanNode = P.ScanNode(rows(count=rng.randrange(0, 30), seed=rng.random()))
     renamed = False
@@ -152,10 +69,10 @@ def random_plan(rng: random.Random, depth: int = 4) -> P.PlanNode:
 
 
 @pytest.mark.parametrize("seed", range(30))
-def test_property_optimize_preserves_row_multiset(seed):
+def test_property_optimize_preserves_rows_in_order(seed):
     rng = random.Random(seed)
     plan = random_plan(rng)
-    baseline = Counter(row.values for row in plan.execute())
+    baseline = [row.values for row in plan.execute()]
     optimized, __ = optimize_plan(random_plan(random.Random(seed)))
-    assert Counter(row.values for row in optimized.execute()) == baseline
+    assert [row.values for row in optimized.execute()] == baseline
     assert optimized.schema.names == plan.schema.names
