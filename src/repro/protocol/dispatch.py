@@ -332,10 +332,13 @@ class CommandExecutor:
         self._frame_seq[command.window] = seq
         data: str | None = None
         ops: dict[str, Any] | None = None
-        if command.format == "ppm":
-            data = base64.b64encode(canvas.ppm_bytes()).decode("ascii")
-        elif command.format == "png":
-            data = base64.b64encode(canvas.png_bytes()).decode("ascii")
+        if command.format in ("ppm", "png"):
+            with current_tracer().span("frame.encode",
+                                       format=command.format) as span:
+                encoded = (canvas.png_bytes() if command.format == "png"
+                           else canvas.ppm_bytes())
+                span.set(bytes=len(encoded))
+                data = base64.b64encode(encoded).decode("ascii")
         else:
             ops = self._ops_delta(command.window, window)
         hits = registry.counter("cache.hit").total() - hits_before

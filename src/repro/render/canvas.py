@@ -14,8 +14,17 @@ painted with one numpy write.  ``tests/raster_reference.py`` holds the
 per-pixel and per-row loops they must match (``reference_fill_circle`` for
 the discs).
 
+PNG export (:meth:`Canvas.png_bytes`) reads the whole frame once, to find
+the painted pixels; packing their palette indices costs time in proportion
+to them, and deflate sees a fixed-size, mostly zero index image.
+``reference_png_bytes`` in ``tests/png_reference.py`` is the dense encoder
+whose bytes it must equal.
+
 All coordinates are float pixels (x right, y down) and are clipped to the
-canvas bounds; drawing off-canvas is silently partial, never an error.
+canvas bounds; drawing off-canvas is silently partial, never an error.  A
+primitive with an infinite or NaN coordinate, or a circle outline with such
+a radius, still counts as a draw op but paints nothing, as
+:meth:`Canvas.fill_circles` does for such a centre.
 """
 
 from __future__ import annotations
@@ -38,43 +47,48 @@ WHITE: Color = (255, 255, 255)
 BLACK: Color = (0, 0, 0)
 
 
+def all_finite(*values: float) -> bool:
+    """Whether every coordinate is finite; a primitive paints nothing at an
+    infinite or NaN coordinate (also used by the SVG surface)."""
+    return all(map(math.isfinite, values))
+
+
 def _color_key(color: Color) -> int:
     """The 24-bit key of one colour: ``r | g << 8 | b << 16``."""
     r, g, b = color
     return r | g << 8 | b << 16
 
 
-def _pixel_keys(pixels: np.ndarray) -> np.ndarray:
-    """Every pixel's 24-bit colour key (see :func:`_color_key`), shape (h, w).
+def _painted_pixels(pixels: np.ndarray,
+                    background: Color) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major flat positions, ascending, and the 24-bit keys (see
+    :func:`_color_key`) of the pixels that differ from ``background``.
 
-    One pass: an unaligned little-endian ``uint32`` view at a 3-byte stride
-    reads each pixel plus the next pixel's red byte, which the mask drops.
-    The last pixel has no next byte, so it is keyed on its own.
+    One dense pass reads the pixels in blocks of eight, 24 bytes each, as
+    three ``uint64`` words, and compares them with the background's words;
+    a grey background is one word value, so its comparison is one
+    contiguous scalar pass.  Only the blocks that differ, and the last
+    ``count % 8`` pixels that fill no block, are keyed, so all work after
+    that pass is proportional to the painted pixels.
     """
     height, width, _ = pixels.shape
-    flat = np.ascontiguousarray(pixels).reshape(-1)
     count = height * width
-    keys = np.empty(count, dtype=np.uint32)
-    keys[:-1] = np.ndarray((count - 1,), dtype="<u4", buffer=flat,
-                           strides=(3,))
-    keys &= 0xFFFFFF
-    keys[-1] = _color_key(tuple(int(v) for v in flat[-3:]))
-    return keys.reshape(height, width)
-
-
-def _pack_indices(index: np.ndarray, depth: int) -> np.ndarray:
-    """Pack palette indices into PNG scanline bytes, leftmost pixel in the
-    high-order bits; rows are padded to whole bytes."""
-    if depth == 1:
-        return np.packbits(index, axis=1)
-    per_byte = 8 // depth
-    height, width = index.shape
-    padded = np.zeros((height, -(-width // per_byte) * per_byte), np.uint8)
-    padded[:, :width] = index
-    packed = padded[:, 0::per_byte] << (8 - depth)
-    for slot in range(1, per_byte):
-        packed |= padded[:, slot::per_byte] << (8 - depth * (slot + 1))
-    return packed
+    flat = np.ascontiguousarray(pixels).reshape(count, 3)
+    blocks = count // 8
+    words = flat[:blocks * 8].reshape(-1).view(np.uint64).reshape(blocks, 3)
+    pattern = np.frombuffer(bytes(background) * 8, dtype=np.uint64)
+    r, g, b = background
+    differs = words != (pattern[0] if r == g == b else pattern)
+    # The differing words of one block are adjacent: keep each block once.
+    hits = np.flatnonzero(differs) // 3
+    hits = hits[np.diff(hits, prepend=-1) != 0]
+    candidates = np.concatenate(((hits[:, None] * 8 + np.arange(8)).ravel(),
+                                 np.arange(blocks * 8, count)))
+    rgb = np.concatenate((words[hits].view(np.uint8).reshape(-1, 3),
+                          flat[blocks * 8:])).astype(np.uint32)
+    keys = rgb[:, 0] | rgb[:, 1] << 8 | rgb[:, 2] << 16
+    painted = keys != _color_key(background)
+    return candidates[painted], keys[painted]
 
 
 #: x and y signs of the four mirror images of an octant point; the other
@@ -130,6 +144,8 @@ class Canvas:
         return 0 <= x < self.width and 0 <= y < self.height
 
     def set_pixel(self, x: float, y: float, color: Color) -> None:
+        if not all_finite(x, y):
+            return
         xi, yi = int(round(x)), int(round(y))
         if self.in_bounds(xi, yi):
             self.pixels[yi, xi] = color
@@ -142,17 +158,13 @@ class Canvas:
 
     def count_nonbackground(self) -> int:
         """Number of painted pixels — the workhorse assertion in tests."""
-        keys = _pixel_keys(self.pixels)
-        return int(np.count_nonzero(keys != _color_key(self.background)))
+        return len(_painted_pixels(self.pixels, self.background)[0])
 
     def colors_used(self) -> set[Color]:
         """Distinct non-background colors present on the canvas."""
-        keys = _pixel_keys(self.pixels)
-        painted = keys[keys != _color_key(self.background)]
-        return {
-            (int(k) & 0xFF, int(k) >> 8 & 0xFF, int(k) >> 16)
-            for k in np.unique(painted)
-        }
+        _, keys = _painted_pixels(self.pixels, self.background)
+        return {(k & 0xFF, k >> 8 & 0xFF, k >> 16)
+                for k in np.unique(keys).tolist()}
 
     def region_nonbackground(self, x0: int, y0: int, x1: int, y1: int) -> int:
         """Painted pixels within a clipped rectangle."""
@@ -162,8 +174,8 @@ class Canvas:
         y1 = min(self.height, y1)
         if x0 >= x1 or y0 >= y1:
             return 0
-        keys = _pixel_keys(self.pixels[y0:y1, x0:x1])
-        return int(np.count_nonzero(keys != _color_key(self.background)))
+        return len(_painted_pixels(self.pixels[y0:y1, x0:x1],
+                                   self.background)[0])
 
     # ------------------------------------------------------------------
     # Primitives
@@ -224,6 +236,8 @@ class Canvas:
         lies within the stroke's half width of the canvas.
         """
         self.draw_ops += 1
+        if not all_finite(x0, y0, x1, y1):
+            return
         ix0, iy0, ix1, iy1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
         sx = 1 if ix0 < ix1 else -1
         sy = 1 if iy0 < iy1 else -1
@@ -247,6 +261,10 @@ class Canvas:
     def draw_rect(
         self, x0: float, y0: float, x1: float, y1: float, color: Color, width: int = 1
     ) -> None:
+        if not all_finite(x0, y0, x1, y1):
+            # One op per edge, as drawn; no edge of it paints.
+            self.draw_ops += 4
+            return
         x0, x1 = min(x0, x1), max(x0, x1)
         y0, y1 = min(y0, y1), max(y0, y1)
         self.draw_line(x0, y0, x1, y0, color, width)
@@ -256,6 +274,8 @@ class Canvas:
 
     def fill_rect(self, x0: float, y0: float, x1: float, y1: float, color: Color) -> None:
         self.draw_ops += 1
+        if not all_finite(x0, y0, x1, y1):
+            return
         x0, x1 = min(x0, x1), max(x0, x1)
         y0, y1 = min(y0, y1), max(y0, y1)
         xi0 = max(0, int(round(x0)))
@@ -283,6 +303,8 @@ class Canvas:
         not the radius.
         """
         self.draw_ops += 1
+        if not all_finite(cx, cy, radius):
+            return
         r = int(round(radius))
         cxi, cyi = int(round(cx)), int(round(cy))
         if r <= 0:
@@ -381,13 +403,18 @@ class Canvas:
     ) -> None:
         if len(points) < 2:
             return
+        if not all_finite(*(v for point in points for v in point)):
+            # One op per edge, as drawn; no edge of it paints.
+            self.draw_ops += len(points)
+            return
         for (x0, y0), (x1, y1) in zip(points, points[1:] + points[:1]):
             self.draw_line(x0, y0, x1, y1, color, width)
 
     def fill_polygon(self, points: list[tuple[float, float]], color: Color) -> None:
         """Even-odd scanline fill."""
         self.draw_ops += 1
-        if len(points) < 3:
+        if len(points) < 3 or not all_finite(
+                *(v for point in points for v in point)):
             return
         ys = [p[1] for p in points]
         y0 = max(0, int(math.floor(min(ys))))
@@ -413,6 +440,8 @@ class Canvas:
         """Paint ``text`` with its top-left corner at (x, y): one masked
         write of the string's glyph mask (:func:`text_mask`), clipped."""
         self.draw_ops += 1
+        if not all_finite(x, y):
+            return
         left, top = int(round(x)), int(round(y))
         mask = text_mask(text)
         x0, y0 = max(0, left), max(0, top)
@@ -429,6 +458,8 @@ class Canvas:
     def blit(self, other: "Canvas", x: float, y: float) -> None:
         """Paint another canvas onto this one with top-left at (x, y)."""
         self.draw_ops += 1
+        if not all_finite(x, y):
+            return
         xi, yi = int(round(x)), int(round(y))
         src_x0 = max(0, -xi)
         src_y0 = max(0, -yi)
@@ -470,17 +501,31 @@ class Canvas:
         the default strategy's time for a few percent more bytes.  RGB
         scanlines keep the default strategy, whose distant matches they
         need (RLE can be 10x larger there).
+
+        Cost: one comparison pass over the frame's bytes
+        (:func:`_painted_pixels`), then work in proportion to the painted
+        pixels (their keys, palette indices and packed bits), then deflate
+        over ``height * (1 + row bytes)`` bytes of scanlines.  The dense
+        index image and its copies are never built.
         """
-        keys = _pixel_keys(self.pixels)
-        background = _color_key(self.background)
-        painted = keys != background
-        colors, inverse = np.unique(keys[painted], return_inverse=True)
+        positions, keys = _painted_pixels(self.pixels, self.background)
+        colors = np.unique(keys)
         if len(colors) < 256:
-            palette = np.concatenate(([background], colors)).astype(np.uint32)
+            palette = np.concatenate(
+                ([_color_key(self.background)], colors)).astype(np.uint32)
             depth = next(d for d in (1, 2, 4, 8) if len(palette) <= 1 << d)
-            index = np.zeros(keys.shape, dtype=np.uint8)
-            index[painted] = inverse + 1
-            scanlines = _pack_indices(index, depth)
+            per_byte = 8 // depth
+            # Each scanline is filter byte 0 (None), then the indices
+            # packed leftmost pixel in the high-order bits, padded to a
+            # whole byte.  The background is index 0, so only painted
+            # pixels set bits; pixels that share a byte set disjoint bits.
+            stride = 1 + -(-self.width // per_byte)
+            raw = np.zeros(self.height * stride, dtype=np.uint8)
+            row, col = np.divmod(positions, self.width)
+            index = np.searchsorted(colors, keys) + 1
+            shift = 8 - depth - depth * (col % per_byte)
+            np.bitwise_or.at(raw, row * stride + 1 + col // per_byte,
+                             (index << shift).astype(np.uint8))
             rgb = np.stack(
                 [palette & 0xFF, palette >> 8 & 0xFF, palette >> 16], axis=1)
             color_type = 3
@@ -488,14 +533,12 @@ class Canvas:
             deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
         else:
             # PNG palettes hold at most 256 entries: fall back to RGB.
-            scanlines = self.pixels.reshape(self.height, self.width * 3)
+            raw = np.zeros((self.height, 1 + 3 * self.width), dtype=np.uint8)
+            raw[:, 1:] = self.pixels.reshape(self.height, -1)
             color_type, depth, plte = 2, 8, b""
             deflate = zlib.compressobj(6)
         header = struct.pack(">IIBBBBB", self.width, self.height, depth,
                              color_type, 0, 0, 0)
-        # Each scanline gets filter byte 0 (None).
-        raw = np.zeros((self.height, 1 + scanlines.shape[1]), dtype=np.uint8)
-        raw[:, 1:] = scanlines
         return (
             b"\x89PNG\r\n\x1a\n"
             + _png_chunk(b"IHDR", header)

@@ -11,6 +11,9 @@ glasses work because the scene builder constructs sub-surfaces with
 Use :meth:`Viewer.render` with a raster canvas for picking and pixel
 assertions; use :func:`render_svg`/:meth:`SvgCanvas.to_svg` when you want a
 scalable artifact to open in a browser.
+
+As on the raster canvas, a primitive with an infinite or NaN coordinate (or
+circle radius) emits nothing: SVG has no such numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from xml.sax.saxutils import escape
 
 from repro.display.drawables import Color, resolve_color
 from repro.errors import DisplayError
+from repro.render.canvas import all_finite
 from repro.render.font import CHAR_WIDTH
 
 __all__ = ["SvgCanvas", "render_svg"]
@@ -54,18 +58,24 @@ class SvgCanvas:
         self.elements.clear()
 
     def set_pixel(self, x: float, y: float, color: Color) -> None:
+        if not all_finite(x, y):
+            return
         self.elements.append(
             f'<rect x="{x - 0.5:.2f}" y="{y - 0.5:.2f}" width="1" height="1" '
             f'fill="{_rgb(color)}"/>'
         )
 
     def draw_line(self, x0, y0, x1, y1, color: Color, width: int = 1) -> None:
+        if not all_finite(x0, y0, x1, y1):
+            return
         self.elements.append(
             f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
             f'stroke="{_rgb(color)}" stroke-width="{width}"/>'
         )
 
     def draw_rect(self, x0, y0, x1, y1, color: Color, width: int = 1) -> None:
+        if not all_finite(x0, y0, x1, y1):
+            return
         x0, x1 = min(x0, x1), max(x0, x1)
         y0, y1 = min(y0, y1), max(y0, y1)
         self.elements.append(
@@ -75,6 +85,8 @@ class SvgCanvas:
         )
 
     def fill_rect(self, x0, y0, x1, y1, color: Color) -> None:
+        if not all_finite(x0, y0, x1, y1):
+            return
         x0, x1 = min(x0, x1), max(x0, x1)
         y0, y1 = min(y0, y1), max(y0, y1)
         self.elements.append(
@@ -83,6 +95,8 @@ class SvgCanvas:
         )
 
     def draw_circle(self, cx, cy, radius, color: Color, width: int = 1) -> None:
+        if not all_finite(cx, cy, radius):
+            return
         self.elements.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{max(radius, 0.5):.2f}" '
             f'fill="none" stroke="{_rgb(color)}" stroke-width="{width}"/>'
@@ -92,13 +106,18 @@ class SvgCanvas:
         self.fill_circles((cx,), (cy,), radius, color)
 
     def fill_circles(self, cx, cy, radius, color: Color) -> None:
-        """One ``<circle>`` per centre, in order."""
+        """One ``<circle>`` per finite centre, in order."""
+        if not all_finite(radius):
+            return
         tail = f'" r="{max(radius, 0.5):.2f}" fill="{_rgb(color)}"/>'
         self.elements.extend(
             f'<circle cx="{x:.2f}" cy="{y:.2f}{tail}' for x, y in zip(cx, cy)
+            if all_finite(x, y)
         )
 
     def draw_polygon(self, points, color: Color, width: int = 1) -> None:
+        if not all_finite(*(v for point in points for v in point)):
+            return
         joined = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         self.elements.append(
             f'<polygon points="{joined}" fill="none" '
@@ -106,6 +125,8 @@ class SvgCanvas:
         )
 
     def fill_polygon(self, points, color: Color) -> None:
+        if not all_finite(*(v for point in points for v in point)):
+            return
         joined = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         self.elements.append(
             f'<polygon points="{joined}" fill="{_rgb(color)}"/>'
@@ -114,6 +135,8 @@ class SvgCanvas:
     def draw_text(self, x, y, text: str, color: Color) -> None:
         # The raster path paints 5x7 glyphs with the top-left at (x, y);
         # match its metrics so layouts agree between surfaces.
+        if not all_finite(x, y):
+            return
         size = 9
         self.elements.append(
             f'<text x="{x:.2f}" y="{y + 7:.2f}" font-family="monospace" '
@@ -127,6 +150,8 @@ class SvgCanvas:
             raise DisplayError(
                 "SvgCanvas can only blit other SvgCanvas surfaces"
             )
+        if not all_finite(x, y):
+            return
         inner = "\n".join(other.elements)
         self.elements.append(
             f'<g transform="translate({x:.2f},{y:.2f})">'

@@ -1,10 +1,16 @@
-"""A minimal PNG decoder, the reference the canvas encoder is tested against.
+"""A minimal PNG decoder and the dense reference encoder that the canvas
+encoder is tested against.
 
-Handles what ``Canvas.png_bytes`` may emit: no interlacing, filter type 0
-on every scanline, colour type 2 (8-bit RGB) and colour type 3 (palette)
-at bit depths 1, 2, 4 and 8.  It uses only stdlib ``zlib`` and numpy and
-checks every chunk CRC, so a test that decodes a frame also checks the
-container.
+The decoder handles what ``Canvas.png_bytes`` may emit: no interlacing,
+filter type 0 on every scanline, colour type 2 (8-bit RGB) and colour type
+3 (palette) at bit depths 1, 2, 4 and 8.  It uses only stdlib ``zlib`` and
+numpy and checks every chunk CRC, so a test that decodes a frame also
+checks the container.
+
+:func:`reference_png_bytes` is the earlier dense encoder, kept as it was:
+it keys every pixel, builds the whole index image and packs it with strided
+shift-or passes.  ``Canvas.png_bytes`` must return the same bytes for every
+canvas.
 """
 
 from __future__ import annotations
@@ -15,6 +21,94 @@ import zlib
 import numpy as np
 
 SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+
+def _color_key(color) -> int:
+    """The 24-bit key of one colour: ``r | g << 8 | b << 16``."""
+    r, g, b = color
+    return r | g << 8 | b << 16
+
+
+def _pixel_keys(pixels: np.ndarray) -> np.ndarray:
+    """Every pixel's 24-bit colour key (see :func:`_color_key`), shape (h, w).
+
+    One pass: an unaligned little-endian ``uint32`` view at a 3-byte stride
+    reads each pixel plus the next pixel's red byte, which the mask drops.
+    The last pixel has no next byte, so it is keyed on its own.
+    """
+    height, width, _ = pixels.shape
+    flat = np.ascontiguousarray(pixels).reshape(-1)
+    count = height * width
+    keys = np.empty(count, dtype=np.uint32)
+    keys[:-1] = np.ndarray((count - 1,), dtype="<u4", buffer=flat,
+                           strides=(3,))
+    keys &= 0xFFFFFF
+    keys[-1] = _color_key(tuple(int(v) for v in flat[-3:]))
+    return keys.reshape(height, width)
+
+
+def _pack_indices(index: np.ndarray, depth: int) -> np.ndarray:
+    """Pack palette indices into PNG scanline bytes, leftmost pixel in the
+    high-order bits; rows are padded to whole bytes."""
+    if depth == 1:
+        return np.packbits(index, axis=1)
+    per_byte = 8 // depth
+    height, width = index.shape
+    padded = np.zeros((height, -(-width // per_byte) * per_byte), np.uint8)
+    padded[:, :width] = index
+    packed = padded[:, 0::per_byte] << (8 - depth)
+    for slot in range(1, per_byte):
+        packed |= padded[:, slot::per_byte] << (8 - depth * (slot + 1))
+    return packed
+
+
+def _png_chunk(tag: bytes, payload: bytes) -> bytes:
+    return (
+        struct.pack(">I", len(payload))
+        + tag
+        + payload
+        + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
+    )
+
+
+def reference_png_bytes(canvas) -> bytes:
+    """The PNG encoding of ``canvas`` by the dense reference encoder:
+    indexed colour when the frame has at most 256 colours (palette = the
+    background, then the other colours in ascending key order, at the
+    smallest depth that holds it, deflated with ``Z_RLE``), else 8-bit RGB
+    deflated with the default strategy."""
+    keys = _pixel_keys(canvas.pixels)
+    background = _color_key(canvas.background)
+    painted = keys != background
+    colors, inverse = np.unique(keys[painted], return_inverse=True)
+    if len(colors) < 256:
+        palette = np.concatenate(([background], colors)).astype(np.uint32)
+        depth = next(d for d in (1, 2, 4, 8) if len(palette) <= 1 << d)
+        index = np.zeros(keys.shape, dtype=np.uint8)
+        index[painted] = inverse + 1
+        scanlines = _pack_indices(index, depth)
+        rgb = np.stack(
+            [palette & 0xFF, palette >> 8 & 0xFF, palette >> 16], axis=1)
+        color_type = 3
+        plte = _png_chunk(b"PLTE", rgb.astype(np.uint8).tobytes())
+        deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    else:
+        # PNG palettes hold at most 256 entries: fall back to RGB.
+        scanlines = canvas.pixels.reshape(canvas.height, canvas.width * 3)
+        color_type, depth, plte = 2, 8, b""
+        deflate = zlib.compressobj(6)
+    header = struct.pack(">IIBBBBB", canvas.width, canvas.height, depth,
+                         color_type, 0, 0, 0)
+    # Each scanline gets filter byte 0 (None).
+    raw = np.zeros((canvas.height, 1 + scanlines.shape[1]), dtype=np.uint8)
+    raw[:, 1:] = scanlines
+    return (
+        SIGNATURE
+        + _png_chunk(b"IHDR", header)
+        + plte
+        + _png_chunk(b"IDAT", deflate.compress(raw) + deflate.flush())
+        + _png_chunk(b"IEND", b"")
+    )
 
 
 def chunks(data: bytes) -> list[tuple[bytes, bytes]]:

@@ -1,14 +1,17 @@
-"""The canvas PNG encoder against the reference decoder, and the colour-key
-canvas queries against their per-channel numpy definitions."""
+"""The canvas PNG encoder against the reference decoder and, byte for byte,
+against the dense reference encoder; the colour-key canvas queries against
+their per-channel numpy definitions."""
 
 from __future__ import annotations
 
+import random
 import zlib
 
 import numpy as np
 import pytest
 
-from png_reference import chunks, decode, header
+from png_reference import chunks, decode, header, reference_png_bytes
+from repro.api import PanTo, SetElevation, SetSlider
 from repro.core.scenarios import FIGURES
 from repro.data.weather import build_weather_database
 from repro.render.canvas import Canvas
@@ -32,7 +35,10 @@ def canvas_with_colors(total: int, width: int = 37) -> Canvas:
 
 
 def assert_round_trip(canvas: Canvas) -> bytes:
+    """Decode the canvas's PNG back to its pixels, and check that it is the
+    dense reference encoder's PNG, byte for byte."""
     data = canvas.png_bytes()
+    assert data == reference_png_bytes(canvas)
     info = header(data)
     assert (info["width"], info["height"]) == (canvas.width, canvas.height)
     np.testing.assert_array_equal(decode(data), canvas.pixels)
@@ -74,7 +80,7 @@ class TestSyntheticCanvases:
         assert_round_trip(painted)
         assert ihdr_format(painted) == (3, 1)
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 5, 6, 7, 9, 10, 13, 15])
+    @pytest.mark.parametrize("width", range(1, 18))
     @pytest.mark.parametrize("total", [2, 3, 5, 17])
     def test_widths_that_leave_partial_bytes(self, width, total):
         canvas = canvas_with_colors(total, width=width)
@@ -193,3 +199,120 @@ def test_figure_frames_decode_to_their_pixels(figure_db, figure):
         # Every figure draws a handful of named colours: always a palette.
         assert header(data)["color_type"] == 3
         assert_queries_match_reference(canvas)
+
+
+# -- more canvases, byte for byte against the dense reference encoder -------
+
+#: Colour counts, background included, on each side of every depth and of
+#: the 256-entry palette limit.
+COLOR_TOTALS = (1, 2, 3, 4, 5, 16, 17, 256, 257)
+#: Backgrounds: white (the default), another grey, and two non-greys.
+BACKGROUNDS = ((255, 255, 255), (37, 37, 37), (10, 200, 30), (0, 0, 1))
+
+
+def random_canvas(rng: random.Random, total: int) -> Canvas:
+    """A seeded canvas of at most 64x48 showing ``total`` distinct colours.
+
+    Widths are drawn freely, so rows end mid-byte at depths 1, 2 and 4.
+    The background is sometimes painted over entirely (absent from the
+    frame), and the last pixel is sometimes painted on purpose.
+    """
+    background = rng.choice(BACKGROUNDS)
+    cover = total > 1 and rng.random() < 0.15
+    # When the background is painted over, the frame needs ``total``
+    # other colours to show ``total``.
+    needed = total - 1 + cover
+    while True:
+        width, height = rng.randint(1, 64), rng.randint(1, 48)
+        if width * height >= needed:
+            break
+    canvas = Canvas(width, height, background=background)
+    colors: list[tuple[int, int, int]] = []
+    seen = {background}
+    while len(colors) < needed:
+        color = tuple(rng.randrange(256) for _ in range(3))
+        if color not in seen:
+            seen.add(color)
+            colors.append(color)
+    count = width * height
+    flat = canvas.pixels.reshape(-1, 3)
+    if cover:
+        # Every pixel painted: the background is the palette's unused entry.
+        for spot in range(count):
+            flat[spot] = colors[spot % len(colors)]
+    elif colors:
+        for spot in rng.choices(range(count), k=rng.randint(0, count)):
+            flat[spot] = rng.choice(colors)
+        if rng.random() < 0.3:
+            flat[-1] = rng.choice(colors)
+        # Painted last, so each colour keeps at least one pixel.
+        for spot, color in zip(rng.sample(range(count), len(colors)), colors):
+            flat[spot] = color
+    return canvas
+
+
+@pytest.mark.parametrize("total", COLOR_TOTALS)
+def test_random_canvases_match_reference_encoder(total):
+    rng = random.Random(total)
+    for _ in range(50):
+        canvas = random_canvas(rng, total)
+        assert_round_trip(canvas)
+        assert_queries_match_reference(canvas)
+        assert len(canvas.colors_used()) >= total - 1
+
+
+@pytest.mark.parametrize("background", BACKGROUNDS)
+@pytest.mark.parametrize("size", [(1, 1), (7, 1), (8, 1), (9, 3), (64, 48)])
+def test_blank_canvases_match_reference_encoder(background, size):
+    canvas = Canvas(*size, background=background)
+    assert_round_trip(canvas)
+    assert canvas.count_nonbackground() == 0
+    assert canvas.colors_used() == set()
+
+
+@pytest.fixture(scope="module")
+def full_db():
+    """The full weather database the server hosts."""
+    return build_weather_database()
+
+
+def map_view(rng: random.Random, window: str, full_altitude: bool) -> list:
+    """A view over Louisiana: pan, elevation and an altitude window."""
+    low = 0.0 if full_altitude else rng.uniform(0.0, 150.0)
+    high = 10_000.0 if full_altitude else low + rng.uniform(50.0, 300.0)
+    return [
+        PanTo(window=window, cx=rng.uniform(-94.0, -89.0),
+              cy=rng.uniform(29.0, 33.0)),
+        SetElevation(window=window, elevation=rng.uniform(1.0, 12.0)),
+        SetSlider(window=window, dim="Altitude", low=low, high=high),
+    ]
+
+
+def series_view(rng: random.Random) -> list:
+    """A view of one Louisiana station's band in the fig8 time series."""
+    station = rng.randint(1, 18)
+    return [
+        PanTo(window="tempseries", cx=rng.uniform(0.0, 401.0),
+              cy=station * 60.0 + rng.uniform(0.0, 50.0)),
+        SetElevation(window="tempseries", elevation=rng.uniform(80.0, 200.0)),
+    ]
+
+
+@pytest.mark.parametrize("figure,window", [
+    ("fig4", "stations"), ("fig7", "map"), ("fig8", "map"),
+    ("fig8", "tempseries"),
+])
+def test_replayed_frames_match_reference_encoder(full_db, figure, window):
+    session = FIGURES[figure](full_db).session
+    rng = random.Random(f"{figure}/{window}")
+    painted = 0
+    for _ in range(25):
+        view = (series_view(rng) if window == "tempseries"
+                else map_view(rng, window, full_altitude=figure == "fig8"))
+        for command in view:
+            assert session.execute(command).kind == "reply"
+        canvas = session.window(window).render()
+        assert (canvas.width, canvas.height) == (640, 480)
+        assert_round_trip(canvas)
+        painted += canvas.count_nonbackground()
+    assert painted > 0

@@ -447,6 +447,32 @@ def test_frame_cache_keeps_display_lists_not_pixels(cached_map_session):
     assert why_doc["mark"]["tuple_index"] == item.tuple_index
 
 
+@pytest.mark.parametrize("fmt", ["png", "ppm"])
+def test_frame_encode_span_only_on_cache_misses(cached_map_session, fmt):
+    # A miss encodes once, under one frame.encode span sized in encoded
+    # bytes; a FrameCache hit serves the stored bytes and encodes nothing.
+    session = cached_map_session
+    tracer = Tracer(enabled=True)
+    with push_tracer(tracer):
+        miss = session.render_frame("map", format=fmt)
+        encodes = tracer.finished("frame.encode")
+        assert len(encodes) == 1
+        assert encodes[0].attrs == {"format": fmt,
+                                    "bytes": len(miss.data_bytes())}
+        request = tracer.finished("request.render")[0]
+        assert encodes[0].parent_id == request.span_id
+        tracer.clear()
+        hit = session.render_frame("map", format=fmt)
+        assert hit.render_ms == 0.0
+        assert hit.data_bytes() == miss.data_bytes()
+        assert tracer.finished("frame.encode") == []
+    # ops frames are display-list deltas: nothing to encode.
+    with push_tracer(tracer):
+        tracer.clear()
+        session.render_frame("map", format="ops")
+        assert tracer.finished("frame.encode") == []
+
+
 def test_frames_with_live_magnifiers_are_not_cached(cached_map_session):
     # Magnifier overlays are composited into the encoded frame but are
     # session-local furniture outside the cache key — such frames must
