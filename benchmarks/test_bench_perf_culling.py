@@ -6,11 +6,20 @@ and off.  The shape claim: with culling, render cost tracks the few visible
 tuples; without it, every tuple's drawables are constructed and clipped.
 Culling is semantics-preserving (identical pixels — property-tested in
 tests/test_property_render.py).
+
+The display compiles to a mark table, so no-culling also measures the
+mark-table renderer over every row; the ratio arm gates it against the
+per-tuple reference loop (tests/cull_reference.py) in the same process.
 """
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import pytest
+
+from cull_reference import reference_culling
 
 from repro.dataflow.boxes_attr import SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox
@@ -91,3 +100,40 @@ def test_perf_culling_zoom_sweep(benchmark, scatter):
     rendered = benchmark(sweep)
     assert rendered[0] > rendered[-1]
     assert all(earlier >= later for earlier, later in zip(rendered, rendered[1:]))
+
+
+#: The reference loop must take at least this many times as long as the
+#: mark-table path over the same no-cull frame.  On a 2-vCPU VM the median
+#: of the rounds below read 78-114, and 35-54 with the mark path (table
+#: evaluation and draw_marks) planted to run twice.
+MARK_TABLE_MIN_RATIO = 60.0
+
+
+def test_perf_culling_mark_table_vs_per_tuple_ratio(scatter):
+    """Same process, same frame: the no-cull 20k scatter through the mark
+    table and through the per-tuple reference loop.  Each round times the
+    two back to back, so host speed cancels out of its ratio; the median
+    round is gated."""
+    def render():
+        stats = SceneStats()
+        start = time.perf_counter()
+        render_composite(Canvas(320, 240), scatter, DEEP_ZOOM, cull=False,
+                         stats=stats)
+        assert stats.drawables_painted == 40_000
+        return time.perf_counter() - start
+
+    def reference():
+        with reference_culling():
+            return render()
+
+    render()
+    ratios = []
+    for __ in range(5):
+        compiled = min(render() for __ in range(5))
+        per_tuple = reference()
+        compiled = min(compiled, *(render() for __ in range(5)))
+        ratios.append(per_tuple / compiled)
+    ratio = statistics.median(ratios)
+    assert ratio >= MARK_TABLE_MIN_RATIO, (
+        f"per-tuple / mark-table render time {ratio:.1f} < "
+        f"{MARK_TABLE_MIN_RATIO} (rounds {[round(r, 1) for r in ratios]})")

@@ -492,6 +492,14 @@ class ViewerDrawable(Drawable):
 # ---------------------------------------------------------------------------
 
 
+def display_text(value: Any) -> str:
+    """The string ``text_of(value)`` shows: a string as it is, any other
+    value through its type's default display (§5.2)."""
+    if isinstance(value, str):
+        return value
+    return T.infer_type(value).default_display(value)
+
+
 def _expect_numeric(arg_types, positions, name):
     for pos in positions:
         if not T.numeric(arg_types[pos]):
@@ -595,11 +603,7 @@ def _register_constructors() -> None:
         return T.DRAWABLES
 
     def text_apply(value, color="black"):
-        if isinstance(value, str):
-            rendered = value
-        else:
-            rendered = T.infer_type(value).default_display(value)
-        return [Text(rendered, color=color)]
+        return [Text(display_text(value), color=color)]
 
     register_function(
         FunctionDef("text_of", text_infer, text_apply, "A centered text label.")

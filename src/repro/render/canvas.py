@@ -10,9 +10,10 @@ Lines, circle outlines and text are computed as whole point sets or masks
 (closed-form Bresenham and midpoint points, the font's glyph table), and
 filled discs as the row runs of any number of discs at once
 (:meth:`Canvas.fill_circles`; ``fill_circle`` is one disc of it); each is
-painted with one numpy write.  ``tests/raster_reference.py`` holds the
-per-pixel and per-row loops they must match (``reference_fill_circle`` for
-the discs).
+painted with one numpy write.  :meth:`Canvas.draw_marks` paints a whole
+relation's marks of every kind that way at once, overlaps resolved in
+paint order.  ``tests/raster_reference.py`` holds the per-pixel and
+per-row loops they must match (``reference_fill_circle`` for the discs).
 
 PNG export (:meth:`Canvas.png_bytes`) reads the whole frame once, to find
 the painted pixels; packing their palette indices costs time in proportion
@@ -29,14 +30,25 @@ a radius, still counts as a draw op but paints nothing, as
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.display.drawables import Color, resolve_color
+from repro.display.marks import (
+    PAINT_CIRCLE,
+    PAINT_DISC,
+    PAINT_FILL,
+    PAINT_LINE,
+    PAINT_RECT,
+    MarkBatch,
+    MarkGroup,
+)
 from repro.errors import DisplayError
 from repro.obs.trace import current_tracer
 from repro.render.font import CHAR_HEIGHT, text_mask
@@ -101,6 +113,109 @@ def _offset_reach(centre: int, size: int, half: int) -> tuple[int, int]:
     or ``centre - t`` lies within ``half`` of the span [0, size)."""
     low, high = -half - centre, size - 1 + half - centre
     return max(0, low, -high), max(high, -low)
+
+
+_STAMP_RADIUS = 2048
+"""Circle outlines below this radius are stamped (:func:`_circle_stamp`):
+at most about 5.7 r points each."""
+
+
+_NOTHING = np.zeros(0, dtype=np.intp)
+
+
+class _Stamp(NamedTuple):
+    """A fixed set of pixels as offsets from an integer anchor, with their
+    extent (an empty stamp's extent reaches no canvas)."""
+
+    dx: np.ndarray
+    dy: np.ndarray
+    low_x: int
+    high_x: int
+    low_y: int
+    high_y: int
+
+
+def _stamp(dx: np.ndarray, dy: np.ndarray) -> _Stamp:
+    if not len(dx):
+        return _Stamp(dx, dy, 0, -1, 0, -1)
+    return _Stamp(dx, dy, int(dx.min()), int(dx.max()), int(dy.min()),
+                  int(dy.max()))
+
+
+@functools.lru_cache(maxsize=256)
+def _circle_stamp(r: int) -> _Stamp:
+    """Every point of the midpoint circle of radius ``r`` as offsets from
+    its centre: each octant row y = 0 ... last at column
+    ``floor(sqrt(r² - y²) + 0.5)``, mirrored as :meth:`Canvas._circle_points`
+    mirrors it; a radius <= 0 is the centre alone."""
+    if r <= 0:
+        return _stamp(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    y = np.arange((1 + math.isqrt(8 * r * r - 7)) // 4 + 1)
+    x = (np.sqrt(r * r - y * y) + 0.5).astype(np.int64)
+    return _stamp((np.concatenate((x, y)) * _OCTANT_SIGNS[0]).ravel(),
+                  (np.concatenate((y, x)) * _OCTANT_SIGNS[1]).ravel())
+
+
+@functools.lru_cache(maxsize=1024)
+def _text_stamp(text: str) -> _Stamp:
+    """The lit pixels of ``text``'s :func:`text_mask`, as offsets from its
+    top-left corner."""
+    rows, cols = np.nonzero(text_mask(text))
+    return _stamp(cols, rows)
+
+
+def _broadcast(value, count: int) -> np.ndarray:
+    """A per-mark column: an array as it is, a constant repeated."""
+    return np.broadcast_to(value, (count,))
+
+
+def _distinct(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values (as Python values) and each value's position
+    among them; one value is the common case and skips the sort."""
+    if len(values) and (values == values[0]).all():
+        return [values[0].item()], np.zeros(len(values), dtype=np.intp)
+    distinct, position = np.unique(values, return_inverse=True)
+    return distinct.tolist(), position
+
+
+def _ragged(starts: np.ndarray,
+            counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each i, the integers starts[i], starts[i] + 1, ... (counts[i] of
+    them), all concatenated, and the i each belongs to."""
+    ends = counts.cumsum()
+    owner = np.repeat(np.arange(len(counts)), counts)
+    values = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - (ends - counts), counts)
+    return owner, values
+
+
+def _parts(counts: np.ndarray, limit: int):
+    """Slices of consecutive items whose counts add up to at most
+    ``limit``; an item over the limit is a slice of its own."""
+    ends = counts.cumsum()
+    if not len(ends) or ends[-1] <= limit:
+        yield slice(0, len(counts))
+        return
+    first = 0
+    while first < len(counts):
+        base = int(ends[first - 1]) if first else 0
+        stop = max(first + 1,
+                   int(np.searchsorted(ends, base + limit, side="right")))
+        yield slice(first, stop)
+        first = stop
+
+
+def _piece_limit(canvas: "Canvas") -> int:
+    """Pixels a mark kernel computes at once: a few canvases' worth."""
+    return max(4 * canvas.width * canvas.height, 1 << 16)
+
+
+def _last_writes(keys: list[np.ndarray], marks: int) -> np.ndarray:
+    """Of the write keys ``flat * marks + mark``, the one with the largest
+    mark for each pixel ``flat``, ascending."""
+    keys = np.sort(np.concatenate(keys))
+    flat = keys // marks
+    return keys[np.append(flat[1:] != flat[:-1], True)] if len(keys) else keys
 
 
 def _png_chunk(tag: bytes, payload: bytes) -> bytes:
@@ -226,7 +341,16 @@ class Canvas:
     def draw_line(
         self, x0: float, y0: float, x1: float, y1: float, color: Color, width: int = 1
     ) -> None:
-        """Bresenham line with optional thickness.
+        """Bresenham line with optional thickness (:meth:`_line_points`)."""
+        self.draw_ops += 1
+        if not all_finite(x0, y0, x1, y1):
+            return
+        self._paint_points(*self._line_points(x0, y0, x1, y1, width), color,
+                           width)
+
+    def _line_points(self, x0: float, y0: float, x1: float, y1: float,
+                     width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The points of a finite Bresenham line that can reach the canvas.
 
         Bresenham's walk steps the major axis (the longer of |dx|, |dy|)
         once per point; after k steps the minor axis has stepped
@@ -235,9 +359,6 @@ class Canvas:
         from that closed form, only for the steps whose major coordinate
         lies within the stroke's half width of the canvas.
         """
-        self.draw_ops += 1
-        if not all_finite(x0, y0, x1, y1):
-            return
         ix0, iy0, ix1, iy1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
         sx = 1 if ix0 < ix1 else -1
         sy = 1 if iy0 < iy1 else -1
@@ -254,9 +375,8 @@ class Canvas:
         along = start + step * k
         across = (k * (2 * minor) + major) // (2 * major or 1)
         if x_major:
-            self._paint_points(along, iy0 + sy * across, color, width)
-        else:
-            self._paint_points(ix0 + sx * across, along, color, width)
+            return along, iy0 + sy * across
+        return ix0 + sx * across, along
 
     def draw_rect(
         self, x0: float, y0: float, x1: float, y1: float, color: Color, width: int = 1
@@ -288,7 +408,16 @@ class Canvas:
     def draw_circle(
         self, cx: float, cy: float, radius: float, color: Color, width: int = 1
     ) -> None:
-        """Midpoint circle.
+        """Midpoint circle (:meth:`_circle_points`)."""
+        self.draw_ops += 1
+        if not all_finite(cx, cy, radius):
+            return
+        self._paint_points(*self._circle_points(cx, cy, radius, width), color,
+                           width)
+
+    def _circle_points(self, cx: float, cy: float, radius: float,
+                       width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The points of a finite midpoint circle that can reach the canvas.
 
         The midpoint walk visits each octant row y = 0, 1, ... while x >= y,
         at the column x(y) nearest ``sqrt(r² - y²)``, and mirrors it into
@@ -300,16 +429,12 @@ class Canvas:
         2y² - y + 1 <= r², so the last row is the integer part of
         (1 + sqrt(8r² - 7)) / 4.  Only rows whose mirrored points can reach
         the canvas are computed, so the work is bounded by the canvas size,
-        not the radius.
+        not the radius.  A radius that rounds to 0 or less is its centre.
         """
-        self.draw_ops += 1
-        if not all_finite(cx, cy, radius):
-            return
         r = int(round(radius))
         cxi, cyi = int(round(cx)), int(round(cy))
         if r <= 0:
-            self._paint_points(np.array([cxi]), np.array([cyi]), color, width)
-            return
+            return np.array([cxi]), np.array([cyi])
         last = (1 + math.isqrt(8 * r * r - 7)) // 4
         half = max(0, width // 2)
         # Every octant point offsets the centre by ±y along one axis, so a
@@ -324,79 +449,376 @@ class Canvas:
         x = (np.sqrt(r * r - y * y) + 0.5).astype(np.int64)
         across = np.concatenate((x, y))
         down = np.concatenate((y, x))
-        self._paint_points(
-            (cxi + across * _OCTANT_SIGNS[0]).ravel(),
-            (cyi + down * _OCTANT_SIGNS[1]).ravel(),
-            color, width,
-        )
+        return ((cxi + across * _OCTANT_SIGNS[0]).ravel(),
+                (cyi + down * _OCTANT_SIGNS[1]).ravel())
 
     def fill_circle(self, cx: float, cy: float, radius: float, color: Color) -> None:
         self.fill_circles((cx,), (cy,), radius, color)
 
     def fill_circles(self, cx, cy, radius: float, color: Color) -> None:
         """Discs of one ``radius`` centred on (cx[i], cy[i]), one draw op
-        each, painted with one numpy write.
+        each, painted with one numpy write per grid of discs
+        (:meth:`_disc_pixels`).
+
+        The discs share one colour, so their paint order does not matter.
+        A radius ``<= 0`` paints the pixel nearest each centre; a radius
+        that is not finite, or a centre that is not finite, paints nothing,
+        as :meth:`draw_circle` does.
+        """
+        centres = np.array((cx, cy), dtype=np.float64).reshape(2, -1)
+        self.draw_ops += centres.shape[1]
+        r = float(radius)
+        if not math.isfinite(r):
+            return
+        target = self.pixels.reshape(-1).view("V3")
+        color = np.array(color, dtype=np.uint8).view("V3")[0]
+        for flat, __ in self._disc_pixels(centres[0], centres[1], r):
+            target[flat] = color
+
+    def _disc_pixels(self, cx: np.ndarray, cy: np.ndarray, radius):
+        """Yield ``(flat, disc)`` pieces: the row-major canvas index of each
+        pixel the discs of radius ``radius`` (one for all, or one each)
+        centred on (cx[i], cy[i]) paint, and the disc's position i.
 
         Each disc paints what the row loop ``reference_fill_circle`` in
         ``tests/raster_reference.py`` paints: every canvas row y in
         [floor(cy - r), ceil(cy + r)] with ``span = r² - (y - cy)² >= 0``
         gets the run [round(cx - √span), round(cx + √span)], clipped to the
         canvas.  ``np.rint`` rounds half to even, as ``round`` does.  A
-        radius ``<= 0`` paints the pixel nearest each centre; a NaN radius,
-        or a centre that is not finite, paints nothing.
+        radius ``<= 0`` paints the pixel nearest the centre; a disc with a
+        coordinate or radius that is not finite paints nothing.
 
-        The discs share one colour, so their paint order does not matter.
         A disc spans fewer than ``2r + 4`` rows and its runs fewer than
-        ``2r + 3`` columns, so the rows and then the pixels of every disc
-        are one padded grid, masked to the runs.  Discs are taken a canvas
-        area of grid cells at a time, so the working arrays stay within a
-        few canvases in size however many discs there are.
+        ``2r + 3`` columns, so the rows and then the pixels of many discs
+        are one padded grid, masked to each disc's runs; discs of several
+        radii whose grids round up to the same power of two share the
+        largest one.  Discs are taken a canvas area of grid cells at a
+        time, so the working arrays stay within a few canvases in size
+        however many discs there are.
         """
-        centres = np.array((cx, cy), dtype=np.float64).reshape(2, -1)
-        self.draw_ops += centres.shape[1]
-        r = float(radius)
-        if math.isnan(r):
-            return
-        finite = np.isfinite(centres).all(axis=0)
-        if not finite.all():
-            centres = centres[:, finite]
-        cx, cy = centres
         width, height = self.width, self.height
-        if r <= 0:
-            # Clipped first: an index beyond the canvas is all that matters.
-            self._paint_points(
-                np.rint(np.clip(cx, -1.0, width)).astype(np.int64),
-                np.rint(np.clip(cy, -1.0, height)).astype(np.int64),
-                color, 1)
-            return
-        rows = min(height, int(min(2 * r, height)) + 4)
-        cols = min(width, int(min(2 * r, width)) + 3)
-        top = np.maximum(np.floor(cy - r), 0.0)
-        bottom = np.minimum(np.ceil(cy + r), height - 1.0)
-        step = max(1, width * height // (rows * cols))
-        for first in range(0, len(cx), step):
-            chunk = slice(first, first + step)
-            self._fill_discs(cx[chunk], cy[chunk], top[chunk], bottom[chunk],
-                             r, rows, cols, color)
+        if np.ndim(radius) == 0:
+            radius = float(radius)
+            if not math.isfinite(radius):
+                return
+            finite = np.isfinite(cx) & np.isfinite(cy)
+            index = np.arange(len(cx)) if finite.all() else finite.nonzero()[0]
+            if radius <= 0:
+                yield self._nearest(cx, cy, index)
+                return
+            rows = min(height, int(min(2 * radius, height)) + 4)
+            cols = min(width, int(min(2 * radius, width)) + 3)
+            groups = [(index, rows, cols)]
+        else:
+            radii, __ = _distinct(radius)
+            if len(radii) == 1:
+                yield from self._disc_pixels(cx, cy, radii[0])
+                return
+            finite = np.isfinite(cx) & np.isfinite(cy) & np.isfinite(radius)
+            yield self._nearest(cx, cy, (finite & (radius <= 0)).nonzero()[0])
+            index = (finite & (radius > 0)).nonzero()[0]
+            r = radius[index]
+            rows = np.minimum(height, np.minimum(2 * r, height).astype(np.int64) + 4)
+            cols = np.minimum(width, np.minimum(2 * r, width).astype(np.int64) + 3)
+            grids = np.ceil(np.log2(np.maximum(rows, cols))).astype(np.int64)
+            groups = []
+            for grid in np.unique(grids).tolist():
+                same = grids == grid
+                groups.append((index[same], int(rows[same].max()),
+                               int(cols[same].max())))
+        for index, rows, cols in groups:
+            # Discs whose rows or runs all miss the canvas paint nothing:
+            # a run [round(cx - h), round(cx + h)] with h <= r reaches it
+            # only if cx + r >= -0.5 and cx - r <= width - 0.5.
+            r = radius if np.ndim(radius) == 0 else radius[index]
+            x, y = cx[index], cy[index]
+            index = index[(np.ceil(y + r) >= 0) & (np.floor(y - r) < height)
+                          & (x + r >= -0.5) & (x - r <= width - 0.5)]
+            step = max(1, width * height // (rows * cols))
+            for first in range(0, len(index), step):
+                chunk = index[first:first + step]
+                r = radius if np.ndim(radius) == 0 else radius[chunk]
+                flat, which = self._disc_grid(cx[chunk], cy[chunk], r, rows,
+                                              cols)
+                yield flat, chunk[which]
 
-    def _fill_discs(self, cx: np.ndarray, cy: np.ndarray, top: np.ndarray,
-                    bottom: np.ndarray, r: float, rows: int, cols: int,
-                    color: Color) -> None:
-        """Paint the discs centred on (cx, cy) whose rows on the canvas are
-        [top, bottom], through (disc, row) and (disc, row, column) grids of
-        ``rows`` rows and ``cols`` columns (see :meth:`fill_circles`)."""
+    def _nearest(self, cx: np.ndarray, cy: np.ndarray,
+                 index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pixel nearest each centre at ``index`` (a disc of radius
+        ``<= 0``), as canvas indices with their positions."""
+        # Clipped first: an index beyond the canvas is all that matters.
+        xs = np.rint(np.clip(cx[index], -1.0, self.width)).astype(np.int64)
+        ys = np.rint(np.clip(cy[index], -1.0, self.height)).astype(np.int64)
+        return self._inside(xs, ys, index)
+
+    def _disc_grid(self, cx: np.ndarray, cy: np.ndarray, r: np.ndarray,
+                   rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pixels of the discs centred on (cx, cy), through (disc, row)
+        and (disc, row, column) grids of ``rows`` rows and ``cols`` columns
+        (see :meth:`_disc_pixels`): canvas indices and disc positions."""
+        top = np.maximum(np.floor(cy - r), 0.0)
+        bottom = np.minimum(np.ceil(cy + r), self.height - 1.0)
         y = top[:, None] + np.arange(rows, dtype=np.float64)
         dy = y - cy[:, None]
-        span = r * r - dy * dy
+        r2 = r * r
+        span = (r2[:, None] if np.ndim(r2) else r2) - dy * dy
         half = np.sqrt(np.maximum(span, 0.0))
         x0 = np.maximum(np.rint(cx[:, None] - half), 0.0)
         x1 = np.minimum(np.rint(cx[:, None] + half), self.width - 1.0)
         runs = (y <= bottom[:, None]) & (span >= 0)
         x = x0[..., None] + np.arange(cols, dtype=np.float64)
-        paint = (x <= x1[..., None]) & runs[..., None]
+        cells = ((x <= x1[..., None]) & runs[..., None]).ravel().nonzero()[0]
         # Exact integers: every painted index is a canvas pixel.
-        flat = (y * self.width)[..., None] + x
-        self.pixels.reshape(-1, 3)[flat[paint].astype(np.int64)] = color
+        flat = ((y * self.width)[..., None] + x).reshape(-1)[cells]
+        return flat.astype(np.int64), cells // (rows * cols)
+
+    def draw_marks(self, marks: MarkBatch) -> None:
+        """Paint a relation's marks (:class:`~repro.display.marks.MarkBatch`)
+        as if each were drawn in paint order by its primitive --
+        ``draw_line``, ``draw_circle``, ``fill_circle``, ``draw_rect``,
+        ``fill_rect`` or ``draw_text``, at width 1 -- and count those
+        primitives' draw ops.
+
+        Each group's kernel computes the canvas pixels of all its marks at
+        once (:meth:`_group_pixels`), with the primitives' closed forms.
+        Marks of one colour are written as their pixels come; otherwise
+        each pixel takes the colour of the last mark in paint order that
+        covers it, so overlaps resolve as sequential drawing does, and
+        every pixel is written once.
+        """
+        groups = marks.groups
+        self.draw_ops += sum(len(g.order) * (4 if g.paint == PAINT_RECT else 1)
+                             for g in groups)
+        groups = [g for g in groups if len(g.order)]
+        if not groups:
+            return
+        # Pixels and colours as 3-byte scalars: one element per pixel.
+        target = self.pixels.reshape(-1).view("V3")
+        palette = np.array(marks.palette, dtype=np.uint8).view("V3").ravel()
+        colors = {g.color if np.ndim(g.color) == 0 else -1 for g in groups}
+        if len(colors) == 1 and -1 not in colors:
+            color = palette[colors.pop()]
+            for group in groups:
+                for flat, __ in self._group_pixels(group, marks.texts):
+                    target[flat] = color
+            return
+        # The colour of every mark, by its rank in paint order.
+        ranked = np.zeros(marks.bound, dtype=np.intp)
+        keys: list[np.ndarray] = []
+        size, limit = 0, _piece_limit(self)
+        for group in groups:
+            ranked[group.order] = group.color
+            for flat, which in self._group_pixels(group, marks.texts):
+                keys.append(flat * marks.bound + group.order[which])
+                size += len(flat)
+                if size > limit:
+                    keys = [_last_writes(keys, marks.bound)]
+                    size = len(keys[0])
+        if keys:
+            last = _last_writes(keys, marks.bound)
+            target[last // marks.bound] = palette[ranked[last % marks.bound]]
+
+    def _group_pixels(self, group: MarkGroup, texts: tuple[str, ...]):
+        """Yield ``(flat, mark)`` pieces: the row-major canvas index of every
+        pixel a group's marks paint and the mark painting it.  Pieces hold
+        at most a few canvases' worth of pixels (a single mark's may exceed
+        it) and come in no particular order."""
+        limit = _piece_limit(self)
+        paint, coords = group.paint, group.coords
+        count = len(group.order)
+        if paint == PAINT_LINE:
+            yield from self._line_pixels(np.array(coords), np.arange(count), limit)
+        elif paint == PAINT_RECT:
+            # A rectangle outline is its four edges, as draw_rect draws them.
+            corners = np.array(coords)
+            finite = np.isfinite(corners).all(axis=0).nonzero()[0]
+            x0, y0, x1, y1 = corners[:, finite]
+            x0, x1 = np.minimum(x0, x1), np.maximum(x0, x1)
+            y0, y1 = np.minimum(y0, y1), np.maximum(y0, y1)
+            edges = np.array((
+                np.concatenate((x0, x1, x1, x0)),
+                np.concatenate((y0, y0, y1, y1)),
+                np.concatenate((x1, x1, x0, x0)),
+                np.concatenate((y0, y1, y1, y0)),
+            ))
+            yield from self._line_pixels(edges, np.tile(finite, 4), limit)
+        elif paint == PAINT_CIRCLE:
+            yield from self._circle_pixels(*coords, limit)
+        elif paint == PAINT_DISC:
+            yield from self._disc_pixels(*coords)
+        elif paint == PAINT_FILL:
+            yield from self._fill_pixels(np.array(coords), limit)
+        else:
+            yield from self._text_pixels(*coords, _broadcast(group.text, count),
+                                         texts, limit)
+
+    def _inside(self, xs: np.ndarray, ys: np.ndarray,
+                owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The canvas indices of the int64 points on the canvas, with their
+        owners (``_paint_points`` of width 1)."""
+        # Viewed as unsigned, negative coordinates wrap past any canvas.
+        inside = (xs.view(np.uint64) < self.width) & (
+            ys.view(np.uint64) < self.height)
+        return ys[inside] * self.width + xs[inside], owner[inside]
+
+    def _line_pixels(self, ends: np.ndarray, owner: np.ndarray, limit: int):
+        """Width-1 lines between (ends[0], ends[1]) and (ends[2], ends[3]):
+        :meth:`_line_points` for many lines at once, with int64 steps.
+        Lines with an end beyond 2**52 pixels, where those could differ
+        from Python's, take :meth:`_line_points` itself."""
+        width, height = self.width, self.height
+        rounded = np.rint(ends)
+        # NaN fails the comparison too.
+        near = np.abs(rounded).max(axis=0) < 2.0 ** 52
+        if not near.all():
+            far = ~near & np.isfinite(rounded).all(axis=0)
+            for i in far.nonzero()[0].tolist():
+                xs, ys = self._line_points(*ends[:, i].tolist(), 1)
+                yield self._inside(xs, ys, np.full(len(xs), owner[i]))
+            rounded, owner = rounded[:, near], owner[near]
+        ix0, iy0, ix1, iy1 = rounded.astype(np.int64)
+        sx = (ix0 < ix1) * 2 - 1
+        sy = (iy0 < iy1) * 2 - 1
+        dx, dy = np.abs(ix1 - ix0), np.abs(iy1 - iy0)
+        # Integer selects: x_major picks the x-axis value of each pair.
+        x_major = (dx >= dy).astype(np.int64)
+        start = iy0 + (ix0 - iy0) * x_major
+        step = sy + (sx - sy) * x_major
+        major = dy + (dx - dy) * x_major
+        minor = dx + (dy - dx) * x_major
+        # Steps k with start + step * k on the canvas.
+        a = -start * step
+        b = (height - 1 + (width - height) * x_major - start) * step
+        low = np.maximum(np.minimum(a, b), 0)
+        counts = np.maximum(np.minimum(np.maximum(a, b), major) - low + 1, 0)
+        for part in _parts(counts, limit):
+            which, k = _ragged(low[part], counts[part])
+            which += part.start
+            along = start[which] + step[which] * k
+            across = (k * (2 * minor[which]) + major[which]) // np.maximum(
+                2 * major[which], 1)
+            on_x = x_major[which]
+            off_x = ix0[which] + sx[which] * across
+            off_y = iy0[which] + sy[which] * across
+            yield self._inside(off_x + (along - off_x) * on_x,
+                               along + (off_y - along) * on_x, owner[which])
+
+    def _circle_pixels(self, cx: np.ndarray, cy: np.ndarray, radius,
+                       limit: int):
+        """Width-1 circle outlines of radius ``radius`` (one for all, or one
+        each) centred on (cx[i], cy[i]): :meth:`_circle_points` for many
+        circles at once.
+
+        Each rounded radius's points are computed once, every row of them
+        (:func:`_circle_stamp`), and stamped at each centre; rows
+        :meth:`_circle_points` skips cannot reach the canvas, so the pixels
+        on it are the same.  Circles of radius ``_STAMP_RADIUS`` or more,
+        or centred beyond 2**52 pixels, take :meth:`_circle_points`, whose
+        work the canvas bounds.
+        """
+        if np.ndim(radius) == 0:
+            r = float(radius)
+            if not math.isfinite(r) or round(r) >= _STAMP_RADIUS:
+                radius = np.full(len(cx), r)
+        circles = np.array((cx, cy, radius)) if np.ndim(radius) else None
+        x, y = np.rint(cx), np.rint(cy)
+        # NaN fails the comparison too.
+        near = np.maximum(np.abs(x), np.abs(y)) < 2.0 ** 52
+        if circles is not None:
+            rounded = np.rint(circles[2])
+            near &= rounded < _STAMP_RADIUS
+        index = np.arange(len(near))
+        if not near.all():
+            finite = np.isfinite(x) & np.isfinite(y)
+            if circles is not None:
+                finite &= np.isfinite(rounded)
+            for i in (finite & ~near).nonzero()[0].tolist():
+                xs, ys = self._circle_points(
+                    float(cx[i]), float(cy[i]),
+                    radius if circles is None else float(circles[2, i]), 1)
+                yield self._inside(xs, ys, np.full(len(xs), i))
+            index = near.nonzero()[0]
+            x, y = x[index], y[index]
+        if circles is None:
+            radii, stamp = [round(radius)], _NOTHING
+        else:
+            radii, stamp = _distinct(rounded[index].astype(np.int64))
+        yield from self._stamp_pixels(
+            x.astype(np.int64), y.astype(np.int64),
+            [_circle_stamp(value) for value in radii], stamp, index, limit)
+
+    def _text_pixels(self, x: np.ndarray, y: np.ndarray, text: np.ndarray,
+                     texts: tuple[str, ...], limit: int):
+        """``texts[text[i]]`` with its top-left corner at (x[i], y[i]), as
+        :meth:`draw_text` paints it: each string's ink
+        (:func:`_text_stamp`) stamped at its rounded corners."""
+        left, top = np.rint(x), np.rint(y)
+        # The rows and the left edge, which need no string, rule most
+        # strings off the canvas out (NaN fails too); beyond 2**52 pixels
+        # none can reach it.
+        index = ((top < self.height) & (top > -CHAR_HEIGHT)
+                 & (left < self.width) & (left > -2.0 ** 52)).nonzero()[0]
+        strings, stamp = _distinct(text[index])
+        yield from self._stamp_pixels(
+            left[index].astype(np.int64), top[index].astype(np.int64),
+            [_text_stamp(texts[string]) for string in strings], stamp, index,
+            limit)
+
+    def _stamp_pixels(self, x: np.ndarray, y: np.ndarray, stamps: list,
+                      stamp: np.ndarray, owner: np.ndarray, limit: int):
+        """Stamp ``stamps[stamp[i]]`` at (x[i], y[i]), for the marks whose
+        stamp's extent reaches the canvas; pixels belong to ``owner[i]``."""
+        if not len(x):
+            return
+        extent = np.array([s[2:] for s in stamps], dtype=np.int64).T
+        if len(stamps) > 1:
+            extent = extent[:, stamp]
+        on = ((x >= -extent[1]) & (x < self.width - extent[0])
+              & (y >= -extent[3]) & (y < self.height - extent[2])).nonzero()[0]
+        x, y, owner = x[on], y[on], owner[on]
+        if len(stamps) == 1:
+            (dx, dy, *__), = stamps
+            step = max(1, limit // max(1, len(dx)))
+            for first in range(0, len(x), step):
+                part = slice(first, first + step)
+                yield self._inside(
+                    (x[part, None] + dx).ravel(), (y[part, None] + dy).ravel(),
+                    np.repeat(owner[part], len(dx)))
+            return
+        sizes = np.array([len(s.dx) for s in stamps], dtype=np.int64)
+        dx = np.concatenate([s.dx for s in stamps])
+        dy = np.concatenate([s.dy for s in stamps])
+        stamp = stamp[on]
+        starts = (sizes.cumsum() - sizes)[stamp]
+        counts = sizes[stamp]
+        for part in _parts(counts, limit):
+            which, point = _ragged(starts[part], counts[part])
+            which += part.start
+            yield self._inside(x[which] + dx[point], y[which] + dy[point],
+                               owner[which])
+
+    def _fill_pixels(self, corners: np.ndarray, limit: int):
+        """Filled rectangles between corners (corners[0], corners[1]) and
+        (corners[2], corners[3]), as :meth:`fill_rect` fills them."""
+        finite = np.isfinite(corners).all(axis=0).nonzero()[0]
+        x0, y0, x1, y1 = corners[:, finite]
+        # Clipped as floats: round(x) + 1 beyond the canvas clips the same.
+        left = np.maximum(np.rint(np.minimum(x0, x1)), 0.0)
+        right = np.minimum(np.rint(np.maximum(x0, x1)) + 1.0, self.width)
+        top = np.maximum(np.rint(np.minimum(y0, y1)), 0.0)
+        bottom = np.minimum(np.rint(np.maximum(y0, y1)) + 1.0, self.height)
+        keep = ((left < right) & (top < bottom)).nonzero()[0]
+        left, top = left[keep].astype(np.int64), top[keep].astype(np.int64)
+        span = right[keep].astype(np.int64) - left
+        counts = span * (bottom[keep].astype(np.int64) - top)
+        owner = finite[keep]
+        for part in _parts(counts, limit):
+            which, cell = _ragged(np.zeros(len(counts[part]), dtype=np.int64),
+                                  counts[part])
+            which += part.start
+            row, col = np.divmod(cell, span[which])
+            yield ((top[which] + row) * self.width + left[which] + col,
+                   owner[which])
 
     def draw_polygon(
         self, points: list[tuple[float, float]], color: Color, width: int = 1

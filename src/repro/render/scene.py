@@ -13,22 +13,29 @@ Perf-3 experiment) and a display list of :class:`RenderedItem` records used
 for picking (the Section-8 update path starts from a click).  Wormhole
 drawables recursively render their destination canvas through a resolver.
 
-Filtering is array work: one mask over memoized location columns.  Painting
-is too when every tuple draws the same filled circle (a display that reads
-no fields): the discs are culled by bounding box and painted as arrays, in
-one surface call.  Every other display is painted tuple by tuple.
+Filtering is array work: one mask over memoized location columns.  So is
+painting, for every display built from the mark constructors: it compiles
+to a mark table (:mod:`repro.display.marks`) whose marks are culled by
+bounding box, painted with one surface call per relation, and listed as
+arrays, each :class:`RenderedItem` built only when it is read.  Any other
+display -- a Python method, a wormhole, a polygon -- is painted tuple by
+tuple, in the same order and with the same results.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Any, Callable, NamedTuple
+import threading
+import weakref
+from collections.abc import Sequence as SequenceABC
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.dbms.columnar import BatchRows, ColumnBatch, field_column
+from repro.dbms.columnar import BatchRows, field_column
 from repro.dbms.expr import FieldRef
-from repro.dbms.expr_compile import VectorFallback, compile_expression
+from repro.dbms.expr_compile import VectorFallback
 from repro.dbms.relation import RowSet
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
@@ -38,7 +45,15 @@ from repro.display.displayable import (
     DisplayableRelation,
     Group,
 )
-from repro.display.drawables import Circle, ViewerDrawable
+from repro.display.drawables import ViewerDrawable
+from repro.display.marks import (
+    MarkBatch,
+    MarkGroup,
+    MarkTable,
+    attribute_kernels,
+    mark_table,
+    run_kernels,
+)
 from repro.errors import ViewerError
 from repro.obs.trace import current_tracer
 from repro.render.canvas import Canvas
@@ -46,6 +61,7 @@ from repro.render.canvas import Canvas
 __all__ = [
     "ViewState",
     "RenderedItem",
+    "DisplayList",
     "SceneStats",
     "CullNode",
     "CanvasDef",
@@ -63,6 +79,8 @@ recursion from looping forever)."""
 _CULL_MARGIN_PX = 120.0
 """Tuples whose anchor lies this far outside the viewport are culled before
 their drawables are even constructed."""
+
+_NO_MARKS = np.zeros(0, dtype=np.intp)
 
 _LOCATION_MEMO_ENTRIES = 4
 """Location-column sets one row set keeps (:func:`location_columns`): one per
@@ -249,7 +267,7 @@ def render_composite(
     depth: int = 0,
     cull: bool = True,
     stats: SceneStats | None = None,
-) -> list[RenderedItem]:
+) -> DisplayList:
     """Render a composite through a view state onto a canvas.
 
     Components paint in drawing order.  Returns the display list (paint
@@ -260,7 +278,7 @@ def render_composite(
     if isinstance(composite, DisplayableRelation):
         composite = Composite([composite])
     stats = stats if stats is not None else SceneStats()
-    items: list[RenderedItem] = []
+    parts: list[Sequence[RenderedItem]] = []
     tracer = current_tracer()
     for entry in composite.entries:
         relation = entry.relation
@@ -270,7 +288,7 @@ def render_composite(
                 tracer.event("render.elevation_cull", relation=relation.name)
             continue
         if not tracer.enabled:
-            items.extend(
+            parts.append(
                 _render_entry(canvas, entry, view, resolver, depth, cull, stats)
             )
             continue
@@ -280,7 +298,7 @@ def render_composite(
         with tracer.span(
             "render.pass", relation=relation.name, depth=depth, cull=cull
         ) as span:
-            items.extend(
+            parts.append(
                 _render_entry(canvas, entry, view, resolver, depth, cull, stats)
             )
             span.set(
@@ -288,7 +306,7 @@ def render_composite(
                 rows_rendered=stats.tuples_rendered - rendered0,
                 drawables_painted=stats.drawables_painted - painted0,
             )
-    return items
+    return DisplayList(parts)
 
 
 def _render_entry(
@@ -299,7 +317,7 @@ def _render_entry(
     depth: int,
     cull: bool,
     stats: SceneStats,
-) -> list[RenderedItem]:
+) -> Sequence[RenderedItem]:
     """Render one composite entry — one viewer pass over one relation.
 
     Culling is one boolean mask over the relation's location columns
@@ -310,13 +328,14 @@ def _render_entry(
     tuples' display attributes are evaluated.  ``cull=False`` keeps every
     tuple and paints drawables whether or not they touch the canvas.
 
-    A display that reads no fields is computed once.  When it is one filled
-    circle, :func:`_paint_discs` culls and paints all kept anchors as
-    arrays; otherwise the drawables are painted tuple by tuple, in the
-    tuple-major order overlapping marks of several drawables need.  Both
-    produce the same pixels, display list and statistics, and the
-    ``render.draw`` span's ``batched`` attribute says which ran.  Only the
-    painted rows' tuples are built for the display list.
+    A display built from the mark constructors compiles to a mark table
+    over the kept rows (:func:`repro.display.marks.mark_table`), which
+    :func:`_paint_marks` culls, paints and lists as arrays.  Any other
+    display -- or one whose columns hold a value a drawable constructor
+    rejects -- is evaluated and painted tuple by tuple
+    (:func:`_paint_tuples`).  Both produce the same pixels, display list
+    and statistics, and the ``render.draw`` span's ``batched`` attribute
+    says which ran.
     """
     relation = entry.relation
     width, height = view.viewport
@@ -344,7 +363,7 @@ def _render_entry(
                     & (-_CULL_MARGIN_PX <= py)
                     & (py <= height + _CULL_MARGIN_PX)
                 )
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         cull_span.set(rows_in=count, rows_out=len(kept))
     stats.tuples_considered += count
     if cull:
@@ -354,109 +373,246 @@ def _render_entry(
             CullNode(relation.name, count, in_ranges, len(kept))
         )
 
-    source = relation.rows.rows
-    # A display that reads no fields draws the same list for every tuple,
-    # so it is computed once; otherwise display_of runs per kept tuple.
-    shared = None
-    if len(kept) and "display" in relation.methods:
-        display = relation.methods.get("display")
-        if display.expr is not None and not display.expr.fields_used():
-            shared = list(display.compute(
-                relation.methods.row_view(source[kept[0]])
-            ))
-    # One filled circle for every tuple is one shape at many anchors: it is
-    # culled and painted as arrays, in one surface call.
-    disc = shared[0] if shared is not None and len(shared) == 1 else None
-    if not (type(disc) is Circle and disc.style.filled):
-        disc = None
-    if shared is None and isinstance(source, BatchRows):
-        source.rows_at(kept.tolist())    # display_of reads every kept row
-    # (bbox, tuple index, drawable) per painted drawable, in paint order.
-    painted: list[tuple[tuple, int, Any]] = []
-    with tracer.span("render.draw", relation=relation.name,
-                     batched=disc is not None) as draw_span:
-        if disc is not None:
-            painted = _paint_discs(canvas, disc, kept, px[kept], py[kept],
-                                   view, cull)
-            stats.drawables_painted += len(painted)
-            stats.tuples_rendered += len(painted)
+    with tracer.span("render.draw", relation=relation.name) as draw_span:
+        marks = mark_table(relation, kept)
+        draw_span.set(batched=marks is not None)
+        if marks is None:
+            items = _paint_tuples(canvas, relation, kept, px[kept], py[kept],
+                                  view, resolver, depth, cull, stats)
         else:
-            for index, anchor_x, anchor_y in zip(
-                kept.tolist(), px[kept].tolist(), py[kept].tolist()
-            ):
-                drawables = shared
-                if drawables is None:
-                    drawables = relation.display_of(relation.methods.row_view(
-                        source[index], extra={SEQ_FIELD: index}))
-                painted_any = False
-                for drawable in drawables:
-                    bbox = drawable.bbox(anchor_x, anchor_y, scale)
-                    # One pixel of slack: rasterization rounds coordinates, so
-                    # a bbox ending fractionally off-canvas can still touch
-                    # pixels.
-                    if cull and (
-                        bbox[2] < -1.0 or bbox[0] > width + 1.0
-                        or bbox[3] < -1.0 or bbox[1] > height + 1.0
-                    ):
-                        continue
-                    drawable.paint(canvas, anchor_x, anchor_y, scale)
-                    stats.drawables_painted += 1
-                    painted_any = True
-                    if isinstance(drawable, ViewerDrawable):
-                        _render_wormhole(
-                            canvas, drawable, anchor_x, anchor_y, scale,
-                            resolver, depth, stats,
-                        )
-                    painted.append((bbox, index, drawable))
-                if painted_any:
-                    stats.tuples_rendered += 1
-        # Only the painted rows' tuples: a late-materialized row set builds
-        # them here, in one pass.
-        indices = [index for __, index, __ in painted]
-        rows = (source.rows_at(indices) if isinstance(source, BatchRows)
-                else [source[index] for index in indices])
-        items = [
-            RenderedItem(bbox, relation.name, relation.source_table, row,
-                         index, drawable.kind, drawable)
-            for (bbox, index, drawable), row in zip(painted, rows)
-        ]
+            items = _paint_marks(canvas, relation, marks, kept, px[kept],
+                                 py[kept], view, cull, stats)
         draw_span.set(items=len(items))
     return items
 
 
-def _paint_discs(
+def _paint_marks(
     canvas: Canvas,
-    disc: Circle,
+    relation: DisplayableRelation,
+    marks: MarkTable,
     kept: np.ndarray,
     anchor_x: np.ndarray,
     anchor_y: np.ndarray,
     view: ViewState,
     cull: bool,
-) -> list[tuple[tuple, int, Any]]:
-    """Paint one filled circle at every kept anchor: the per-tuple draw loop
-    of :func:`_render_entry` over arrays.
+    stats: SceneStats,
+) -> Sequence[RenderedItem]:
+    """Paint a mark table: the per-tuple draw loop of :func:`_paint_tuples`
+    over arrays.
 
-    Origins and bounding boxes use ``Drawable._origin`` and ``Circle.bbox``
-    arithmetic term for term, the bbox cull keeps its one pixel of slack,
-    and the surviving discs go to the surface's ``fill_circles`` in tuple
-    order.  Returns the painted (bbox, tuple index, drawable) triples.
+    Each slot's marks are culled by ``Drawable.bbox``'s arithmetic with
+    the loop's one pixel of slack, and the survivors of every slot go to
+    the surface's ``draw_marks`` at once, ranked in the loop's paint order:
+    tuple-major, slot-minor.  The display list keeps the boxes and the
+    painted marks' ranks and builds each :class:`RenderedItem` when it is
+    read.
     """
     width, height = view.viewport
-    s = disc._scale(view.scale)
-    r = disc.radius * s
-    # Python float arithmetic overflows to inf silently.
-    with np.errstate(all="ignore"):
-        x = anchor_x + disc.offset[0] * s
-        y = anchor_y - disc.offset[1] * s
-        x0, y0, x1, y1 = x - r, y - r, x + r, y + r
-    if cull:
-        on = ~((x1 < -1.0) | (x0 > width + 1.0)
-               | (y1 < -1.0) | (y0 > height + 1.0))
-        x, y, kept = x[on], y[on], kept[on]
-        x0, y0, x1, y1 = x0[on], y0[on], x1[on], y1[on]
-    canvas.fill_circles(x, y, r, disc.color)
-    boxes = zip(x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist())
-    return list(zip(boxes, kept.tolist(), itertools.repeat(disc)))
+    slots = len(marks.slots)
+    groups, boxes, painting = [], [], []
+    for slot in range(slots):
+        paint, box, coords = marks.geometry(slot, anchor_x, anchor_y,
+                                            view.scale)
+        if cull:
+            on = ~((box[2] < -1.0) | (box[0] > width + 1.0)
+                   | (box[3] < -1.0) | (box[1] > height + 1.0))
+        else:
+            on = np.ones(len(kept), dtype=bool)
+        rows = on.nonzero()[0]
+        columns = marks.slots[slot]
+        groups.append(MarkGroup(
+            paint, tuple(_take(c, rows) for c in coords),
+            _take(columns.color, rows), _take(columns.text, rows),
+            rows * slots + slot))
+        boxes.append(box)
+        painting.append(on)
+    canvas.draw_marks(MarkBatch(tuple(groups), marks.palette, marks.texts,
+                                len(kept) * slots))
+    if slots == 1:
+        painted = groups[0].order
+        stats.tuples_rendered += len(painted)
+    elif slots:
+        painting = np.stack(painting, axis=1)
+        painted = painting.ravel().nonzero()[0]
+        stats.tuples_rendered += int(np.count_nonzero(painting.any(axis=1)))
+    else:
+        painted = _NO_MARKS
+    stats.drawables_painted += len(painted)
+    return _MarkItems(relation, marks, kept, painted, boxes)
+
+
+def _take(value: Any, rows: np.ndarray) -> Any:
+    """The elements at ``rows`` of a column, or a constant as it is."""
+    return value[rows] if isinstance(value, np.ndarray) else value
+
+
+def _paint_tuples(
+    canvas: Canvas,
+    relation: DisplayableRelation,
+    kept: np.ndarray,
+    anchor_x: np.ndarray,
+    anchor_y: np.ndarray,
+    view: ViewState,
+    resolver: CanvasResolver | None,
+    depth: int,
+    cull: bool,
+    stats: SceneStats,
+) -> list[RenderedItem]:
+    """Evaluate and paint the kept tuples' displays one tuple at a time:
+    each drawable is culled by its bounding box, painted, and recorded in
+    the display list, and a wormhole renders its destination inside."""
+    width, height = view.viewport
+    scale = view.scale
+    source = relation.rows.rows
+    if isinstance(source, BatchRows):
+        source.rows_at(kept.tolist())    # display_of reads every kept row
+    items: list[RenderedItem] = []
+    for index, px, py in zip(kept.tolist(), anchor_x.tolist(),
+                             anchor_y.tolist()):
+        row = source[index]
+        painted_any = False
+        for drawable in relation.display_of(relation.methods.row_view(
+                row, extra={SEQ_FIELD: index})):
+            bbox = drawable.bbox(px, py, scale)
+            # One pixel of slack: rasterization rounds coordinates, so a
+            # bbox ending fractionally off-canvas can still touch pixels.
+            if cull and (
+                bbox[2] < -1.0 or bbox[0] > width + 1.0
+                or bbox[3] < -1.0 or bbox[1] > height + 1.0
+            ):
+                continue
+            drawable.paint(canvas, px, py, scale)
+            stats.drawables_painted += 1
+            painted_any = True
+            if isinstance(drawable, ViewerDrawable):
+                _render_wormhole(canvas, drawable, px, py, scale, resolver,
+                                 depth, stats)
+            items.append(RenderedItem(bbox, relation.name,
+                                      relation.source_table, row, index,
+                                      drawable.kind, drawable))
+        if painted_any:
+            stats.tuples_rendered += 1
+    return items
+
+
+class _MarkItems(SequenceABC):
+    """The display list of one mark table's painted marks.
+
+    Holds the painted marks' ranks (``row * slots + slot``) and each
+    slot's box columns; item ``i`` is built on first read -- its tuple from
+    the relation's rows, its drawable from the table -- and then kept, so
+    repeated reads return the same object.
+
+    The row set is held weakly: a kept display list (a ``FrameCache``
+    entry) must not pin a superseded result's whole batch.  When the row
+    set dies, a finalizer keeps only the painted rows: the tuples
+    themselves for a tuple-backed set, else the rows' columns, whose
+    tuples are built when read -- the original tuples when the batch
+    carries them, new equal ones otherwise.
+    """
+
+    def __init__(self, relation: DisplayableRelation, marks: MarkTable,
+                 kept: np.ndarray, painted: np.ndarray, boxes: list[tuple]):
+        self._name = relation.name
+        self._source_table = relation.source_table
+        self._marks = marks
+        self._kept = kept
+        self._painted = painted
+        self._boxes = boxes
+        self._built: dict[int, RenderedItem] = {}
+        rows = relation.rows
+        self._rows = weakref.ref(rows)
+        self._orphan: tuple[dict[int, int], Sequence] | None = None
+        self._orphaned = threading.Event()
+        self._release = weakref.finalize(rows, _MarkItems._keep_rows,
+                                         weakref.ref(self), rows.rows)
+        self._release.atexit = False
+
+    def __del__(self) -> None:
+        self._release.detach()
+
+    @staticmethod
+    def _keep_rows(items_ref, source) -> None:
+        items = items_ref()
+        if items is None:
+            return
+        positions = np.unique(items._kept[items._painted
+                                          // max(len(items._boxes), 1)])
+        if isinstance(source, BatchRows):
+            rows: Sequence = BatchRows(source.batch.take(positions))
+        else:
+            rows = [source[index] for index in positions.tolist()]
+        items._orphan = (dict(zip(positions.tolist(), range(len(positions)))),
+                         rows)
+        items._orphaned.set()
+
+    def _row(self, tuple_index: int):
+        rows = self._rows()
+        if rows is not None:
+            return rows.rows[tuple_index]
+        self._orphaned.wait()    # the finalizer is running or has run
+        where, kept = self._orphan
+        return kept[where[tuple_index]]
+
+    def __len__(self) -> int:
+        return len(self._painted)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("display list index out of range")
+        item = self._built.get(index)
+        if item is None:
+            row, slot = divmod(int(self._painted[index]), len(self._boxes))
+            tuple_index = int(self._kept[row])
+            drawable = self._marks.drawable(row, slot)
+            item = self._built[index] = RenderedItem(
+                tuple(float(c[row]) for c in self._boxes[slot]), self._name,
+                self._source_table, self._row(tuple_index), tuple_index,
+                drawable.kind, drawable)
+        return item
+
+
+class DisplayList(SequenceABC):
+    """A display list: :class:`RenderedItem` records in paint order (pick
+    the *last* hit for topmost), concatenated from per-pass parts whose
+    items may be built on first read.  Compares equal to any sequence of
+    the same items; a slice is a list."""
+
+    def __init__(self, parts: Iterable[Sequence[RenderedItem]] = ()):
+        self._parts = [part for part in parts if len(part)]
+        self._ends = list(itertools.accumulate(map(len, self._parts)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("display list index out of range")
+        part = bisect.bisect_right(self._ends, index)
+        start = self._ends[part - 1] if part else 0
+        return self._parts[part][index - start]
+
+    def __iter__(self) -> Iterator[RenderedItem]:
+        return itertools.chain.from_iterable(self._parts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"DisplayList({list(self)!r})"
 
 
 def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
@@ -545,49 +701,27 @@ def _compiled_column(
     """Computed attribute ``name`` for every tuple by a compiled kernel.
 
     Returns None unless each element provably equals ``method.compute``'s
-    value for its tuple: the method is an expression (not Python) that
-    reads no ambient field such as ``tioga_seq``; it is declared float, or
-    int with an int expression; every method it reads compiles the same
-    way; the kernel raises no ``VectorFallback``; and the result is a
-    numeric array with, for a float, no NaN (float coercion rejects NaN,
-    so the per-tuple path raises there).  ``known`` holds the columns,
-    stored and computed, already built for this relation.
+    value for its tuple: the attribute and every computed attribute it
+    reads compile exactly (:func:`repro.display.marks.attribute_kernels`;
+    an ambient field such as ``tioga_seq`` does not), and their kernels
+    raise no ``VectorFallback`` and yield numbers -- for a float, with no
+    NaN (:func:`repro.display.marks.run_kernels`).  ``known`` holds the
+    columns, stored and computed, already built for this relation.
     """
-    methods = relation.methods
-    if name not in methods:
-        return None    # an ambient field: tioga_seq is per tuple
-    method = methods.get(name)
-    if method.expr is None:
+    rows = relation.rows
+    chain = attribute_kernels(relation.methods, rows.schema, [name],
+                              known.keys())
+    if chain is None:
         return None
-    schema = methods.reference_schema()
-    if method.type is not T.FLOAT and method.expr.infer(schema) is not T.INT:
-        return None
-    stored = relation.rows.schema
-    for dep in method.depends - known.keys():
-        if dep in stored:
-            known[dep] = _stored_column(relation.rows, dep)
-            continue
-        column = _compiled_column(relation, dep, known)
-        if column is None:
-            return None
-        known[dep] = column
-    kernel = compile_expression(method.expr, schema)
-    if kernel is None:
-        return None
-    batch = ColumnBatch(
-        schema, {dep: known[dep] for dep in method.depends},
-        mask=np.ones(len(relation.rows), dtype=bool),
-    )
+    for dep in set().union(*(step.reads for step in chain)) - known.keys():
+        if dep in rows.schema:
+            known[dep] = _stored_column(rows, dep)
     try:
-        # Python float arithmetic overflows to inf and yields NaN silently.
-        with np.errstate(all="ignore"):
-            values = np.asarray(kernel(batch))
+        run_kernels(chain, relation.methods.reference_schema(), known,
+                    len(rows))
     except VectorFallback:
         return None
-    if method.type is T.FLOAT and values.dtype.kind in "iuf":
-        values = values.astype(np.float64, copy=False)
-        return None if np.isnan(values).any() else values
-    return values if values.dtype.kind in "iu" else None
+    return known[name]
 
 
 def _stored_column(rows: RowSet, name: str) -> np.ndarray:

@@ -22,6 +22,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from repro.display.drawables import Color, resolve_color
+from repro.display.marks import MarkBatch, paint_each
 from repro.errors import DisplayError
 from repro.render.canvas import all_finite
 from repro.render.font import CHAR_WIDTH
@@ -114,6 +115,10 @@ class SvgCanvas:
             f'<circle cx="{x:.2f}" cy="{y:.2f}{tail}' for x, y in zip(cx, cy)
             if all_finite(x, y)
         )
+
+    def draw_marks(self, marks: MarkBatch) -> None:
+        """One element per mark, in paint order (:func:`paint_each`)."""
+        paint_each(self, marks)
 
     def draw_polygon(self, points, color: Color, width: int = 1) -> None:
         if not all_finite(*(v for point in points for v in point)):

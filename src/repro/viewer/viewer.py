@@ -17,7 +17,7 @@ wormhole traversal (§6.2).
 from __future__ import annotations
 
 import warnings
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.dataflow.box import Box
 from repro.dataflow.ports import Port
@@ -36,6 +36,7 @@ from repro.obs.trace import Tracer, current_tracer, push_tracer
 from repro.render.canvas import Canvas
 from repro.render.scene import (
     CanvasResolver,
+    DisplayList,
     RenderedItem,
     SceneStats,
     ViewState,
@@ -102,7 +103,7 @@ class RenderResult:
     def __init__(
         self,
         canvas: Canvas | None,
-        items: dict[str, list[RenderedItem]],
+        items: dict[str, Sequence[RenderedItem]],
         stats: SceneStats,
         tracer: "Tracer | None" = None,
     ):
@@ -111,11 +112,10 @@ class RenderResult:
         self.stats = stats
         self.tracer = tracer
 
-    def all_items(self) -> list[RenderedItem]:
-        flat: list[RenderedItem] = []
-        for member_items in self.items.values():
-            flat.extend(member_items)
-        return flat
+    def all_items(self) -> DisplayList:
+        """Every member's display list, in paint order; items are built
+        as they are read."""
+        return DisplayList(self.items.values())
 
     def __repr__(self) -> str:
         return f"RenderResult({self.canvas!r}, {len(self.all_items())} items)"

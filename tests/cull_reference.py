@@ -100,12 +100,48 @@ def reference_render_entry(canvas, entry, view, resolver, depth, cull, stats):
     return items
 
 
+def _in_viewport(view, location, entry) -> bool:
+    width, height = view.viewport
+    margin = scene._CULL_MARGIN_PX
+    px, py = view.to_screen(location[0] + entry.offset_for("x"),
+                            location[1] + entry.offset_for("y"))
+    return -margin <= px <= width + margin and -margin <= py <= height + margin
+
+
+def reference_cull_node(entry, view):
+    """The ``CullNode`` of one pass, counted tuple by tuple."""
+    relation = entry.relation
+    rows_in = in_ranges = rows_out = 0
+    for row_view in relation.views():
+        rows_in += 1
+        location = relation.location_of(row_view)
+        if _slider_culled(relation, entry, location, view):
+            continue
+        in_ranges += 1
+        rows_out += _in_viewport(view, location, entry)
+    return scene.CullNode(relation.name, rows_in, in_ranges, rows_out)
+
+
+def _planning_render_entry(canvas, entry, view, resolver, depth, cull, stats):
+    """``reference_render_entry`` plus the ``CullNode`` the viewer records,
+    ahead of the nodes of the wormhole renders it nests."""
+    position = len(stats.cull_plans)
+    items = reference_render_entry(canvas, entry, view, resolver, depth, cull,
+                                   stats)
+    if cull:
+        stats.cull_plans.insert(position, reference_cull_node(entry, view))
+    return items
+
+
 @contextmanager
-def reference_culling():
+def reference_culling(cull_plans: bool = False):
     """Route every render (nested wormhole passes included) through the
-    per-tuple reference loop for the duration of the block."""
+    per-tuple reference loop for the duration of the block; with
+    ``cull_plans`` it also records each pass's cull node, as the viewer
+    does, so whole ``SceneStats`` compare."""
     kernel = scene._render_entry
-    scene._render_entry = reference_render_entry
+    scene._render_entry = (_planning_render_entry if cull_plans
+                           else reference_render_entry)
     try:
         yield
     finally:

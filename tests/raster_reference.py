@@ -7,7 +7,8 @@ the midpoint circle and a glyph walk, each painting one point at a time
 through :func:`reference_thick_point`, and the disc's row loop, one run
 per row.  ``tests/test_raster_kernels.py`` compares the two pixel for
 pixel, and :func:`reference_raster` swaps these loops into ``Canvas`` so
-whole figures can be rendered through them.
+whole figures can be rendered through them (``Canvas.draw_marks`` then
+paints each mark through them in turn).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 
+from repro.display.marks import paint_each
 from repro.render.canvas import Canvas
 from repro.render.font import CHAR_WIDTH, glyph_rows
 
@@ -139,15 +141,18 @@ def reference_draw_text(canvas: Canvas, x, y, text: str, color) -> None:
 @contextmanager
 def reference_raster():
     """Paint every ``Canvas`` line, circle outline, disc and text through
-    the reference loops for the duration of the block."""
+    the reference loops for the duration of the block; a mark table's
+    marks are painted one primitive call each (``paint_each``), in paint
+    order, so they take those loops too."""
     names = ("draw_line", "draw_circle", "draw_text", "fill_circle",
-             "fill_circles")
+             "fill_circles", "draw_marks")
     saved = [getattr(Canvas, name) for name in names]
     Canvas.draw_line = reference_draw_line
     Canvas.draw_circle = reference_draw_circle
     Canvas.draw_text = reference_draw_text
     Canvas.fill_circle = reference_fill_circle
     Canvas.fill_circles = reference_fill_circles
+    Canvas.draw_marks = paint_each
     try:
         yield
     finally:

@@ -1,24 +1,27 @@
-"""The batched disc path of the scene against the per-tuple draw loop.
+"""Disc displays through the mark-table path against the per-tuple loop.
 
-A relation whose display reads no fields and is one filled circle is
-culled and painted as arrays (``scene._paint_discs``).  The per-tuple loop
-is forced on the same relation by a display that reads a field yet yields
-the same circle, ``filled_circle(r + 0 * <int field>, color)``.  Pinned
-here: PNG pixels, SVG documents, display lists, ``SceneStats``, draw ops
-and picks are identical, over replayed ``series_update`` fig8 frames (with
-a §8 update), ``scatter_deep`` views, the fig7 coarse layer and fig8's
-wormholes onto the series canvas, and world-unit discs with offsets; and
-``render.draw`` spans say which path painted.
+A relation whose display compiles to a mark table -- a constant
+``filled_circle`` among them -- is culled and painted as arrays
+(``repro.display.marks``); ``reference_culling()`` from
+``tests/cull_reference.py`` renders the same frames through the per-tuple
+reference loop.  Pinned here: PNG pixels, SVG documents, display lists,
+``SceneStats`` (cull nodes included), draw ops and picks are identical,
+over replayed ``series_update`` fig8 frames (with a §8 update),
+``scatter_deep`` views, the fig7 coarse layer and fig8's wormholes onto the
+series canvas; displays that do not compile (a Python method, a polygon, a
+wormhole, a world-unit disc from a registered function) take the per-tuple
+loop in ``src``; and ``render.draw`` spans say which path painted.
 """
 
 from __future__ import annotations
 
 import random
-import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
+from cull_reference import reference_culling
 from png_reference import decode
 
 import repro.dbms.expr as expr_module
@@ -32,7 +35,7 @@ from repro.dbms.parser import parse_expression
 from repro.dbms.relation import Method, RowSet
 from repro.dbms.tuples import Schema
 from repro.display.displayable import DisplayableRelation
-from repro.display.drawables import Circle, Style
+from repro.display.drawables import Circle, Polygon, Style
 from repro.dbms.result_cache import set_cache_enabled
 from repro.obs.trace import Tracer, push_tracer
 from repro.protocol import ErrorReply, Render
@@ -43,7 +46,6 @@ from repro.ui.session import Session
 
 #: Louisiana stations are ids 1..18; the series canvas bands them by id.
 LA_STATIONS = 18
-CONSTANT_DISC = re.compile(r"filled_circle\(([^,()]+), ")
 SCHEMA = Schema([("label", "text"), ("px", "float"), ("py", "float"),
                  ("level", "float")])
 
@@ -52,17 +54,9 @@ def small_db():
     return build_weather_database(extra_stations=10, every_days=60)
 
 
-def force_per_tuple(session: Session, field: str) -> int:
-    """Rewrite every constant ``filled_circle`` display definition of the
-    session's program to read ``field``; returns how many were rewritten."""
-    rewritten = 0
-    for box in session.program.boxes():
-        definition = box.param("definition")
-        if isinstance(definition, str) and CONSTANT_DISC.search(definition):
-            session.set_param(box.box_id, "definition", CONSTANT_DISC.sub(
-                rf"filled_circle(\1 + 0 * {field}, ", definition))
-            rewritten += 1
-    return rewritten
+def path(forced: bool):
+    """The per-tuple reference loop when ``forced``, else the viewer's own."""
+    return reference_culling(cull_plans=True) if forced else nullcontext()
 
 
 def item_key(item):
@@ -104,8 +98,9 @@ def assert_same_frames(batched: list[dict], forced: list[dict]) -> None:
         assert np.array_equal(frame["pixels"], reference["pixels"])
         for key in ("svg", "items", "stats", "draw_ops", "picks"):
             assert frame[key] == reference[key], key
-    # The reference never batches; the batched side did somewhere.
-    assert not any(flag for frame in forced for __, flag in frame["batched"])
+    # The reference loop has no render.draw span; the viewer batched
+    # somewhere.
+    assert not any(frame["batched"] for frame in forced)
     assert any(flag for frame in batched for __, flag in frame["batched"])
     assert any(frame["items"] for frame in batched)
 
@@ -130,8 +125,6 @@ def replay_series(forced: bool, cached: bool) -> list[dict]:
     previous = set_cache_enabled(cached)
     try:
         session = FIGURES["fig8"](db).session
-        if forced:
-            assert force_per_tuple(session, "station_id")
         frames = []
         for __ in range(3):
             for __ in range(2):
@@ -139,9 +132,11 @@ def replay_series(forced: bool, cached: bool) -> list[dict]:
                                rng.randint(1, LA_STATIONS) * 60.0
                                + rng.uniform(0.0, 50.0))
                 session.set_elevation("tempseries", rng.uniform(80.0, 200.0))
-                frames.append(snapshot(session, "tempseries"))
+                with path(forced):
+                    frames.append(snapshot(session, "tempseries"))
             update_observation(db, rng)
-            frames.append(snapshot(session, "tempseries"))
+            with path(forced):
+                frames.append(snapshot(session, "tempseries"))
         return frames
     finally:
         set_cache_enabled(previous)
@@ -175,8 +170,6 @@ def scatter_frames(db, forced: bool) -> list[dict]:
         "name": "value_dim", "definition": "value", "location": True})
     session.connect(tail, "out", slider, "in")
     session.add_viewer(slider, name="scatter", width=320, height=240)
-    if forced:
-        assert force_per_tuple(session, "point_id") == 1
     rng = random.Random(5)
     frames = []
     for elevation in (30.0, 80.0, 400.0, 1500.0):
@@ -186,7 +179,8 @@ def scatter_frames(db, forced: bool) -> list[dict]:
         session.set_elevation("scatter", elevation)
         session.set_slider("scatter", "value_dim", low,
                            low + rng.uniform(20.0, 40.0))
-        frames.append(snapshot(session, "scatter"))
+        with path(forced):
+            frames.append(snapshot(session, "scatter"))
     return frames
 
 
@@ -197,13 +191,12 @@ def test_scatter_deep_views(points_db):
 
 def map_frames(figure: str, forced: bool, views) -> list[dict]:
     session = FIGURES[figure](small_db()).session
-    if forced:
-        assert force_per_tuple(session, "station_id")
     frames = []
     for cx, cy, elevation in views:
         session.pan_to("map", cx, cy)
         session.set_elevation("map", elevation)
-        frames.append(snapshot(session, "map"))
+        with path(forced):
+            frames.append(snapshot(session, "map"))
     return frames
 
 
@@ -229,11 +222,11 @@ def test_fig8_wormhole_sub_renders():
         pair for frame in batched for pair in frame["batched"]}
 
 
-def scene_snapshot(relation, view, cull):
+def scene_snapshot(relation, view, cull, forced=False):
     canvas = Canvas(*view.viewport)
     stats = SceneStats()
     tracer = Tracer()
-    with push_tracer(tracer):
+    with push_tracer(tracer), path(forced):
         items = render_composite(canvas, relation, view, cull=cull,
                                  stats=stats)
     return {
@@ -246,43 +239,88 @@ def scene_snapshot(relation, view, cull):
     }
 
 
+def scene_relation(display: str, rows=None) -> DisplayableRelation:
+    """400 labelled points at (px, py) with the given display."""
+    if rows is None:
+        rng = random.Random(2)
+        rows = RowSet.from_dicts(SCHEMA, [
+            {"label": f"p{i}", "px": rng.uniform(-60, 60),
+             "py": rng.uniform(-60, 60), "level": float(i)}
+            for i in range(400)])
+    relation = DisplayableRelation(rows, name="discs")
+    for name, type_, definition in (("x", "float", "px"), ("y", "float", "py"),
+                                    ("display", "drawables", display)):
+        relation = relation.with_method_added(
+            Method(name, type_, definition if callable(definition)
+                   else parse_expression(definition),
+                   depends=("level",) if callable(definition) else ()))
+    return relation
+
+
+VIEWS = (((0.0, 0.0), 40.0), ((55.0, -50.0), 25.0), ((-10.0, 20.0), 150.0))
+
+
+def assert_loop_matches_reference(relation) -> None:
+    """The relation takes the per-tuple loop in ``src`` and paints what the
+    reference loop paints, culled or not."""
+    for center, elevation in VIEWS:
+        view = ViewState(center=center, elevation=elevation,
+                         viewport=(160, 120))
+        for cull in (True, False):
+            frame = scene_snapshot(relation, view, cull)
+            reference = scene_snapshot(relation, view, cull, forced=True)
+            assert frame["batched"] == [False]
+            assert reference["batched"] == []
+            assert np.array_equal(frame["pixels"], reference["pixels"])
+            for key in ("items", "stats", "draw_ops"):
+                assert frame[key] == reference[key], key
+            assert frame["items"]
+
+
 def test_world_unit_discs_with_offsets(monkeypatch):
-    """World-unit discs scale radius and offset by the view; no display
-    function builds one, so a test function does."""
+    """World-unit discs scale radius and offset by the view; no mark
+    constructor builds one, so a registered function's display takes the
+    per-tuple loop."""
     monkeypatch.setitem(expr_module._FUNCTIONS, "world_disc", FunctionDef(
         "world_disc", lambda arg_types: T.DRAWABLES,
         lambda radius, color: [Circle(float(radius), color=color,
                                       style=Style(filled=True),
                                       units="world")], "A world-unit disc."))
-    rng = random.Random(2)
-    rows = RowSet.from_dicts(SCHEMA, [
-        {"label": f"p{i}", "px": rng.uniform(-60, 60),
-         "py": rng.uniform(-60, 60), "level": float(i)} for i in range(400)])
+    assert_loop_matches_reference(
+        scene_relation("offset(world_disc(0.8, 'red'), 0.7, -1.3)"))
 
-    def relation(radius):
-        base = DisplayableRelation(rows, name="discs")
-        for name, type_, definition in (
-            ("x", "float", "px"), ("y", "float", "py"),
-            ("display", "drawables",
-             f"offset(world_disc({radius}, 'red'), 0.7, -1.3)")):
-            base = base.with_method_added(
-                Method(name, type_, parse_expression(definition)))
-        return base
 
-    batched, forced = relation("0.8"), relation("0.8 + 0 * level")
-    for center, elevation in (((0.0, 0.0), 40.0), ((55.0, -50.0), 25.0),
-                              ((-10.0, 20.0), 150.0)):
-        view = ViewState(center=center, elevation=elevation,
-                         viewport=(160, 120))
-        for cull in (True, False):
-            frame = scene_snapshot(batched, view, cull)
-            reference = scene_snapshot(forced, view, cull)
-            assert frame["batched"] == [True]
-            assert reference["batched"] == [False]
-            assert np.array_equal(frame["pixels"], reference["pixels"])
-            for key in ("items", "stats", "draw_ops"):
-                assert frame[key] == reference[key], key
-            assert frame["items"]
+def test_polygon_display_takes_the_loop(monkeypatch):
+    monkeypatch.setitem(expr_module._FUNCTIONS, "triangle", FunctionDef(
+        "triangle", lambda arg_types: T.DRAWABLES,
+        lambda size: [Polygon([(0.0, 0.0), (size, 0.0), (0.0, size)],
+                              color="green")], "A triangle."))
+    assert_loop_matches_reference(
+        scene_relation("combine(filled_circle(2), triangle(level / 40))"))
+
+
+def test_python_method_display_takes_the_loop():
+    def display(row):
+        return [Circle(1.0 + row["level"] % 3, color="blue")]
+
+    assert_loop_matches_reference(scene_relation(display))
+
+
+def test_wormhole_display_takes_the_loop():
+    # fig8's station wormholes: a combine of a wormhole and a label.
+    session = FIGURES["fig8"](small_db()).session
+    session.pan_to("map", -91.5, 30.8)
+    session.set_elevation("map", 1.5)
+    frame = snapshot(session, "map")
+    with path(True):
+        reference = snapshot(session, "map")
+    wormholes = {key[1] for key in frame["items"] if key[4] == "viewer"}
+    assert wormholes
+    assert {batched for name, batched in frame["batched"]
+            if name in wormholes} == {False}
+    assert np.array_equal(frame["pixels"], reference["pixels"])
+    for key in ("svg", "items", "stats", "draw_ops", "picks"):
+        assert frame[key] == reference[key], key
 
 
 def test_non_finite_radius_is_a_display_error_reply(stations_db):

@@ -5,7 +5,8 @@ sets and glyph masks with numpy writes, and ``fill_circles`` paints many
 discs' row runs with one; ``tests/raster_reference.py`` keeps the
 Bresenham, midpoint, glyph and disc-row loops they replaced.  Every test
 here paints the same primitive both ways onto equal canvases and compares
-the pixels.
+the pixels; ``draw_marks``, which paints many marks of every kind at once,
+is compared with the same marks drawn one primitive call each.
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ from raster_reference import (
 )
 from repro.core.scenarios import FIGURES
 from repro.data.weather import build_weather_database
+from repro.display.marks import (
+    PAINT_CIRCLE,
+    PAINT_DISC,
+    PAINT_FILL,
+    PAINT_TEXT,
+    MarkBatch,
+    MarkGroup,
+    paint_each,
+)
 from repro.render.canvas import Canvas
 from repro.render.font import CHAR_HEIGHT, CHAR_WIDTH, GLYPHS
 
@@ -237,6 +247,14 @@ class TestDiscs:
         reference_fill_circle(expected, 6.2, 7.7, 2.5, INK)
         np.testing.assert_array_equal(mixed.pixels, expected.pixels)
 
+    def test_infinite_radius_paints_nothing(self):
+        # As draw_circle and the SVG surface do: the op counts, no pixel.
+        canvas = Canvas(*self.SIZE)
+        canvas.fill_circles([5.0, 12.5], [4.0, 9.0], math.inf, INK)
+        canvas.fill_circle(3.0, 3.0, -math.inf, INK)
+        assert canvas.count_nonbackground() == 0
+        assert canvas.draw_ops == 3
+
     def test_fill_circle_is_one_centre(self):
         painted, expected = Canvas(*self.SIZE), Canvas(*self.SIZE)
         painted.fill_circle(9.3, 7.5, 4.5, INK)
@@ -262,6 +280,96 @@ class TestDiscs:
         assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
         assert (canvas.pixels == INK).all()
         assert canvas.draw_ops == 4000
+
+
+def random_marks(rng: np.random.Generator, size: tuple[int, int]) -> MarkBatch:
+    """A few groups of every paint kind: coordinates on, near and far off
+    the canvas (some beyond 2**52, some NaN or infinite), circle radii past
+    the stamp limit, a shared radius or one each, four colours, and texts
+    with unknown glyphs -- ranked in a shuffled paint order."""
+    width, height = size
+    texts = ("Baton Rouge", "", "é€ab", "X", "New Orleans 70112")
+    groups, count = [], 0
+    for __ in range(int(rng.integers(1, 7))):
+        paint = int(rng.integers(0, PAINT_TEXT + 1))
+        marks = int(rng.integers(0, 9))
+
+        def coord(span):
+            values = rng.uniform(-0.5 * span, 1.5 * span, marks)
+            values[rng.random(marks) < 0.1] = rng.choice(
+                [np.nan, np.inf, -np.inf, 3e16, -3e16, 1e300])
+            return values
+
+        x0, y0 = coord(width), coord(height)
+        if paint in (PAINT_CIRCLE, PAINT_DISC):
+            radius = rng.choice([rng.uniform(-1, 6), rng.uniform(0, 40),
+                                 rng.uniform(2000, 5000)], marks)
+            if paint == PAINT_DISC:
+                radius[~np.isfinite(radius)] = 1.0
+            coords = (x0, y0, radius if rng.random() < 0.5 else
+                      float(radius[0]) if marks else 2.0)
+        elif paint == PAINT_TEXT:
+            coords = (x0, y0)
+        else:
+            coords = (x0, y0, coord(width), coord(height))
+        color = (rng.integers(0, 4, marks) if rng.random() < 0.5
+                 else int(rng.integers(0, 4)))
+        text = rng.integers(0, len(texts), marks) if paint == PAINT_TEXT else None
+        groups.append(MarkGroup(paint, coords, color, text,
+                                np.arange(count, count + marks)))
+        count += marks
+    ranks = rng.permutation(count)
+    groups = [group._replace(order=ranks[group.order]) for group in groups]
+    palette = ((200, 30, 30), (30, 160, 30), (30, 30, 200), (10, 10, 10))
+    return MarkBatch(tuple(groups), palette, texts, count)
+
+
+class TestMarks:
+    """``draw_marks`` against the same marks drawn one primitive call each,
+    in paint order (``paint_each``): pixels and draw ops."""
+
+    @pytest.mark.parametrize("size", [(24, 18), (64, 48)])
+    def test_random_batches(self, size):
+        rng = np.random.default_rng(size[0])
+        raised = 0
+        for __ in range(300):
+            marks = random_marks(rng, size)
+            painted, expected = Canvas(*size), Canvas(*size)
+            # The line and circle primitives raise on a finite coordinate
+            # past int64 pixels; drawn together or one by one, such a batch
+            # raises (kinds paint in another order, so maybe another error).
+            outcomes = []
+            for paint, canvas in ((Canvas.draw_marks, painted),
+                                  (paint_each, expected)):
+                try:
+                    paint(canvas, marks)
+                    outcomes.append(False)
+                except (OverflowError, TypeError, ValueError):
+                    outcomes.append(True)
+            assert outcomes[0] == outcomes[1]
+            if outcomes[0]:
+                raised += 1
+                continue
+            np.testing.assert_array_equal(painted.pixels, expected.pixels)
+            assert painted.draw_ops == expected.draw_ops
+        assert raised < 100
+
+    def test_later_marks_win_overlaps(self):
+        # Three discs over one pixel, ranked so the middle group paints last.
+        marks = MarkBatch((
+            MarkGroup(PAINT_DISC, (np.array([5.0]), np.array([5.0]), 3.0), 0,
+                      None, np.array([0])),
+            MarkGroup(PAINT_DISC, (np.array([6.0]), np.array([5.0]), 3.0), 1,
+                      None, np.array([2])),
+            MarkGroup(PAINT_FILL, (np.array([5.0]), np.array([5.0]),
+                                   np.array([5.0]), np.array([5.0])), 2,
+                      None, np.array([1])),
+        ), ((255, 0, 0), (0, 255, 0), (0, 0, 255)), (), 3)
+        canvas = Canvas(12, 12)
+        canvas.draw_marks(marks)
+        assert canvas.pixel(5, 5) == (0, 255, 0)
+        assert canvas.pixel(2, 5) == (255, 0, 0)
+        assert canvas.draw_ops == 3
 
 
 class TestText:
