@@ -55,6 +55,26 @@ class _AttrBox(Box):
         super().__init__(params)
         self.inputs = [Port("in", "R")]
         self.outputs = [Port("out", "R")]
+        # (version, definition, declared type) -> {reference schema: parse}
+        self._parsed: tuple[tuple, dict] = ((), {})
+
+    def _definition(
+        self, relation: DisplayableRelation, source: str, declared: str | None
+    ) -> tuple[Any, T.AtomicType]:
+        """:func:`_parse_definition`, memoized per box version and
+        reference schema: a box that re-fires over an unchanged schema
+        (after a table update) hands on the same expression, which keeps
+        memos keyed by definitions (``definition_key``) hitting."""
+        stamp = (self.version, source, declared)
+        if self._parsed[0] != stamp:
+            self._parsed = (stamp, {})
+        parses = self._parsed[1]
+        schema = relation.methods.reference_schema()
+        parsed = parses.get(schema)
+        if parsed is None:
+            parsed = parses[schema] = _parse_definition(relation, source,
+                                                        declared)
+        return parsed
 
     def _apply(self, value: Any, op: Callable[[DisplayableRelation], DisplayableRelation]):
         return {
@@ -113,7 +133,7 @@ class AddAttributeBox(_AttrBox):
         definition = self.require_param("definition")
 
         def op(rel: DisplayableRelation) -> DisplayableRelation:
-            expr, atomic = _parse_definition(
+            expr, atomic = self._definition(
                 rel, definition, self.param("declared_type")
             )
             result = rel.with_method_added(Method(name, atomic, expr))
@@ -208,7 +228,7 @@ class SetAttributeBox(_AttrBox):
                     f"{name!r} is a stored field; Set Attribute redefines "
                     "computed attributes only"
                 )
-            expr, atomic = _parse_definition(
+            expr, atomic = self._definition(
                 rel, definition, self.param("declared_type")
             )
             method = Method(name, atomic, expr)

@@ -22,6 +22,12 @@ database's catalog version.  Nothing a signature reads can change while
 all three stand still, so a demand whose stamp matches the entry's is
 answered from the memo without walking the signature — the common case of
 a viewer re-demanding its input while nothing was edited.
+
+A box that re-fires after a Section-8 update links each lazy row set it
+emits to the one its previous firing emitted (``LazyRowSet.predecessor``),
+and forcing tries to patch that predecessor's result at the changed rows
+before running the plan (:func:`repro.dbms.delta.carry`); EXPLAIN then
+reads ``patched`` for it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from typing import Any
 from repro.dataflow.box import Box
 from repro.dataflow.graph import Program
 from repro.dbms.catalog import Database
+from repro.dbms.delta import carry
 from repro.dbms.plan import LazyRowSet
 from repro.dbms.plan_rewrite import optimize_plan
 from repro.dbms.relation import storage_epoch
@@ -48,8 +55,9 @@ from repro.obs.trace import current_tracer
 __all__ = ["FireContext", "EngineStats", "Engine"]
 
 
-def _force_value(value: Any, cache: bool) -> Any:
-    """Materialize any lazily-streamed row sets inside a demanded value.
+def _force_value(value: Any, cache: bool) -> int:
+    """Materialize any lazily-streamed row sets inside a demanded value;
+    returns the number of rows patched rather than computed.
 
     Boxes emit plan fragments wrapped in :class:`LazyRowSet`; demand is the
     materialization boundary, so data-dependent evaluation errors surface
@@ -60,19 +68,19 @@ def _force_value(value: Any, cache: bool) -> Any:
     (:func:`_force_lazy`).
     """
     if isinstance(value, LazyRowSet):
-        _force_lazy(value, cache)
-    elif isinstance(value, DisplayableRelation):
-        _force_value(value.rows, cache)
-    elif isinstance(value, Composite):
-        for entry in value.entries:
-            _force_value(entry.relation, cache)
-    elif isinstance(value, Group):
-        for __, member in value.members:
-            _force_value(member, cache)
-    return value
+        return _force_lazy(value, cache)
+    if isinstance(value, DisplayableRelation):
+        return _force_value(value.rows, cache)
+    if isinstance(value, Composite):
+        return sum(_force_value(entry.relation, cache)
+                   for entry in value.entries)
+    if isinstance(value, Group):
+        return sum(_force_value(member, cache)
+                   for __, member in value.members)
+    return 0
 
 
-def _force_lazy(lazy: LazyRowSet, cache: bool) -> None:
+def _force_lazy(lazy: LazyRowSet, cache: bool) -> int:
     """Optimize and materialize one lazy row set, cache-aware.
 
     An unstarted plan goes through :func:`optimize_plan` first — the
@@ -86,24 +94,38 @@ def _force_lazy(lazy: LazyRowSet, cache: bool) -> None:
     already started streaming (a downstream consumer pulled through a
     CacheNode first) are left untouched: rewriting or adopting into a
     half-filled shared buffer would corrupt other consumers.
+
+    A set with a predecessor (its box re-fired after an update) is
+    patched from it when :func:`~repro.dbms.delta.carry` can map the
+    change; it reads ``cache_status`` "patched" and is published to the
+    result cache like a computed result.  Returns the patched row count.
     """
     if lazy.is_materialized:
-        return
+        return 0
+    patched: list[int] = []
 
     def execute():
         if not lazy.has_started:
             root, __ = optimize_plan(lazy.plan)
             if root is not lazy.plan:
                 lazy.replace_plan(root)
+            count = carry(lazy)
+            if count is not None:
+                patched.append(count)
         return lazy.force()
 
     if not cache or lazy.has_started:
         execute()
-        return
-    rows, status = execute_cached(lazy.plan, execute)
-    if status == "hit":
-        lazy.adopt(rows)
-    lazy.cache_status = status
+    else:
+        rows, status = execute_cached(lazy.plan, execute)
+        if status == "hit":
+            lazy.adopt(rows)
+            lazy.predecessor = None
+        lazy.cache_status = status
+    if not patched:
+        return 0
+    lazy.cache_status = "patched"
+    return patched[0]
 
 
 class FireContext:
@@ -250,6 +272,8 @@ class Engine:
         self._preflight_stamp: tuple | None = None
         # box_id -> (signature, outputs dict, demand stamp it was checked at)
         self._cache: dict[int, tuple[tuple, dict[str, Any], tuple]] = {}
+        # box_id -> signature, for the demand in progress (see _evaluate)
+        self._signatures: dict[int, tuple] | None = None
         # Result cache: None follows the process-wide default (on while a
         # TiogaServer runs), True/False pin it (docs/RESULT_CACHE.md).
         self.cache = cache_enabled() if cache is None else bool(cache)
@@ -259,8 +283,9 @@ class Engine:
         # (docs/OBSERVABILITY.md, "Lineage & why-provenance").
         self.lineage = resolve_lineage_config(lineage)
 
-    def _force(self, value: Any) -> Any:
-        """Materialize a demanded value, honoring the execution config."""
+    def _force(self, value: Any) -> int:
+        """Materialize a demanded value, honoring the execution config;
+        returns the number of rows patched rather than computed."""
         if self.lineage is not None:
             with lineage_capture(self.lineage):
                 return _force_value(value, self.cache)
@@ -340,13 +365,17 @@ class Engine:
         tracer = current_tracer()
         try:
             if not tracer.enabled:
-                outputs = self._evaluate_box(box_id, set(), stamp)
-                return self._force(outputs[port_name])
+                value = self._evaluate(box_id, stamp)[port_name]
+                self._force(value)
+                return value
             with tracer.span(
                 "engine.demand", box=box_id, type=box.type_name, port=port_name
-            ):
-                outputs = self._evaluate_box(box_id, set(), stamp)
-                return self._force(outputs[port_name])
+            ) as span:
+                value = self._evaluate(box_id, stamp)[port_name]
+                patched = self._force(value)
+                if patched:
+                    span.set(patched=patched)
+                return value
         except TiogaError as exc:
             # Black-box telemetry: when a flight recorder is installed, the
             # spans/events leading up to this failure are dumped to JSONL
@@ -385,7 +414,7 @@ class Engine:
             if not _all_required_inputs_connected(self.program, box):
                 continue
             if box.outputs:
-                outputs = self._evaluate_box(box_id, set(), self._demand_stamp())
+                outputs = self._evaluate(box_id, self._demand_stamp())
                 for value in outputs.values():
                     self._force(value)
             else:
@@ -395,11 +424,26 @@ class Engine:
 
     # ------------------------------------------------------------------
 
+    def _evaluate(self, box_id: int, stamp: tuple) -> dict[str, Any]:
+        """One demand's memoized outputs of ``box_id`` (see
+        :meth:`_evaluate_box`), computing each box signature at most once."""
+        outer = self._signatures
+        self._signatures = {}
+        try:
+            return self._evaluate_box(box_id, set(), stamp)
+        finally:
+            self._signatures = outer
+
     def _signature_of(self, box_id: int, visiting: set[int]) -> tuple:
         """Structural cache signature: own serial and version + extras +
         input sigs.  The serial tells apart two boxes of one type and
         version, e.g. a replaced box and its replacement, or the old and
-        new source of a rewired input."""
+        new source of a rewired input.  Within one demand each box's is
+        computed once (``_signatures``), so a chain of misses walks each
+        box once rather than once per box downstream of it."""
+        signatures = self._signatures
+        if signatures is not None and box_id in signatures:
+            return signatures[box_id]
         box = self.program.box(box_id)
         parts: list[Any] = [box.type_name, box.serial, box.version,
                             box.signature(self.database)]
@@ -412,7 +456,10 @@ class Engine:
                     (port.name, edge.src_port,
                      self._signature_of(edge.src_box, visiting))
                 )
-        return tuple(parts)
+        signature = tuple(parts)
+        if signatures is not None:
+            signatures[box_id] = signature
+        return signature
 
     def _evaluate_box(
         self, box_id: int, visiting: set[int], stamp: tuple
@@ -425,7 +472,7 @@ class Engine:
             raise GraphError(f"cycle detected at box #{box_id}")
         box = self.program.box(box_id)
         tracer = current_tracer()
-        cached = self._cache.get(box_id)
+        cached = previous = self._cache.get(box_id)
         signature = None
         if cached is not None and cached[2] != stamp:
             signature = self._signature_of(box_id, visiting)
@@ -442,20 +489,25 @@ class Engine:
         if signature is None:
             signature = self._signature_of(box_id, visiting)
         self.stats.record_miss(box_id)
+        old = previous[1] if previous is not None else None
         if not tracer.enabled:
-            return self._fire_box(box, box_id, signature, visiting, stamp)
+            return self._fire_box(box, box_id, signature, visiting, stamp,
+                                  old)
         with tracer.span("engine.fire", box=box_id, type=box.type_name):
-            return self._fire_box(box, box_id, signature, visiting, stamp)
+            return self._fire_box(box, box_id, signature, visiting, stamp,
+                                  old)
 
     def _fire_box(
         self, box: Box, box_id: int, signature: tuple, visiting: set[int],
-        stamp: tuple,
+        stamp: tuple, previous: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
         """Evaluate inputs and fire one box (the cache-miss path).
 
         Under tracing this whole evaluation — upstream demands included —
         runs inside the box's ``engine.fire`` span, so the span tree mirrors
-        the demand-driven firing chain.
+        the demand-driven firing chain.  ``previous`` holds the outputs of
+        the box's last firing, which the new outputs' lazy row sets are
+        linked to as predecessors (:func:`_link_predecessors`).
         """
         visiting = visiting | {box_id}
         inputs: dict[str, Any] = {}
@@ -478,8 +530,35 @@ class Engine:
                 f"{box.describe()} fired without producing outputs: {missing}"
             )
         self.stats.record_fire(box_id)
+        if previous is not None:
+            for name, value in outputs.items():
+                _link_predecessors(value, previous.get(name))
         self._cache[box_id] = (signature, outputs, stamp)
         return outputs
+
+
+def _link_predecessors(new: Any, old: Any) -> None:
+    """Link each lazy row set in a box's new output value to the one in
+    the same place of its previous value, when that one's rows are all
+    known (what :func:`repro.dbms.delta.carry` patches from).  The old set
+    drops its own link, so no predecessor keeps another alive."""
+    if isinstance(new, LazyRowSet):
+        if (isinstance(old, LazyRowSet) and old is not new
+                and old.is_complete and not new.has_started):
+            old.predecessor = None
+            new.predecessor = old
+    elif isinstance(new, DisplayableRelation):
+        if isinstance(old, DisplayableRelation):
+            _link_predecessors(new.rows, old.rows)
+    elif isinstance(new, Composite):
+        if isinstance(old, Composite) and len(old.entries) == len(new.entries):
+            for entry, old_entry in zip(new.entries, old.entries):
+                _link_predecessors(entry.relation, old_entry.relation)
+    elif isinstance(new, Group):
+        if isinstance(old, Group):
+            members = dict(old.members)
+            for name, member in new.members:
+                _link_predecessors(member, members.get(name))
 
 
 def _all_required_inputs_connected(program: Program, box: Box) -> bool:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence as SequenceABC
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -138,36 +138,54 @@ class ColumnBatch:
         row_arr = _object_array(rows) if keep_rows else None
         return cls(schema, columns, rows=row_arr)
 
-    def replaced(self, rows: Sequence[Tuple],
-                 positions: Iterable[int]) -> "ColumnBatch | None":
-        """A copy of this batch with each row at ``positions`` taken from
-        ``rows``, the table's current rows.
+    def patched(self, positions: np.ndarray, rows: Sequence[Tuple],
+                origin: "BatchRows | None" = None) -> "ColumnBatch | None":
+        """This batch with the row at each of ``positions`` (ascending,
+        distinct) replaced by the matching element of ``rows``.
 
-        When ``rows`` differs from the batch's rows only at ``positions``,
-        the copy equals ``from_rows(schema, rows)`` in values, dtypes and
-        row identity.  Returns None where that conversion would choose a
+        Equals ``from_rows`` over the patched rows in values, dtypes and
+        row identity, and shares every column whose cells at ``positions``
+        already hold the new values (bit for bit, or the same objects),
+        so a patch costs the columns it changes.  A batch whose row
+        identity travels in ``origin`` keeps its origin positions over the
+        ``origin`` sequence given (the successor of its old source, with
+        the same length).  Returns None where ``from_rows`` would choose a
         different dtype: a new int beyond int64, or an int column already
         at ``object`` dtype, which a replacement may bring back in range.
         """
-        positions = sorted(positions)
         columns: dict[str, np.ndarray] = {}
         for pos, field in enumerate(self.schema.fields):
             column = self._columns[field.name]
+            values = [row.values[pos] for row in rows]
             dtype = NUMPY_DTYPES.get(field.type)
-            if dtype is not None and column.dtype != dtype:
-                return None
-            column = column.copy()
-            try:
-                for index in positions:    # one cell each: no sniffing
-                    column[index] = rows[index].values[pos]
-            except OverflowError:
-                return None
+            if dtype is not None:
+                if column.dtype != dtype:
+                    return None
+                try:
+                    new = np.array(values, dtype=dtype)
+                except (OverflowError, ValueError, TypeError):
+                    return None
+                if column[positions].tobytes() != new.tobytes():
+                    column = column.copy()
+                    column[positions] = new
+            elif any(old is not value for old, value
+                     in zip(column[positions].tolist(), values)):
+                column = column.copy()
+                for index, value in zip(positions.tolist(), values):
+                    column[index] = value    # one cell each: no sniffing
             columns[field.name] = column
-        identity = self.rows.copy()
-        for index in positions:
-            identity[index] = rows[index]
-        return ColumnBatch(self.schema, columns, mask=self.mask.copy(),
-                           rows=identity)
+        identity = self.rows
+        if identity is not None and len(positions):
+            identity = identity.copy()
+            for index, row in zip(positions.tolist(), rows):
+                identity[index] = row
+        carried = None
+        if self.origin is not None:
+            if origin is None:
+                return None
+            carried = (origin, self.origin[1])
+        return ColumnBatch(self.schema, columns, mask=self.mask,
+                           rows=identity, origin=carried)
 
     @classmethod
     def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":

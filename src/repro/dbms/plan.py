@@ -559,9 +559,15 @@ class ProjectNode(PlanNode):
 
 
 class RestrictNode(PlanNode):
-    """Keep rows satisfying a type-checked boolean predicate."""
+    """Keep rows satisfying a type-checked boolean predicate.
+
+    ``positions`` holds the input positions the last complete execution
+    kept, ascending (None before one completes): what a patch across an
+    update (:mod:`repro.dbms.delta`) maps a changed input row through.
+    """
 
     label = "Restrict"
+    positions: np.ndarray | None = None
 
     def __init__(self, child: PlanNode, predicate: Expr, alias: str | None = None):
         result_type = predicate.infer(child.schema)
@@ -575,9 +581,13 @@ class RestrictNode(PlanNode):
 
     def _produce(self) -> Iterator[Tuple]:
         predicate = self.predicate
-        for row in self._pull(self._children[0]):
+        self.positions = None
+        kept: list[int] = []
+        for index, row in enumerate(self._pull(self._children[0])):
             if predicate.evaluate(row):
+                kept.append(index)
                 yield row
+        self.positions = np.array(kept, dtype=np.intp)
 
     def describe(self) -> str:
         text = _clip(str(self.predicate), 56)
@@ -1006,10 +1016,18 @@ class LazyRowSet(RowSet):
     :class:`~repro.dbms.columnar.BatchRows` over it, which builds each
     Tuple on first access.  Any other plan, or one a consumer already
     streams, buffers its rows as they arrive.
+
+    ``predecessor`` is the same box's previous output, linked by the
+    engine when the box re-fires after an update: the engine may then
+    patch that result instead of running the plan
+    (:func:`repro.dbms.delta.carry`).  A patched set keeps the link until
+    the viewer has patched its location columns from the predecessor's
+    (``repro.render.scene.location_columns``); any other materialization
+    drops it.
     """
 
     __slots__ = ("_plan", "_buffer", "_iter", "_done", "_error", "_forced",
-                 "label", "cache_status")
+                 "label", "cache_status", "predecessor")
 
     def __init__(self, plan: PlanNode, label: str | None = None):
         # Deliberately no super().__init__: the parent would materialize.
@@ -1024,9 +1042,12 @@ class LazyRowSet(RowSet):
         self.column_batch = None
         self.location_memo = None
         self.stats_memo = None
+        self.delta = None
         self.label = label
-        # "hit" / "miss" when the result cache was consulted; None otherwise.
+        # "hit" / "miss" when the result cache was consulted, "patched"
+        # when the result was carried across an update; None otherwise.
         self.cache_status: str | None = None
+        self.predecessor: LazyRowSet | None = None
 
     # -- laziness ---------------------------------------------------------
 
@@ -1037,6 +1058,13 @@ class LazyRowSet(RowSet):
     @property
     def is_materialized(self) -> bool:
         return self._forced is not None
+
+    @property
+    def is_complete(self) -> bool:
+        """True once the rows are all known: forced, or streamed to the end
+        by a consumer."""
+        return self._forced is not None or (self._done
+                                            and self._error is None)
 
     def buffered_rows(self) -> int:
         return len(self._buffer)
@@ -1066,6 +1094,7 @@ class LazyRowSet(RowSet):
         except StopIteration:
             self._done = True
             self._iter = None
+            self.predecessor = None
         except Exception as exc:
             self._error = exc
             self._iter = None
@@ -1090,6 +1119,7 @@ class LazyRowSet(RowSet):
                 for __ in self.stream():
                     pass
                 self._forced = tuple(self._buffer)
+            self.predecessor = None
         return self._forced
 
     def _finish(self, rows: Sequence[Tuple]) -> None:
@@ -1426,10 +1456,12 @@ class ColumnarRestrictNode(ColumnarNode):
     (:class:`VectorFallback`: a zero divisor the serial short-circuit might
     have skipped, an overflowed int column) — that batch is evaluated
     row-at-a-time with the serial ``Expr.evaluate``: identical rows,
-    identical errors, counted in ``columnar.fallback``.
+    identical errors, counted in ``columnar.fallback``.  ``positions``
+    holds the kept input positions, as on :class:`RestrictNode`.
     """
 
     label = "Restrict"
+    positions: np.ndarray | None = None
 
     def __init__(
         self,
@@ -1457,6 +1489,9 @@ class ColumnarRestrictNode(ColumnarNode):
     def _produce_columns(self) -> Iterator[ColumnBatch]:
         compiled = self._compiled
         predicate = self.predicate
+        self.positions = None
+        kept: list[np.ndarray] = []
+        offset = 0
         for batch in self._pull_columns(self._children[0]):
             if not len(batch):
                 continue
@@ -1475,9 +1510,13 @@ class ColumnarRestrictNode(ColumnarNode):
                     dtype=bool,
                     count=len(batch),
                 )
+            kept.append(keep.nonzero()[0] + offset)
+            offset += len(batch)
             out = batch.take_mask(keep)
             if len(out):
                 yield out
+        self.positions = (np.concatenate(kept) if kept
+                          else np.zeros(0, dtype=np.intp))
 
     def describe(self) -> str:
         text = _clip(str(self.predicate), 56)
@@ -1916,9 +1955,17 @@ class ColumnarHashJoinNode(ColumnarNode):
     Key hazards — an overflowed int column, mixed int/float keys beyond
     the exact float64 range, values numpy cannot order — drop execution to
     the serial hash-join algorithm, degradation notes included.
+
+    ``positions`` keeps the last complete vectorized execution's index
+    arrays ``(probe, build)``: output row *j* joins probe row
+    ``probe[j]`` (ascending) with build row ``build[j]``.  A patch across
+    an update (:mod:`repro.dbms.delta`) looks a changed row's output
+    positions up in them.  None before one completes or after the serial
+    fallback ran.
     """
 
     label = "HashJoin"
+    positions: tuple[np.ndarray, np.ndarray] | None = None
 
     _DEGRADED_BUILD = HashJoinNode._DEGRADED_BUILD
     _DEGRADED_PROBE = HashJoinNode._DEGRADED_PROBE
@@ -1972,6 +2019,7 @@ class ColumnarHashJoinNode(ColumnarNode):
 
     def _produce_columns(self) -> Iterator[ColumnBatch]:
         left_child, right_child = self._children
+        self.positions = None
         right_batches = list(self._pull_columns(right_child))
         rbatch = ColumnBatch.concat(right_batches) if right_batches else None
         build_rows = len(rbatch) if rbatch is not None else 0
@@ -1980,6 +2028,8 @@ class ColumnarHashJoinNode(ColumnarNode):
         if not build_rows:
             for __ in left_stream:  # serial still scans the probe side
                 pass
+            empty = np.zeros(0, dtype=np.intp)
+            self.positions = (empty, empty)
             return
         cast = self._key_caster()
         try:
@@ -1999,6 +2049,9 @@ class ColumnarHashJoinNode(ColumnarNode):
         out_schema = self._schema
         store = _lineage_store(self)
         r_rows = rbatch.to_rows() if store is not None else None
+        probes: list[np.ndarray] = []
+        builds: list[np.ndarray] = []
+        offset = 0
         for lbatch in left_stream:
             if not len(lbatch):
                 continue
@@ -2014,6 +2067,8 @@ class ColumnarHashJoinNode(ColumnarNode):
                 return
             counts = hi - lo
             total = int(counts.sum())
+            base = offset
+            offset += len(lbatch)
             if not total:
                 continue
             li = np.repeat(np.arange(len(lbatch)), counts)
@@ -2022,6 +2077,8 @@ class ColumnarHashJoinNode(ColumnarNode):
                 np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
             )
             ri = r_order[np.repeat(lo, counts) + within]
+            probes.append(li + base)
+            builds.append(ri)
             columns = {
                 name: lbatch.column(name)[li] for name in left_names
             }
@@ -2036,6 +2093,11 @@ class ColumnarHashJoinNode(ColumnarNode):
                 for j, orow in enumerate(out_rows):
                     store.record(orow, (l_rows[li_list[j]], r_rows[ri_list[j]]))
             yield out
+        if probes:
+            self.positions = (np.concatenate(probes), np.concatenate(builds))
+        else:
+            empty = np.zeros(0, dtype=np.intp)
+            self.positions = (empty, empty)
 
     def _row_join(
         self, rbatch: ColumnBatch, left_stream: Iterator[ColumnBatch]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -29,6 +30,8 @@ from typing import (
     Mapping,
     Sequence,
 )
+
+import numpy as np
 
 from repro.dbms import types as T
 from repro.dbms.expr import Expr
@@ -50,6 +53,7 @@ __all__ = [
     "table_epoch",
     "table_epochs",
     "bump_table_epoch",
+    "definition_key",
 ]
 
 
@@ -128,10 +132,18 @@ class RowSet:
     keyed by the location definitions; None until first rendered.
     ``stats_memo`` holds the rows' column statistics
     (``repro.dbms.catalog.stats_for``); None until first asked for.
+
+    ``delta`` records that this row set is a successor: ``(ref,
+    positions)``, a weak reference to the predecessor row set and the
+    ascending positions where the two differ.  Both have the same length,
+    and every other position holds an equal row (the same Tuple, for a
+    table snapshot or a row-identity result).  Set by
+    :meth:`Table.snapshot` after ``replace_row`` and by
+    :func:`repro.dbms.delta.carry`; None otherwise.
     """
 
     __slots__ = ("_schema", "_rows", "column_batch", "location_memo",
-                 "stats_memo", "__weakref__")
+                 "stats_memo", "delta", "__weakref__")
 
     def __init__(self, schema: Schema, rows: Iterable[Tuple] = ()):
         self._schema = schema
@@ -145,6 +157,7 @@ class RowSet:
         self.column_batch: ColumnBatch | None = None
         self.location_memo: dict | None = None
         self.stats_memo: TableStats | None = None
+        self.delta: tuple[weakref.ref, np.ndarray] | None = None
 
     @classmethod
     def trusted(cls, schema: Schema, rows: Iterable[Tuple]) -> "RowSet":
@@ -197,8 +210,13 @@ class Table:
     A Section-8 update replaces one row, so the next :meth:`snapshot` need
     not re-convert the whole table to columns: while ``replace_row`` is the
     only mutation since the last snapshot, the table carries that
-    snapshot's column batch (never the snapshot itself) plus the replaced
-    positions, and the next snapshot starts from a patched copy.  Sessions
+    snapshot's column batch, a weak reference to the snapshot itself, and
+    the replaced positions.  The next snapshot starts from a patched copy
+    of the batch that shares every column the replacements left alone,
+    and records the predecessor and the positions as its ``delta``, so
+    results computed from the old snapshot can be patched rather than
+    recomputed (:mod:`repro.dbms.delta`).  The table never keeps an old
+    snapshot alive.  Sessions
     on different server threads share tables, so mutations and snapshot
     builds hold one lock: a snapshot never pairs rows with a carried batch
     from another version.
@@ -217,7 +235,9 @@ class Table:
         self._rows: list[Tuple] = []
         self._version = 0
         self._snapshot: RowSet | None = None
-        self._carry: tuple[ColumnBatch, set[int]] | None = None
+        # (batch or None, weak ref to the last snapshot, replaced positions)
+        self._carry: tuple[ColumnBatch | None, weakref.ref, set[int]] | None
+        self._carry = None
         self._lock = threading.RLock()
 
     def _bump(self, replaced: int | None = None) -> None:
@@ -227,10 +247,10 @@ class Table:
             self._carry = None
         else:
             if self._snapshot is not None:
-                batch = self._snapshot.column_batch
-                self._carry = None if batch is None else (batch, set())
+                self._carry = (self._snapshot.column_batch,
+                               weakref.ref(self._snapshot), set())
             if self._carry is not None:
-                self._carry[1].add(replaced)
+                self._carry[2].add(replaced)
         self._version += 1
         self._snapshot = None
         bump_table_epoch(self.name)
@@ -339,15 +359,38 @@ class Table:
             if self._snapshot is None:
                 snapshot = RowSet.trusted(self._schema, self._rows)
                 if self._carry is not None:
-                    batch, replaced = self._carry
-                    snapshot.column_batch = batch.replaced(snapshot.rows,
-                                                           replaced)
+                    batch, previous, replaced = self._carry
+                    positions = np.array(sorted(replaced), dtype=np.intp)
+                    if batch is not None:
+                        rows = snapshot.rows
+                        snapshot.column_batch = batch.patched(
+                            positions, [rows[pos] for pos in positions])
+                    snapshot.delta = (previous, positions)
                     self._carry = None
                 self._snapshot = snapshot
             return self._snapshot
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self._rows)} rows, v{self._version})"
+
+
+def definition_key(methods: "MethodSet") -> tuple:
+    """A hashable key naming a method set's definitions: each method's
+    name, type and expression (or Python callable), the expression by
+    identity.
+
+    Attribute boxes parse a definition once per box version and reference
+    schema (:mod:`repro.dataflow.boxes_attr`), so a box that re-fires
+    after a table update hands the same expressions on and the key stays
+    equal, although every ``Method`` object is new.  Memos keyed by it
+    (location columns, compiled displays) hold the expressions, so an id
+    is never reused while its entry lives.
+    """
+    return tuple(
+        (method.name, method.type,
+         method.expr if method.expr is not None else method._callable)
+        for method in methods
+    )
 
 
 class Method:

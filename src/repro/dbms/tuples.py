@@ -57,7 +57,7 @@ class Field:
 class Schema:
     """An ordered collection of uniquely named fields."""
 
-    __slots__ = ("_fields", "_index")
+    __slots__ = ("_fields", "_index", "_hash")
 
     def __init__(self, fields: Iterable[Field | tuple[str, AtomicType | str]]):
         normalized: list[Field] = []
@@ -69,6 +69,7 @@ class Schema:
                 normalized.append(Field(name, atomic))
         self._fields = tuple(normalized)
         self._index = {field.name: pos for pos, field in enumerate(self._fields)}
+        self._hash: int | None = None
         if len(self._index) != len(self._fields):
             seen: set[str] = set()
             for field in self._fields:
@@ -144,7 +145,11 @@ class Schema:
         return isinstance(other, Schema) and self._fields == other._fields
 
     def __hash__(self) -> int:
-        return hash(self._fields)
+        # Schemas are immutable: hash the fields once, so memos keyed by a
+        # schema cost one lookup per frame.
+        if self._hash is None:
+            self._hash = hash(self._fields)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{field.name}: {field.type.name}" for field in self._fields)

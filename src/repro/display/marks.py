@@ -50,7 +50,7 @@ from repro.dbms import types as T
 from repro.dbms.columnar import ColumnBatch, field_column
 from repro.dbms.expr import Call, Expr, FieldRef, lookup_function
 from repro.dbms.expr_compile import VectorFallback, compile_expression
-from repro.dbms.relation import MethodSet, RowSet
+from repro.dbms.relation import MethodSet, RowSet, definition_key
 from repro.dbms.tuples import Schema
 from repro.display.displayable import SEQ_FIELD, DisplayableRelation
 from repro.display.drawables import (
@@ -92,7 +92,7 @@ _PROGRAM_MEMO_ENTRIES = 64
 """Compiled displays kept (:func:`_program`): one per set of method
 definitions and stored schema recently rendered."""
 
-_PROGRAMS: dict[tuple, tuple[Schema, "_Program | None"]] = {}
+_PROGRAMS: dict[tuple, "_Program | None"] = {}
 _PROGRAMS_LOCK = threading.Lock()
 
 
@@ -388,15 +388,15 @@ def _program(relation: DisplayableRelation) -> _Program | None:
     if "display" not in methods:
         return None    # the default display, or a stored drawables column
     schema = relation.rows.schema
-    # Schema objects are looked up by identity: hashing one hashes every
-    # field, on every frame.
-    key = (tuple(methods), id(schema))
-    memo = _PROGRAMS.get(key)
-    if memo is not None and memo[0] is schema:
-        return memo[1]
+    # A schema hashes its fields once; a join that re-fires after an update
+    # builds an equal schema object, which finds the same entry.
+    key = (definition_key(methods), schema)
+    memo = _PROGRAMS.get(key, _PROGRAMS)
+    if memo is not _PROGRAMS:
+        return memo
     program = _compile(methods, schema)
     with _PROGRAMS_LOCK:    # server sessions render on several threads
-        _PROGRAMS[key] = (schema, program)
+        _PROGRAMS[key] = program
         while len(_PROGRAMS) > _PROGRAM_MEMO_ENTRIES:
             del _PROGRAMS[next(iter(_PROGRAMS))]
     return program

@@ -81,12 +81,19 @@ class FrameCache:
     In-process sessions leave ``CommandExecutor.frame_cache`` unset: local
     callers keep the engine-executing path (and its per-box statistics)
     byte-for-byte identical to the imperative API.
+
+    A frame stored at a newer storage epoch drops every entry of an older
+    one: their keys hold the epoch they were rendered at, so after a table
+    update they can never hit again, and they would otherwise hold their
+    display lists until LRU order reached them.
     """
 
     def __init__(self, capacity: int = 128):
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict[Any, tuple] = OrderedDict()
+        #: The storage epoch of the entries held (see :meth:`put`).
+        self._epoch = 0
 
     def get(self, key: Any) -> tuple | None:
         with self._lock:
@@ -95,8 +102,16 @@ class FrameCache:
                 self._entries.move_to_end(key)
             return entry
 
-    def put(self, key: Any, entry: tuple) -> None:
+    def put(self, key: Any, entry: tuple, epoch: int) -> None:
+        """Store ``entry``; ``epoch`` is the storage epoch its key holds.
+        A newer epoch first drops the entries of older ones, and an entry
+        from an older epoch than those held is not stored."""
         with self._lock:
+            if epoch < self._epoch:
+                return
+            if epoch > self._epoch:
+                self._entries.clear()
+                self._epoch = epoch
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -349,7 +364,8 @@ class CommandExecutor:
             result = window.viewer.last_result
             self.frame_cache.put(
                 key, (canvas.width, canvas.height, data, canvas.draw_ops,
-                      RenderResult(None, result.items, result.stats)))
+                      RenderResult(None, result.items, result.stats)),
+                epoch=key[-1])
         return FrameReply(
             window=command.window,
             frame_seq=seq,

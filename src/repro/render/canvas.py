@@ -53,7 +53,7 @@ from repro.errors import DisplayError
 from repro.obs.trace import current_tracer
 from repro.render.font import CHAR_HEIGHT, text_mask
 
-__all__ = ["Canvas", "WHITE", "BLACK"]
+__all__ = ["Canvas", "WHITE", "BLACK", "all_finite", "all_near"]
 
 WHITE: Color = (255, 255, 255)
 BLACK: Color = (0, 0, 0)
@@ -63,6 +63,19 @@ def all_finite(*values: float) -> bool:
     """Whether every coordinate is finite; a primitive paints nothing at an
     infinite or NaN coordinate (also used by the SVG surface)."""
     return all(map(math.isfinite, values))
+
+
+_FAR = 2.0 ** 62
+"""Pixel coordinates past which a stroked outline paints nothing."""
+
+
+def all_near(*values: float) -> bool:
+    """Whether every coordinate (or radius) is finite and below ``_FAR``
+    pixels in magnitude.  Lines, rectangle, circle and polygon outlines
+    rasterize in integer pixel steps; past int64 pixels those cannot be
+    held, so an outline with such a coordinate paints (or, on the SVG
+    surface, emits) nothing, as at a non-finite one."""
+    return all(abs(value) < _FAR for value in values)
 
 
 def _color_key(color: Color) -> int:
@@ -343,7 +356,7 @@ class Canvas:
     ) -> None:
         """Bresenham line with optional thickness (:meth:`_line_points`)."""
         self.draw_ops += 1
-        if not all_finite(x0, y0, x1, y1):
+        if not all_near(x0, y0, x1, y1):
             return
         self._paint_points(*self._line_points(x0, y0, x1, y1, width), color,
                            width)
@@ -357,7 +370,9 @@ class Canvas:
         ``(2 k d_minor + d_major) // (2 d_major)`` times, the integer
         nearest ``k d_minor / d_major`` (halves round up).  The points come
         from that closed form, only for the steps whose major coordinate
-        lies within the stroke's half width of the canvas.
+        lies within the stroke's half width of the canvas, in int64 steps
+        or, where those could overflow (ends far past the canvas), in
+        Python ints.  The ends are below ``_FAR`` pixels (:func:`all_near`).
         """
         ix0, iy0, ix1, iy1 = int(round(x0)), int(round(y0)), int(round(x1)), int(round(y1))
         sx = 1 if ix0 < ix1 else -1
@@ -373,6 +388,12 @@ class Canvas:
         low, high = sorted(((-half - start) * step, (size - 1 + half - start) * step))
         k = np.arange(max(0, low), min(major, high) + 1)
         along = start + step * k
+        if len(k) and int(k[-1]) * 2 * minor + 2 * major >= 2 ** 63:
+            across = np.array([(steps * 2 * minor + major) // (2 * major)
+                               for steps in k.tolist()], dtype=object)
+            if x_major:
+                return along, (iy0 + sy * across).astype(np.int64)
+            return (ix0 + sx * across).astype(np.int64), along
         across = (k * (2 * minor) + major) // (2 * major or 1)
         if x_major:
             return along, iy0 + sy * across
@@ -381,7 +402,7 @@ class Canvas:
     def draw_rect(
         self, x0: float, y0: float, x1: float, y1: float, color: Color, width: int = 1
     ) -> None:
-        if not all_finite(x0, y0, x1, y1):
+        if not all_near(x0, y0, x1, y1):
             # One op per edge, as drawn; no edge of it paints.
             self.draw_ops += 4
             return
@@ -410,7 +431,7 @@ class Canvas:
     ) -> None:
         """Midpoint circle (:meth:`_circle_points`)."""
         self.draw_ops += 1
-        if not all_finite(cx, cy, radius):
+        if not all_near(cx, cy, radius):
             return
         self._paint_points(*self._circle_points(cx, cy, radius, width), color,
                            width)
@@ -430,6 +451,9 @@ class Canvas:
         (1 + sqrt(8r² - 7)) / 4.  Only rows whose mirrored points can reach
         the canvas are computed, so the work is bounded by the canvas size,
         not the radius.  A radius that rounds to 0 or less is its centre.
+        The centre and radius are below ``_FAR`` pixels (:func:`all_near`);
+        a radius whose square overflows int64 takes the roots in Python
+        ints.
         """
         r = int(round(radius))
         cxi, cyi = int(round(cx)), int(round(cy))
@@ -446,7 +470,12 @@ class Canvas:
         high_a, high_b = min(high_a, last), min(high_b, last)
         y = np.concatenate((np.arange(low_a, high_a + 1),
                             np.arange(max(low_b, high_a + 1), high_b + 1)))
-        x = (np.sqrt(r * r - y * y) + 0.5).astype(np.int64)
+        if r * r < 2 ** 63:
+            squares = r * r - y * y
+        else:
+            squares = np.array([float(r * r - row * row)
+                                for row in y.tolist()])
+        x = (np.sqrt(squares) + 0.5).astype(np.int64)
         across = np.concatenate((x, y))
         down = np.concatenate((y, x))
         return ((cxi + across * _OCTANT_SIGNS[0]).ravel(),
@@ -631,7 +660,7 @@ class Canvas:
         elif paint == PAINT_RECT:
             # A rectangle outline is its four edges, as draw_rect draws them.
             corners = np.array(coords)
-            finite = np.isfinite(corners).all(axis=0).nonzero()[0]
+            finite = (np.abs(corners) < _FAR).all(axis=0).nonzero()[0]
             x0, y0, x1, y1 = corners[:, finite]
             x0, x1 = np.minimum(x0, x1), np.maximum(x0, x1)
             y0, y1 = np.minimum(y0, y1), np.maximum(y0, y1)
@@ -664,14 +693,16 @@ class Canvas:
     def _line_pixels(self, ends: np.ndarray, owner: np.ndarray, limit: int):
         """Width-1 lines between (ends[0], ends[1]) and (ends[2], ends[3]):
         :meth:`_line_points` for many lines at once, with int64 steps.
-        Lines with an end beyond 2**52 pixels, where those could differ
-        from Python's, take :meth:`_line_points` itself."""
+        Lines with an end beyond 2**40 pixels, where those could overflow
+        (on canvases up to 2**20 pixels across), take :meth:`_line_points`
+        itself; lines with an end past ``_FAR`` paint nothing."""
         width, height = self.width, self.height
         rounded = np.rint(ends)
-        # NaN fails the comparison too.
-        near = np.abs(rounded).max(axis=0) < 2.0 ** 52
+        # NaN fails the comparisons too.
+        reach = np.abs(rounded).max(axis=0)
+        near = reach < 2.0 ** 40
         if not near.all():
-            far = ~near & np.isfinite(rounded).all(axis=0)
+            far = ~near & (reach < _FAR)
             for i in far.nonzero()[0].tolist():
                 xs, ys = self._line_points(*ends[:, i].tolist(), 1)
                 yield self._inside(xs, ys, np.full(len(xs), owner[i]))
@@ -729,9 +760,9 @@ class Canvas:
             near &= rounded < _STAMP_RADIUS
         index = np.arange(len(near))
         if not near.all():
-            finite = np.isfinite(x) & np.isfinite(y)
+            finite = (np.abs(x) < _FAR) & (np.abs(y) < _FAR)
             if circles is not None:
-                finite &= np.isfinite(rounded)
+                finite &= np.abs(rounded) < _FAR
             for i in (finite & ~near).nonzero()[0].tolist():
                 xs, ys = self._circle_points(
                     float(cx[i]), float(cy[i]),
@@ -825,7 +856,7 @@ class Canvas:
     ) -> None:
         if len(points) < 2:
             return
-        if not all_finite(*(v for point in points for v in point)):
+        if not all_near(*(v for point in points for v in point)):
             # One op per edge, as drawn; no edge of it paints.
             self.draw_ops += len(points)
             return

@@ -36,7 +36,8 @@ import numpy as np
 from repro.dbms.columnar import BatchRows, field_column
 from repro.dbms.expr import FieldRef
 from repro.dbms.expr_compile import VectorFallback
-from repro.dbms.relation import RowSet
+from repro.dbms.plan import LazyRowSet
+from repro.dbms.relation import RowSet, definition_key
 from repro.dbms.tuples import Tuple
 from repro.dbms import types as T
 from repro.display.displayable import (
@@ -620,21 +621,32 @@ def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
 
     A tuple's location depends on the tuple alone, so the columns are
     memoized on the relation's row set (``RowSet.location_memo``), keyed by
-    the slider dimensions and the method definitions a location may read.
-    The memo keeps the ``_LOCATION_MEMO_ENTRIES`` most recent keys and dies
-    with the row set.  Element ``i`` of each column equals the matching
-    component of ``relation.location_of`` for tuple ``i``, whether it was
-    read from a stored column, computed by a compiled kernel, or computed
-    per tuple (see :func:`_evaluate_locations`); a location method that
-    fails raises the per-tuple path's error here and memoizes nothing.
+    the slider dimensions and the method definitions a location may read
+    (:func:`~repro.dbms.relation.definition_key`).  The memo keeps the
+    ``_LOCATION_MEMO_ENTRIES`` most recent keys and dies with the row set.
+    Element ``i`` of each column equals the matching component of
+    ``relation.location_of`` for tuple ``i``, whether it was read from a
+    stored column, computed by a compiled kernel, or computed per tuple
+    (see :func:`_evaluate_locations`); a location method that fails raises
+    the per-tuple path's error here and memoizes nothing.
+
+    A row set carried across an update (``RowSet.delta``) starts from its
+    predecessor's columns under the same key and recomputes only the
+    changed rows (:func:`_carried_locations`); a lazy one then lets go of
+    its predecessor, so the superseded result is freed.
     """
     rows = relation.rows
-    key = (relation.slider_dims, tuple(relation.methods))
+    key = (relation.slider_dims, definition_key(relation.methods))
     memo = rows.location_memo or {}
     columns = memo.get(key)
     if columns is not None:
         return columns
-    columns = _evaluate_locations(relation)
+    columns = _carried_locations(relation, key)
+    if columns is None:
+        columns = _evaluate_locations(relation)
+    if isinstance(rows, LazyRowSet):
+        # The predecessor was kept for this; the superseded result can go.
+        rows.predecessor = None
     for column in columns:
         column.flags.writeable = False
     fresh = {**memo, key: columns}
@@ -644,13 +656,47 @@ def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
     return columns
 
 
-def _evaluate_locations(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
-    """Compute :func:`location_columns` from scratch.
+def _carried_locations(relation: DisplayableRelation,
+                       key: tuple) -> tuple[np.ndarray, ...] | None:
+    """The predecessor's location columns under ``key`` with the changed
+    rows recomputed, or None when the row set is no successor or its
+    predecessor has no such columns.
+
+    The rows of a delta differ only at its positions, and a location
+    depends on its tuple and position alone, so every other element
+    stands.  A column whose changed elements come out bit-identical is
+    shared with the predecessor.
+    """
+    delta = relation.rows.delta
+    if delta is None:
+        return None
+    previous = delta[0]()
+    memo = previous.location_memo if previous is not None else None
+    old = memo.get(key) if memo else None
+    if old is None:
+        return None
+    positions = delta[1]
+    if not len(positions):
+        return old
+    columns = []
+    for column, values in zip(old, _evaluate_locations(relation, positions)):
+        if column[positions].tobytes() != values.tobytes():
+            column = column.copy()
+            column[positions] = values
+        columns.append(column)
+    return tuple(columns)
+
+
+def _evaluate_locations(
+    relation: DisplayableRelation, positions: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Compute :func:`location_columns` from scratch, for every tuple or
+    for the tuples at ``positions``.
 
     A location attribute that is a stored column, or a bare reference to
     one, is read from the row set (:func:`_stored_column`).  A computed
     one runs as a numpy kernel over the stored columns
-    (:func:`_compiled_column`), "computing attribute values only where
+    (:func:`_location_plan`), "computing attribute values only where
     necessary" (§5.1) at array speed.  When any location attribute cannot
     be compiled, or its kernel cannot vouch for the exact per-tuple
     values, every column comes from the per-tuple ``location_of`` loop
@@ -658,70 +704,104 @@ def _evaluate_locations(relation: DisplayableRelation) -> tuple[np.ndarray, ...]
     tuple, as it always has.
     """
     rows = relation.rows
+    if positions is not None:
+        rows = RowSet.trusted(rows.schema,
+                              [rows[pos] for pos in positions.tolist()])
     count = len(rows)
-    custom = relation.has_custom_location
-    attrs = relation.location_attrs if custom else relation.slider_dims
+    plan = _location_plan(relation)
+    if plan is None:
+        return _per_tuple_locations(relation, positions)
+    reference, steps = plan
     computed: dict[str, np.ndarray] = {}
     columns = []
-    for attr in attrs:
-        position = _stored_position(relation, attr)
-        if position is not None:
+    for name, chain in steps:
+        if chain is None:
             # astype calls float() on object cells, as the tuples would.
-            name = rows.schema.names[position]
             columns.append(_stored_column(rows, name).astype(np.float64))
             continue
-        column = _compiled_column(relation, attr, computed)
-        if column is None:
-            return _per_tuple_locations(relation)
-        columns.append(column.astype(np.float64))    # float() per value
-    if not custom:
-        columns = [np.zeros(count), np.arange(count, dtype=np.float64),
-                   *columns]
+        for dep in set().union(*(step.reads for step in chain)) \
+                - computed.keys():
+            if dep in rows.schema:
+                computed[dep] = _stored_column(rows, dep)
+        try:
+            run_kernels(chain, reference, computed, count)
+        except VectorFallback:
+            return _per_tuple_locations(relation, positions)
+        columns.append(computed[name].astype(np.float64))  # float() per value
+    if not relation.has_custom_location:
+        seq = np.arange(count) if positions is None else positions
+        columns = [np.zeros(count), seq.astype(np.float64), *columns]
     return tuple(columns)
 
 
+_LOCATION_PLAN_ENTRIES = 64
+"""Compiled location plans kept (:func:`_location_plan`)."""
+
+_LOCATION_PLANS: dict[tuple, tuple | None] = {}
+_LOCATION_PLANS_LOCK = threading.Lock()
+
+
+def _location_plan(relation: DisplayableRelation) -> tuple | None:
+    """How each location attribute is computed, or None when one of them
+    has to go per tuple; memoized by method definitions, slider
+    dimensions and stored schema, as :func:`repro.display.marks.mark_table`
+    keys its compiled displays.
+
+    A plan is ``(reference schema, steps)``, one ``(name, chain)`` step
+    per location attribute evaluated: ``chain`` None reads stored column
+    ``name``, otherwise ``chain`` holds the kernels of computed attribute
+    ``name`` and every computed attribute it reads that no earlier step
+    computed.  Compiling requires each attribute and what it reads to
+    compile exactly (:func:`repro.display.marks.attribute_kernels`; an
+    ambient field such as ``tioga_seq`` does not); :func:`run_kernels`
+    makes the checks that need the data.
+    """
+    schema = relation.rows.schema
+    key = (definition_key(relation.methods), relation.slider_dims, schema)
+    memo = _LOCATION_PLANS.get(key, _LOCATION_PLANS)
+    if memo is not _LOCATION_PLANS:
+        return memo
+    methods = relation.methods
+    custom = relation.has_custom_location
+    steps: list[tuple[str, Any]] | None = []
+    ready: set[str] = set()
+    for attr in (relation.location_attrs if custom else relation.slider_dims):
+        position = _stored_position(relation, attr)
+        if position is not None:
+            steps.append((schema.names[position], None))
+            continue
+        chain = attribute_kernels(methods, schema, [attr], ready)
+        if chain is None:
+            steps = None
+            break
+        steps.append((attr, chain))
+        ready.update(step.name for step in chain)
+    plan = None if steps is None else (methods.reference_schema(),
+                                       tuple(steps))
+    with _LOCATION_PLANS_LOCK:    # server sessions render on several threads
+        _LOCATION_PLANS[key] = plan
+        while len(_LOCATION_PLANS) > _LOCATION_PLAN_ENTRIES:
+            del _LOCATION_PLANS[next(iter(_LOCATION_PLANS))]
+    return plan
+
+
 def _per_tuple_locations(
-    relation: DisplayableRelation,
+    relation: DisplayableRelation, positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """:func:`location_columns` by ``location_of`` over every tuple."""
-    count = len(relation.rows)
+    """:func:`location_columns` by ``location_of`` over every tuple, or
+    over the tuples at ``positions``."""
+    if positions is None:
+        count = len(relation.rows)
+        views = relation.views()
+    else:
+        count = len(positions)
+        views = map(relation.view_at, positions.tolist())
     flat = np.fromiter(
-        itertools.chain.from_iterable(
-            map(relation.location_of, relation.views())
-        ),
+        itertools.chain.from_iterable(map(relation.location_of, views)),
         dtype=np.float64,
         count=count * relation.dimension,
     )
     return tuple(flat.reshape(count, relation.dimension).T.copy())
-
-
-def _compiled_column(
-    relation: DisplayableRelation, name: str, known: dict[str, np.ndarray]
-) -> np.ndarray | None:
-    """Computed attribute ``name`` for every tuple by a compiled kernel.
-
-    Returns None unless each element provably equals ``method.compute``'s
-    value for its tuple: the attribute and every computed attribute it
-    reads compile exactly (:func:`repro.display.marks.attribute_kernels`;
-    an ambient field such as ``tioga_seq`` does not), and their kernels
-    raise no ``VectorFallback`` and yield numbers -- for a float, with no
-    NaN (:func:`repro.display.marks.run_kernels`).  ``known`` holds the
-    columns, stored and computed, already built for this relation.
-    """
-    rows = relation.rows
-    chain = attribute_kernels(relation.methods, rows.schema, [name],
-                              known.keys())
-    if chain is None:
-        return None
-    for dep in set().union(*(step.reads for step in chain)) - known.keys():
-        if dep in rows.schema:
-            known[dep] = _stored_column(rows, dep)
-    try:
-        run_kernels(chain, relation.methods.reference_schema(), known,
-                    len(rows))
-    except VectorFallback:
-        return None
-    return known[name]
 
 
 def _stored_column(rows: RowSet, name: str) -> np.ndarray:

@@ -24,7 +24,7 @@ from xml.sax.saxutils import escape
 from repro.display.drawables import Color, resolve_color
 from repro.display.marks import MarkBatch, paint_each
 from repro.errors import DisplayError
-from repro.render.canvas import all_finite
+from repro.render.canvas import all_finite, all_near
 from repro.render.font import CHAR_WIDTH
 
 __all__ = ["SvgCanvas", "render_svg"]
@@ -67,7 +67,7 @@ class SvgCanvas:
         )
 
     def draw_line(self, x0, y0, x1, y1, color: Color, width: int = 1) -> None:
-        if not all_finite(x0, y0, x1, y1):
+        if not all_near(x0, y0, x1, y1):
             return
         self.elements.append(
             f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" '
@@ -75,7 +75,7 @@ class SvgCanvas:
         )
 
     def draw_rect(self, x0, y0, x1, y1, color: Color, width: int = 1) -> None:
-        if not all_finite(x0, y0, x1, y1):
+        if not all_near(x0, y0, x1, y1):
             return
         x0, x1 = min(x0, x1), max(x0, x1)
         y0, y1 = min(y0, y1), max(y0, y1)
@@ -96,7 +96,7 @@ class SvgCanvas:
         )
 
     def draw_circle(self, cx, cy, radius, color: Color, width: int = 1) -> None:
-        if not all_finite(cx, cy, radius):
+        if not all_near(cx, cy, radius):
             return
         self.elements.append(
             f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="{max(radius, 0.5):.2f}" '
@@ -121,7 +121,7 @@ class SvgCanvas:
         paint_each(self, marks)
 
     def draw_polygon(self, points, color: Color, width: int = 1) -> None:
-        if not all_finite(*(v for point in points for v in point)):
+        if not all_near(*(v for point in points for v in point)):
             return
         joined = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
         self.elements.append(

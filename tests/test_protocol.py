@@ -414,6 +414,28 @@ def test_frame_cache_hit_restores_pick_provenance(cached_map_session):
     assert why_doc["mark"]["tuple_index"] == first.tuple_index
 
 
+def test_frame_cache_keeps_only_current_epoch_frames(cached_map_session):
+    # A §8 update bumps the storage epoch every frame key holds: frames
+    # rendered before it can never hit again, so the next stored frame
+    # drops them instead of leaving them to LRU eviction.
+    from repro.dbms.relation import storage_epoch
+    from repro.dbms.update import ScriptedDialog, generic_update
+
+    session = cached_map_session
+    cache = session.protocol.frame_cache
+    for lon in (-91.8, -92.4, -91.0):
+        session.pan_to("map", lon, 31.0)
+        session.render_frame("map", format="png")
+    assert len(cache) == 3
+    stations = session.database.table("Stations")
+    row = stations.snapshot()[0]
+    assert generic_update(stations, row, ScriptedDialog(
+        {"altitude": "123.0"})).applied
+    session.render_frame("map", format="png")
+    assert len(cache) == 1
+    assert all(key[-1] == storage_epoch() for key in cache._entries)
+
+
 def test_frame_cache_keeps_display_lists_not_pixels(cached_map_session):
     # Cached entries must not pin the rasterized canvas (0.9 MB at
     # 640x480): once the viewer moves on, the frame's canvas is garbage,
