@@ -14,6 +14,7 @@ per-tuple reference loop (tests/cull_reference.py) in the same process.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 
@@ -25,12 +26,14 @@ from repro.dataflow.boxes_attr import SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Program
+from repro.data.workloads import build_points_table
+from repro.dbms.catalog import Database
 from repro.render.canvas import Canvas
 from repro.render.scene import SceneStats, ViewState, render_composite
 
 
-@pytest.fixture(scope="module")
-def scatter(points_db_20k):
+def scatter_of(db):
+    """The Perf-3 scatter over ``db``'s Points table."""
     program = Program()
     src = program.add_box(AddTableBox(table="Points"))
     set_x = program.add_box(SetAttributeBox(name="x", definition="x_pos"))
@@ -44,8 +47,13 @@ def scatter(points_db_20k):
     program.connect(src, "out", set_x, "in")
     program.connect(set_x, "out", set_y, "in")
     program.connect(set_y, "out", display, "in")
-    engine = Engine(program, points_db_20k)
+    engine = Engine(program, db)
     return engine.output_of(display)
+
+
+@pytest.fixture(scope="module")
+def scatter(points_db_20k):
+    return scatter_of(points_db_20k)
 
 
 DEEP_ZOOM = ViewState(center=(0.0, 0.0), elevation=30.0, viewport=(320, 240))
@@ -137,3 +145,52 @@ def test_perf_culling_mark_table_vs_per_tuple_ratio(scatter):
     assert ratio >= MARK_TABLE_MIN_RATIO, (
         f"per-tuple / mark-table render time {ratio:.1f} < "
         f"{MARK_TABLE_MIN_RATIO} (rounds {[round(r, 1) for r in ratios]})")
+
+
+#: Deep-zoom frame time over 200k points / over 20k at the same density:
+#: the sorted-x index scans a strip of the world, which grows with the
+#: square root of the row count, not with the row count.  On a 2-vCPU VM
+#: the median of the rounds below read 1.17-1.21, and 4.74-5.87 with the
+#: viewport cull planted back to a scan of every row.
+CULL_SCALING_MAX_RATIO = 3.0
+
+
+@pytest.fixture(scope="module")
+def scatter_sizes():
+    """The scatter over 20k and 200k points at one density: the larger
+    world is sqrt(10) times as wide, so a view holds as many points."""
+    sizes = {}
+    for count in (20_000, 200_000):
+        db = Database("points")
+        db.add_table(build_points_table(
+            "Points", count, seed=3, spread=1000.0 * math.sqrt(count / 20_000)))
+        sizes[count] = scatter_of(db)
+    return sizes
+
+
+def test_perf_culling_scales_with_the_view_not_the_relation(scatter_sizes):
+    """Same process, same deep-zoom culled view (no slider) over 20k and
+    200k points, timed back to back each round; the median round's ratio
+    is gated.  A cull that tests every row reads about the row ratio."""
+    def render(count):
+        stats = SceneStats()
+        start = time.perf_counter()
+        render_composite(Canvas(320, 240), scatter_sizes[count], DEEP_ZOOM,
+                         stats=stats)
+        elapsed = time.perf_counter() - start
+        assert stats.tuples_considered == count
+        assert stats.drawables_painted < 600
+        return elapsed
+
+    for count in scatter_sizes:
+        render(count)    # location columns and index built: not timed
+    ratios = []
+    for __ in range(7):
+        small = min(render(20_000) for __ in range(5))
+        large = min(render(200_000) for __ in range(5))
+        small = min(small, *(render(20_000) for __ in range(5)))
+        ratios.append(large / small)
+    ratio = statistics.median(ratios)
+    assert ratio <= CULL_SCALING_MAX_RATIO, (
+        f"200k / 20k deep-zoom render time {ratio:.2f} > "
+        f"{CULL_SCALING_MAX_RATIO} (rounds {[round(r, 2) for r in ratios]})")

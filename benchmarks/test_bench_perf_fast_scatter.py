@@ -1,7 +1,8 @@
 """Perf-7: the cull kernel over a large scatter (an implementation ablation).
 
-The viewer culls with one boolean mask over location columns memoized on
-the row set, and a display that reads no fields is computed once per
+The viewer culls over location columns memoized on the row set -- a
+slider mask, and the viewport test over the rows a range search of the
+sorted x column finds -- and a display that reads no fields is computed once per
 relation.  The arms compare that kernel with the per-tuple reference loop
 (tests/cull_reference.py) at deep zoom (almost everything culled) and
 overview (every point painted).  Equivalence is property-tested in

@@ -128,8 +128,9 @@ class RowSet:
     None until first converted), so the batch lives exactly as long as the
     row set it was converted from.  A lazy row set forced late holds its
     result batch there from the start.  ``location_memo`` likewise holds the
-    viewer's location columns (``repro.render.scene.location_columns``),
-    keyed by the location definitions; None until first rendered.
+    viewer's location columns (``repro.render.scene.location_columns``)
+    and their sorted-x cull index, keyed by the location definitions; None
+    until first rendered.
     ``stats_memo`` holds the rows' column statistics
     (``repro.dbms.catalog.stats_for``); None until first asked for.
 

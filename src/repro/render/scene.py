@@ -13,8 +13,10 @@ Perf-3 experiment) and a display list of :class:`RenderedItem` records used
 for picking (the Section-8 update path starts from a click).  Wormhole
 drawables recursively render their destination canvas through a resolver.
 
-Filtering is array work: one mask over memoized location columns.  So is
-painting, for every display built from the mark constructors: it compiles
+Filtering is array work over location columns memoized on the row set:
+one mask for the slider ranges, and for the viewport a range search over
+the sorted x column, so a deep zoom tests only the rows near the view.  So
+is painting, for every display built from the mark constructors: it compiles
 to a mark table (:mod:`repro.display.marks`) whose marks are culled by
 bounding box, painted with one surface call per relation, and listed as
 arrays, each :class:`RenderedItem` built only when it is read.  Any other
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import threading
 import weakref
 from collections.abc import Sequence as SequenceABC
@@ -321,13 +324,18 @@ def _render_entry(
 ) -> Sequence[RenderedItem]:
     """Render one composite entry — one viewer pass over one relation.
 
-    Culling is one boolean mask over the relation's location columns
-    (:func:`location_columns`): slider ranges ∧ viewport margin, with the
-    entry's offsets and ``ViewState.to_screen``'s float arithmetic term for
-    term, so NaN locations cull exactly as a per-tuple comparison would.
-    The mask's true positions are the kept tuples' indices, and only those
-    tuples' display attributes are evaluated.  ``cull=False`` keeps every
-    tuple and paints drawables whether or not they touch the canvas.
+    Culling works on the relation's location columns
+    (:func:`location_columns`).  The slider ranges are one mask over every
+    tuple, so the counts culled by slider stay exact.  The viewport is a
+    slab: the tuples whose x may reach the viewport margin, found by two
+    binary searches over the memoized sorted-x index
+    (:func:`_viewport_slab`).  Only the slab's tuples get a screen
+    position, with the entry's offsets and ``ViewState.to_screen``'s float
+    arithmetic term for term, and the exact margin test -- so NaN
+    locations cull exactly as a per-tuple comparison would.  The kept
+    tuples' indices ascend, in paint order, and only those tuples' display
+    attributes are evaluated.  ``cull=False`` keeps every tuple and paints
+    drawables whether or not they touch the canvas.
 
     A display built from the mark constructors compiles to a mark table
     over the kept rows (:func:`repro.display.marks.mark_table`), which
@@ -340,32 +348,43 @@ def _render_entry(
     """
     relation = entry.relation
     width, height = view.viewport
-    scale = view.scale
     tracer = current_tracer()
     with tracer.span("render.cull", relation=relation.name) as cull_span:
-        x, y, *levels = location_columns(relation)
+        key, located = _located(relation)
+        x, y, *levels = located[0]
         count = len(x)
         with np.errstate(all="ignore"):
-            px = width / 2.0 + (
-                (x + entry.offset_for("x")) - view.center[0]) * scale
-            py = height / 2.0 - (
-                (y + entry.offset_for("y")) - view.center[1]) * scale
-            keep = np.ones(count, dtype=bool)
+            in_ranges_mask = slab = None
             if cull:
-                for dim, level in zip(relation.slider_dims, levels):
-                    bounds = view.slider_ranges.get(dim)
-                    if bounds is None:
-                        continue  # the relation is invariant in it (§6.1)
-                    value = level + entry.offset_for(dim)
-                    keep &= (bounds[0] <= value) & (value <= bounds[1])
-                in_ranges = int(np.count_nonzero(keep))
-                keep &= (
+                in_ranges_mask = _slider_mask(relation, entry, view, levels)
+                found = _viewport_slab(relation, entry, view, key, located)
+                if found is not None:
+                    slab, x = found    # positions and x values, in x order
+                    y = y[slab]
+            px, py = _screen(x, y, entry, view)
+            scanned = len(px)
+            if cull:
+                keep = (
                     (-_CULL_MARGIN_PX <= px) & (px <= width + _CULL_MARGIN_PX)
                     & (-_CULL_MARGIN_PX <= py)
                     & (py <= height + _CULL_MARGIN_PX)
                 )
-        kept = keep.nonzero()[0]
-        cull_span.set(rows_in=count, rows_out=len(kept))
+                if in_ranges_mask is None:
+                    in_ranges = count
+                else:
+                    in_ranges = int(np.count_nonzero(in_ranges_mask))
+                    keep &= (in_ranges_mask if slab is None
+                             else in_ranges_mask[slab])
+                hits = keep.nonzero()[0]
+                if slab is not None:
+                    # From x order back to tuple order: the paint order.
+                    hits = hits[np.argsort(slab[hits], kind="stable")]
+                px, py = px[hits], py[hits]
+                kept = hits if slab is None else slab[hits]
+            else:
+                kept = np.arange(count)
+        cull_span.set(rows_in=count, rows_scanned=scanned,
+                      rows_out=len(kept))
     stats.tuples_considered += count
     if cull:
         stats.culled_by_slider += count - in_ranges
@@ -378,13 +397,30 @@ def _render_entry(
         marks = mark_table(relation, kept)
         draw_span.set(batched=marks is not None)
         if marks is None:
-            items = _paint_tuples(canvas, relation, kept, px[kept], py[kept],
-                                  view, resolver, depth, cull, stats)
+            items = _paint_tuples(canvas, relation, kept, px, py, view,
+                                  resolver, depth, cull, stats)
         else:
-            items = _paint_marks(canvas, relation, marks, kept, px[kept],
-                                 py[kept], view, cull, stats)
+            items = _paint_marks(canvas, relation, marks, kept, px, py, view,
+                                 cull, stats)
         draw_span.set(items=len(items))
     return items
+
+
+def _screen(x: np.ndarray, y: np.ndarray, entry,
+            view: ViewState) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors' screen positions: the entry's offsets, then
+    ``ViewState.to_screen``'s float arithmetic term for term (evaluated
+    in place, in the same order, so bit for bit)."""
+    width, height = view.viewport
+    px = x + entry.offset_for("x")
+    px -= view.center[0]
+    px *= view.scale
+    px += width / 2.0
+    py = y + entry.offset_for("y")
+    py -= view.center[1]
+    py *= view.scale
+    np.subtract(height / 2.0, py, out=py)
+    return px, py
 
 
 def _paint_marks(
@@ -624,6 +660,8 @@ def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
     the slider dimensions and the method definitions a location may read
     (:func:`~repro.dbms.relation.definition_key`).  The memo keeps the
     ``_LOCATION_MEMO_ENTRIES`` most recent keys and dies with the row set.
+    Each entry also holds the x column's sorted index (:class:`_XIndex`)
+    once a culled pass has asked for it (:func:`_viewport_slab`).
     Element ``i`` of each column equals the matching component of
     ``relation.location_of`` for tuple ``i``, whether it was read from a
     stored column, computed by a compiled kernel, or computed per tuple
@@ -635,37 +673,131 @@ def location_columns(relation: DisplayableRelation) -> tuple[np.ndarray, ...]:
     changed rows (:func:`_carried_locations`); a lazy one then lets go of
     its predecessor, so the superseded result is freed.
     """
+    return _located(relation)[1][0]
+
+
+class _XIndex(NamedTuple):
+    """A location x column in ascending order (NaN last): the row
+    positions in that order and the x values at them."""
+
+    order: np.ndarray
+    values: np.ndarray
+
+
+_Located = tuple[tuple[np.ndarray, ...], _XIndex | None]
+"""A location memo entry: the columns and, once built, the x index."""
+
+
+def _located(relation: DisplayableRelation) -> tuple[tuple, _Located]:
+    """The relation's location memo key and entry, computed and published
+    on first use (see :func:`location_columns`)."""
     rows = relation.rows
     key = (relation.slider_dims, definition_key(relation.methods))
-    memo = rows.location_memo or {}
-    columns = memo.get(key)
-    if columns is not None:
-        return columns
-    columns = _carried_locations(relation, key)
-    if columns is None:
-        columns = _evaluate_locations(relation)
+    entry = (rows.location_memo or {}).get(key)
+    if entry is not None:
+        return key, entry
+    entry = _carried_locations(relation, key)
+    if entry is None:
+        entry = (_evaluate_locations(relation), None)
     if isinstance(rows, LazyRowSet):
         # The predecessor was kept for this; the superseded result can go.
         rows.predecessor = None
-    for column in columns:
+    for column in entry[0]:
         column.flags.writeable = False
-    fresh = {**memo, key: columns}
+    _publish(rows, key, entry)
+    return key, entry
+
+
+def _publish(rows: RowSet, key: tuple, entry: _Located) -> None:
+    """Set ``key``'s location memo entry, dropping the oldest keys past
+    ``_LOCATION_MEMO_ENTRIES``."""
+    fresh = {**(rows.location_memo or {}), key: entry}
     while len(fresh) > _LOCATION_MEMO_ENTRIES:
         del fresh[next(iter(fresh))]
     rows.location_memo = fresh  # one atomic swap: readers never see a mix
-    return columns
+
+
+def _slider_mask(relation: DisplayableRelation, entry, view: ViewState,
+                 levels: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Which tuples lie within every slider range the view sets for the
+    relation's dimensions, or None when it sets none of them."""
+    inside = None
+    for dim, level in zip(relation.slider_dims, levels):
+        bounds = view.slider_ranges.get(dim)
+        if bounds is None:
+            continue  # the relation is invariant in it (§6.1)
+        value = level + entry.offset_for(dim)
+        within = (bounds[0] <= value) & (value <= bounds[1])
+        inside = within if inside is None else inside & within
+    return inside
+
+
+_SLAB_SLACK = 1e-9
+"""Relative widening of the x range :func:`_viewport_slab` searches: far
+above the few ulps by which ``to_screen``'s float arithmetic can move an
+anchor, so the range can only take in extra rows."""
+
+
+def _viewport_slab(
+    relation: DisplayableRelation, entry, view: ViewState, key: tuple,
+    located: _Located,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The positions and x values, in ascending x order, of the tuples
+    whose x may put their anchor within the viewport margin, or None when
+    every tuple may.
+
+    ``px`` is monotone in x, so the anchors inside the margin have x in
+    one range: the margin mapped back to world units through the view's
+    centre and the entry's x offset, widened by ``_SLAB_SLACK`` of its
+    terms.  Two binary searches over the sorted x index find the rows in
+    it -- a slab that may hold a few more rows than the exact mask keeps,
+    never fewer -- as two slices of the index.  NaN x sorts last and falls
+    outside every range.  A non-finite bound (centre, offset or scale)
+    leaves every tuple a candidate, as does a slab that holds them all.
+    """
+    scale = view.scale
+    if not scale > 0:
+        return None
+    offset = entry.offset_for("x")
+    reach = (view.viewport[0] / 2.0 + _CULL_MARGIN_PX) / scale
+    shift = view.center[0] - offset
+    slack = _SLAB_SLACK * (abs(view.center[0]) + abs(offset) + abs(reach))
+    low, high = shift - reach - slack, shift + reach + slack
+    if not (math.isfinite(low) and math.isfinite(high)):
+        return None
+    columns, index = located
+    if index is None:
+        index = _sorted_x(columns[0])
+        _publish(relation.rows, key, (columns, index))
+    start = index.values.searchsorted(low, "left")
+    stop = index.values.searchsorted(high, "right")
+    if stop - start == len(index.order):
+        return None
+    return index.order[start:stop], index.values[start:stop]
+
+
+def _sorted_x(x: np.ndarray) -> _XIndex:
+    """Build the :class:`_XIndex` of an x column.  Ties may come in any
+    order: the cull sorts the positions it keeps."""
+    order = np.argsort(x)
+    index = _XIndex(order, x[order])
+    for array in index:
+        array.flags.writeable = False
+    return index
 
 
 def _carried_locations(relation: DisplayableRelation,
-                       key: tuple) -> tuple[np.ndarray, ...] | None:
-    """The predecessor's location columns under ``key`` with the changed
-    rows recomputed, or None when the row set is no successor or its
-    predecessor has no such columns.
+                       key: tuple) -> _Located | None:
+    """The predecessor's location memo entry under ``key`` with the
+    changed rows recomputed, or None when the row set is no successor or
+    its predecessor has no such entry.
 
     The rows of a delta differ only at its positions, and a location
     depends on its tuple and position alone, so every other element
     stands.  A column whose changed elements come out bit-identical is
-    shared with the predecessor.
+    shared with the predecessor, and so is the x index when the x column
+    is; a changed x column drops it, to be rebuilt when a culled pass
+    needs it.
     """
     delta = relation.rows.delta
     if delta is None:
@@ -678,13 +810,17 @@ def _carried_locations(relation: DisplayableRelation,
     positions = delta[1]
     if not len(positions):
         return old
+    old_columns, index = old
     columns = []
-    for column, values in zip(old, _evaluate_locations(relation, positions)):
+    for column, values in zip(old_columns,
+                              _evaluate_locations(relation, positions)):
         if column[positions].tobytes() != values.tobytes():
             column = column.copy()
             column[positions] = values
         columns.append(column)
-    return tuple(columns)
+    if columns[0] is not old_columns[0]:
+        index = None
+    return tuple(columns), index
 
 
 def _evaluate_locations(

@@ -5,7 +5,9 @@
 literally, one tuple at a time: compute the tuple's location, filter it to
 the slider ranges, map it to the screen and filter it to the visible real
 estate, then evaluate and paint its display attribute.  The viewer itself
-culls with one mask over memoized location columns; the parity tests
+culls with array masks over memoized location columns, searching the
+viewport's x range in a sorted index (``scene._viewport_slab``); the parity
+tests
 (tests/test_fast_scatter.py) and the Perf-7 benchmark arm compare the two
 by patching this function in with :func:`reference_culling`.
 :func:`reference_location_columns` is the same reference for the location
@@ -120,6 +122,16 @@ def reference_cull_node(entry, view):
         in_ranges += 1
         rows_out += _in_viewport(view, location, entry)
     return scene.CullNode(relation.name, rows_in, in_ranges, rows_out)
+
+
+def reference_kept(entry, view) -> list[int]:
+    """The indices of the tuples one culled pass keeps, tuple by tuple."""
+    relation = entry.relation
+    return [index for index, row_view in enumerate(relation.views())
+            if not _slider_culled(relation, entry,
+                                  location := relation.location_of(row_view),
+                                  view)
+            and _in_viewport(view, location, entry)]
 
 
 def _planning_render_entry(canvas, entry, view, resolver, depth, cull, stats):

@@ -1,8 +1,9 @@
-"""Unit + property tests: the viewer's cull kernel — one mask over memoized
-location columns — must be an invisible optimization.  Every case renders
-through the kernel and through the per-tuple reference loop
-(tests/cull_reference.py) and compares pixels, rendered items (row
-identity, tuple index, bbox) and scene statistics."""
+"""Unit + property tests: the viewer's cull kernel — array work over
+memoized location columns, the viewport searched through a sorted-x index
+— must be an invisible optimization.  Every case renders through the
+kernel and through the per-tuple reference loop (tests/cull_reference.py)
+and compares pixels, rendered items (row identity, tuple index, bbox) and
+scene statistics."""
 
 from __future__ import annotations
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
 from time import perf_counter
@@ -305,27 +306,39 @@ def test_recorder_sample_overhead_under_budget():
     # not whatever labels earlier tests accumulated process-wide.
     registry = MetricsRegistry()
     session.engine.stats = EngineStats(registry)
-    # Warm once, then time a representative render (best of 3 to shed
-    # scheduler jitter).  Invalidate the engine memo AND the process-wide
-    # result cache each round so every timed render does real work — other
-    # tests may have left the shared cache warm.
-    scenario.window().render()
-    render_s = float("inf")
-    for _ in range(3):
+    recorder = MetricsRecorder(registry, capacity=256)
+    scenario.window().render()  # warm once
+    recorder.sample()  # first sample pays series allocation; exclude it
+
+    def render_seconds():
+        # Invalidate the engine memo AND the process-wide result cache so
+        # the render does real work -- other tests may have left the
+        # shared cache warm.
         session.engine.invalidate()
         result_cache().clear()
         start = perf_counter()
         scenario.window().render()
-        render_s = min(render_s, perf_counter() - start)
+        return perf_counter() - start
 
-    recorder = MetricsRecorder(registry, capacity=256)
-    recorder.sample()  # first sample pays series allocation; exclude it
-    per_sample_s = float("inf")
-    for _ in range(5):
+    def sample_seconds():
         start = perf_counter()
         for _ in range(20):
             recorder.sample()
-        per_sample_s = min(per_sample_s, (perf_counter() - start) / 20)
+        return (perf_counter() - start) / 20
+
+    # Each round times a render and a batch of samples back to back, so a
+    # stretch of load on a shared host slows both sides of the ratio
+    # rather than one; the best of each sheds scheduler jitter, and no
+    # garbage collection lands inside a timed region.
+    render_s = per_sample_s = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(7):
+            render_s = min(render_s, render_seconds())
+            per_sample_s = min(per_sample_s, sample_seconds())
+    finally:
+        gc.enable()
     # One sample per render is the dashboard cadence; it must cost < 2%
     # of the render it observes.
     assert per_sample_s < 0.02 * render_s, (
