@@ -21,7 +21,10 @@ under: the program's edit stamp, the process storage epoch, and the
 database's catalog version.  Nothing a signature reads can change while
 all three stand still, so a demand whose stamp matches the entry's is
 answered from the memo without walking the signature — the common case of
-a viewer re-demanding its input while nothing was edited.
+a viewer re-demanding its input while nothing was edited.  The entry also
+names the output ports a demand has forced; a repeat demand of such a
+port under the entry's stamp is a lookup: it returns the stored value
+without re-walking it, and opens no span.
 
 A box that re-fires after a Section-8 update links each lazy row set it
 emits to the one its previous firing emitted (``LazyRowSet.predecessor``),
@@ -270,8 +273,10 @@ class Engine:
         self.stats = EngineStats(registry)
         self.preflight_enabled = preflight
         self._preflight_stamp: tuple | None = None
-        # box_id -> (signature, outputs dict, demand stamp it was checked at)
-        self._cache: dict[int, tuple[tuple, dict[str, Any], tuple]] = {}
+        # box_id -> (signature, outputs dict, demand stamp it was checked
+        # at, names of the output ports forced since the box fired)
+        self._cache: dict[
+            int, tuple[tuple, dict[str, Any], tuple, set[str]]] = {}
         # box_id -> signature, for the demand in progress (see _evaluate)
         self._signatures: dict[int, tuple] | None = None
         # Result cache: None follows the process-wide default (on while a
@@ -346,7 +351,25 @@ class Engine:
         With ``port_name`` omitted, the box's single output is demanded —
         this is how a viewer placed "on any edge in a diagram" inspects the
         data flowing along it (§1.1 problem 2, solved per §10).
+
+        A port this box's memo entry has already forced, under the current
+        demand stamp, is a lookup: it counts a cache hit for the box and
+        returns the stored value, with no preflight, no re-walk of the
+        value, and no ``engine.demand`` span or ``engine.cache.hit`` event.
+        Any other demand evaluates, forces and then marks the port forced.
         """
+        # Taken before any firing: a mutation during the demand leaves the
+        # entries it wrote stamped stale, so the next demand re-checks them.
+        stamp = self._demand_stamp()
+        entry = self._cache.get(box_id)
+        if entry is not None and entry[2] == stamp:
+            name = port_name
+            if name is None:
+                ports = self.program.box(box_id).outputs
+                name = ports[0].name if len(ports) == 1 else None
+            if name in entry[3]:
+                self.stats.record_hit(box_id)
+                return entry[1][name]
         if self.preflight_enabled:
             self.preflight()
         box = self.program.box(box_id)
@@ -359,23 +382,20 @@ class Engine:
             port_name = box.outputs[0].name
         else:
             box.output_port(port_name)  # validate
-        # Taken before any firing: a mutation during the demand leaves the
-        # entries it wrote stamped stale, so the next demand re-checks them.
-        stamp = self._demand_stamp()
         tracer = current_tracer()
         try:
             if not tracer.enabled:
-                value = self._evaluate(box_id, stamp)[port_name]
+                outputs = self._evaluate(box_id, stamp)
+                value = outputs[port_name]
                 self._force(value)
-                return value
-            with tracer.span(
-                "engine.demand", box=box_id, type=box.type_name, port=port_name
-            ) as span:
-                value = self._evaluate(box_id, stamp)[port_name]
-                patched = self._force(value)
-                if patched:
-                    span.set(patched=patched)
-                return value
+            else:
+                with tracer.span("engine.demand", box=box_id,
+                                 type=box.type_name, port=port_name) as span:
+                    outputs = self._evaluate(box_id, stamp)
+                    value = outputs[port_name]
+                    patched = self._force(value)
+                    if patched:
+                        span.set(patched=patched)
         except TiogaError as exc:
             # Black-box telemetry: when a flight recorder is installed, the
             # spans/events leading up to this failure are dumped to JSONL
@@ -385,6 +405,10 @@ class Engine:
             note_engine_error(exc, box=box_id, type=box.type_name,
                               port=port_name, program=self.program.name)
             raise
+        entry = self._cache.get(box_id)
+        if entry is not None and entry[1] is outputs:
+            entry[3].add(port_name)
+        return value
 
     def inputs_of(self, box_id: int) -> dict[str, Any]:
         """Demand and return all inputs of a box (used by viewers/sinks)."""
@@ -477,7 +501,8 @@ class Engine:
         if cached is not None and cached[2] != stamp:
             signature = self._signature_of(box_id, visiting)
             if cached[0] == signature:
-                cached = self._cache[box_id] = (signature, cached[1], stamp)
+                cached = self._cache[box_id] = (signature, cached[1], stamp,
+                                                cached[3])
             else:
                 cached = None
         if cached is not None:
@@ -533,7 +558,7 @@ class Engine:
         if previous is not None:
             for name, value in outputs.items():
                 _link_predecessors(value, previous.get(name))
-        self._cache[box_id] = (signature, outputs, stamp)
+        self._cache[box_id] = (signature, outputs, stamp, set())
         return outputs
 
 

@@ -252,12 +252,14 @@ class CommandExecutor:
     def _viewer_for(self, window: str):
         return self.session.window(window).viewer
 
-    def _view_state(self, window: str, member: str | None) -> dict[str, Any]:
-        viewer = self._viewer_for(window)
-        view = viewer.view(member)
+    @staticmethod
+    def _view_state(window: str, moved: tuple[str, Any]) -> dict[str, Any]:
+        """The reply to a position command: the moved member's view state
+        as the viewer's position method returned it (no second demand)."""
+        member, view = moved
         return {
             "window": window,
-            "member": member or viewer.member_names()[0],
+            "member": member,
             "center": [view.center[0], view.center[1]],
             "elevation": view.elevation,
             "sliders": {dim: [low, high]
@@ -265,30 +267,32 @@ class CommandExecutor:
         }
 
     def _pan(self, command: Pan) -> dict[str, Any]:
-        self._viewer_for(command.window)._pan(
-            command.dx, command.dy, command.member)
-        return self._view_state(command.window, command.member)
+        viewer = self._viewer_for(command.window)
+        moved = viewer._pan(command.dx, command.dy, command.member)
+        return self._view_state(command.window, moved)
 
     def _pan_to(self, command: PanTo) -> dict[str, Any]:
-        self._viewer_for(command.window)._pan_to(
-            command.cx, command.cy, command.member)
-        return self._view_state(command.window, command.member)
+        viewer = self._viewer_for(command.window)
+        moved = viewer._pan_to(command.cx, command.cy, command.member)
+        return self._view_state(command.window, moved)
 
     def _zoom(self, command: Zoom) -> dict[str, Any]:
-        self._viewer_for(command.window)._zoom(command.factor, command.member)
-        return self._view_state(command.window, command.member)
+        viewer = self._viewer_for(command.window)
+        moved = viewer._zoom(command.factor, command.member)
+        return self._view_state(command.window, moved)
 
     def _set_elevation(self, command: SetElevation) -> dict[str, Any]:
-        self._viewer_for(command.window)._set_elevation(
-            command.elevation, command.member)
-        return self._view_state(command.window, command.member)
+        viewer = self._viewer_for(command.window)
+        moved = viewer._set_elevation(command.elevation, command.member)
+        return self._view_state(command.window, moved)
 
     def _set_slider(self, command: SetSlider) -> dict[str, Any]:
         # Validation (unknown dim, empty range) lives in the viewer — the
         # one copy both local and remote callers hit, so diagnostics match.
-        self._viewer_for(command.window)._set_slider(
-            command.dim, command.low, command.high, command.member)
-        return self._view_state(command.window, command.member)
+        viewer = self._viewer_for(command.window)
+        moved = viewer._set_slider(command.dim, command.low, command.high,
+                                   command.member)
+        return self._view_state(command.window, moved)
 
     def _render(self, command: Render) -> FrameReply:
         if command.format not in FRAME_FORMATS:
@@ -302,9 +306,9 @@ class CommandExecutor:
         window = self.session.window(command.window)
         registry = global_registry()
         # ops frames are per-session deltas and never shared.
-        key = None
+        key = displayable = None
         if self.frame_cache is not None and command.format in ("ppm", "png"):
-            key = self._frame_key(command, window)
+            key, displayable = self._frame_key(command, window)
         if key is not None:
             cached = self.frame_cache.get(key)
             if cached is not None:
@@ -341,7 +345,7 @@ class CommandExecutor:
         misses_before = registry.counter(
             "cache.miss", "result-cache lookups that ran the plan").total()
         started = time.perf_counter()
-        canvas = window.render(cull=command.cull)
+        canvas = window.render(cull=command.cull, displayable=displayable)
         render_ms = (time.perf_counter() - started) * 1000.0
         seq = self._frame_seq.get(command.window, 0) + 1
         self._frame_seq[command.window] = seq
@@ -380,8 +384,10 @@ class CommandExecutor:
             cache_misses=int(misses),
         )
 
-    def _frame_key(self, command: Render, window) -> tuple | None:
-        """Everything a frame's pixels depend on, or None when unsure.
+    def _frame_key(self, command: Render, window) -> tuple[tuple | None, Any]:
+        """Everything a frame's pixels depend on, or None when unsure; and
+        the viewer's input as demanded for it (None when not demanded), for
+        the render to reuse.
 
         Program structure (a hash of the serialized program, computed once
         per edit — :func:`~repro.dataflow.serialize.program_fingerprint`),
@@ -395,13 +401,14 @@ class CommandExecutor:
         if any(not glass.deleted for glass in window.magnifiers):
             # Magnifier overlays are composited into the encoded bytes but
             # are session-local furniture outside the key; don't cache.
-            return None
+            return None, None
         viewer = window.viewer
+        displayable = None
         try:
             program_fp = program_fingerprint(self.session.program)
+            displayable = viewer.displayable()
             views = []
-            for member in viewer.member_names():
-                view = viewer.view(member)
+            for member, view in viewer.member_views(displayable):
                 views.append((
                     member,
                     float(view.center[0]),
@@ -413,7 +420,7 @@ class CommandExecutor:
                     )),
                 ))
         except (TiogaError, TypeError, ValueError):
-            return None
+            return None, displayable
         return (
             command.format,
             bool(command.cull),
@@ -424,7 +431,7 @@ class CommandExecutor:
             program_fp,
             tuple(views),
             storage_epoch(),
-        )
+        ), displayable
 
     def _ops_delta(self, name: str, window) -> dict[str, Any]:
         """Draw-op delta versus this session's previous ``ops`` frame.

@@ -198,8 +198,7 @@ def render_svg(viewer, cull: bool = True) -> SvgCanvas:
     from repro.display.displayable import Group, ensure_composite
     from repro.render.scene import render_composite, render_group
 
-    viewer._sync_views()
-    displayable = viewer.displayable()
+    displayable = viewer._sync_views()
     canvas = SvgCanvas(viewer.width, viewer.height)
     if isinstance(displayable, Group):
         render_group(canvas, displayable, viewer.views, viewer.resolver,

@@ -291,8 +291,7 @@ class TiogaServer:
             views: list[dict[str, Any]] = []
             for window_name, window in scenario.session.windows.items():
                 viewer = window.viewer
-                for member in viewer.member_names():
-                    view = viewer.view(member)
+                for member, view in viewer.member_views():
                     views.append({
                         "window": window_name,
                         "member": member,

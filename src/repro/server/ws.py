@@ -59,6 +59,16 @@ def accept_key(client_key: str) -> str:
     return base64.b64encode(digest).decode("ascii")
 
 
+def _mask(payload: bytes, key: bytes) -> bytes:
+    """XOR ``payload`` with the 4-byte ``key`` repeated (RFC 6455 §5.3),
+    as one big-integer XOR rather than a per-byte loop; masking is its
+    own inverse."""
+    length = len(payload)
+    repeated = (key * (length // 4 + 1))[:length]
+    return (int.from_bytes(payload, "big")
+            ^ int.from_bytes(repeated, "big")).to_bytes(length, "big")
+
+
 def encode_frame(payload: bytes, opcode: int = OP_TEXT, *,
                  mask: bool = False, fin: bool = True) -> bytes:
     """Encode one frame.  Clients must set ``mask=True`` (RFC 6455 §5.3)."""
@@ -78,8 +88,7 @@ def encode_frame(payload: bytes, opcode: int = OP_TEXT, *,
         return bytes(header) + payload
     key = os.urandom(4)
     header += key
-    masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes(header) + masked
+    return bytes(header) + _mask(payload, key)
 
 
 class FrameParser:
@@ -169,5 +178,5 @@ class FrameParser:
         payload = bytes(buf[offset:offset + length])
         del buf[:offset + length]
         if masked:
-            payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
+            payload = _mask(payload, key)
         return fin, opcode, payload

@@ -35,7 +35,12 @@ from repro.dataflow.registry import instantiate
 from repro.dataflow.serialize import program_from_dict, program_to_dict
 from repro.dbms.catalog import Database
 from repro.dbms.update import ScriptedDialog, UpdateDialog, UpdateResult, generic_update
-from repro.display.displayable import Composite, DisplayableRelation, Group
+from repro.display.displayable import (
+    Composite,
+    Displayable,
+    DisplayableRelation,
+    Group,
+)
 from repro.display.elevation import ElevationMap
 from repro.errors import UIError, UpdateError, ViewerError
 from repro.protocol.dispatch import CommandExecutor
@@ -94,9 +99,12 @@ class CanvasWindow:
 
     # -- rendering ----------------------------------------------------------
 
-    def render(self, cull: bool = True) -> Canvas:
-        """Render the viewer and composite any live magnifying glasses."""
-        result = self.viewer.render(cull=cull)
+    def render(self, cull: bool = True,
+               displayable: Displayable | None = None) -> Canvas:
+        """Render the viewer and composite any live magnifying glasses;
+        ``displayable`` is the viewer's input when the caller already
+        demanded it (see :meth:`Viewer.render`)."""
+        result = self.viewer.render(cull=cull, displayable=displayable)
         canvas = result.canvas
         for glass in self.magnifiers:
             if not glass.deleted:

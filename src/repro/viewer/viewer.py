@@ -24,6 +24,7 @@ from repro.dataflow.ports import Port
 from repro.dataflow.registry import register_box_class
 from repro.display.displayable import (
     Composite,
+    Displayable,
     DisplayableRelation,
     Group,
     ensure_composite,
@@ -128,6 +129,12 @@ class Viewer:
     displayable — typically a closure over the engine and the viewer box, so
     every render sees the current program and database state (incremental
     programming, §1.2).
+
+    Each call demands the input once: a position change, a view read or a
+    render calls ``source`` one time and hands that displayable to every
+    step that needs the input's shape (member names, the member's
+    composite, default view states).  The internal helpers take it as an
+    argument; ``render`` also accepts one a caller already demanded.
     """
 
     def __init__(
@@ -160,13 +167,13 @@ class Viewer:
         return isinstance(self.displayable(), Group)
 
     def member_names(self) -> list[str]:
-        displayable = self.displayable()
-        if isinstance(displayable, Group):
-            return displayable.member_names()
-        return [MAIN_MEMBER]
+        return _member_names(self.displayable())
 
-    def _member_composite(self, member: str) -> Composite:
-        displayable = self.displayable()
+    def _member_composite(
+        self, member: str, displayable: Displayable | None = None
+    ) -> Composite:
+        if displayable is None:
+            displayable = self.displayable()
         if isinstance(displayable, Group):
             return displayable.member(member)
         if member != MAIN_MEMBER:
@@ -179,17 +186,22 @@ class Viewer:
         """The dimension of (one member of) the viewed displayable."""
         return self._member_composite(member or MAIN_MEMBER).dimension
 
-    def _sync_views(self) -> None:
-        """Create default view states for new members; drop stale ones."""
-        names = self.member_names()
+    def _sync_views(self, displayable: Displayable | None = None) -> Displayable:
+        """Create default view states for new members; drop stale ones.
+        Returns the input the views were synced to (demanded here unless
+        given)."""
+        if displayable is None:
+            displayable = self.displayable()
+        names = _member_names(displayable)
         for name in names:
             if name not in self.views:
-                self.views[name] = self._default_view(name)
+                self.views[name] = self._default_view(name, displayable)
         for stale in [name for name in self.views if name not in names]:
             del self.views[stale]
+        return displayable
 
-    def _default_view(self, member: str) -> ViewState:
-        composite = self._member_composite(member)
+    def _default_view(self, member: str, displayable: Displayable) -> ViewState:
+        composite = self._member_composite(member, displayable)
         sliders: dict[str, tuple[float, float]] = {}
         for dim in composite.slider_dims:
             sliders[dim] = (float("-inf"), float("inf"))
@@ -202,18 +214,33 @@ class Viewer:
         )
 
     def view(self, member: str | None = None) -> ViewState:
-        self._sync_views()
-        member = member or self._only_member()
+        return self._member_view(self._sync_views(), member)[1]
+
+    def member_views(
+        self, displayable: Displayable | None = None
+    ) -> list[tuple[str, ViewState]]:
+        """Every member's name and view state, in member order, from one
+        demand (none when ``displayable`` is given)."""
+        names = _member_names(self._sync_views(displayable))
+        return [(name, self.views[name]) for name in names]
+
+    def _member_view(
+        self, displayable: Displayable, member: str | None
+    ) -> tuple[str, ViewState]:
+        """The addressed member's name and view state; ``member`` None
+        means the only member.  The views must be synced to
+        ``displayable``."""
+        member = member or self._only_member(displayable)
         try:
-            return self.views[member]
+            return member, self.views[member]
         except KeyError as exc:
             raise ViewerError(
                 f"viewer {self.name!r} has no member {member!r}; "
-                f"members: {self.member_names()}"
+                f"members: {_member_names(displayable)}"
             ) from exc
 
-    def _only_member(self) -> str:
-        names = self.member_names()
+    def _only_member(self, displayable: Displayable) -> str:
+        names = _member_names(displayable)
         if len(names) == 1:
             return names[0]
         raise ViewerError(
@@ -225,18 +252,32 @@ class Viewer:
     # Position control (§3: scroll bars, sliders, elevation control)
     # ------------------------------------------------------------------
 
-    def _pan(self, dx: float, dy: float, member: str | None = None) -> None:
+    # Each position change returns the moved member's name and view state,
+    # read after any slaved viewers followed.
+
+    def _addressed_view(self, member: str | None) -> tuple[str, ViewState]:
+        return self._member_view(self._sync_views(), member)
+
+    def _pan(
+        self, dx: float, dy: float, member: str | None = None
+    ) -> tuple[str, ViewState]:
         """Pan in the two screen dimensions by world-unit deltas."""
-        view = self.view(member)
+        name, view = self._addressed_view(member)
         view.center = (view.center[0] + dx, view.center[1] + dy)
-        self._notify_moved(member)
+        self._notify_moved(name)
+        return name, view
 
-    def _pan_to(self, cx: float, cy: float, member: str | None = None) -> None:
-        view = self.view(member)
+    def _pan_to(
+        self, cx: float, cy: float, member: str | None = None
+    ) -> tuple[str, ViewState]:
+        name, view = self._addressed_view(member)
         view.center = (float(cx), float(cy))
-        self._notify_moved(member)
+        self._notify_moved(name)
+        return name, view
 
-    def _set_elevation(self, elevation: float, member: str | None = None) -> None:
+    def _set_elevation(
+        self, elevation: float, member: str | None = None
+    ) -> tuple[str, ViewState]:
         """The elevation control: drag the dashed line in the elevation map."""
         if elevation <= 0:
             raise ViewerError(
@@ -244,23 +285,29 @@ class Viewer:
                 "descending to zero passes through a wormhole — use the "
                 "wormhole traversal API"
             )
-        self.view(member).elevation = float(elevation)
-        self._notify_moved(member)
+        name, view = self._addressed_view(member)
+        view.elevation = float(elevation)
+        self._notify_moved(name)
+        return name, view
 
-    def _zoom(self, factor: float, member: str | None = None) -> None:
+    def _zoom(
+        self, factor: float, member: str | None = None
+    ) -> tuple[str, ViewState]:
         """Zoom in (factor > 1 descends; elevation divides by the factor)."""
         if factor <= 0:
             raise ViewerError(f"zoom factor must be positive, got {factor}")
-        view = self.view(member)
+        name, view = self._addressed_view(member)
         view.elevation = view.elevation / factor
-        self._notify_moved(member)
+        self._notify_moved(name)
+        return name, view
 
     def _set_slider(
         self, dim: str, low: float, high: float, member: str | None = None
-    ) -> None:
+    ) -> tuple[str, ViewState]:
         """Set a slider dimension's visible range (§3)."""
-        view = self.view(member)
-        composite = self._member_composite(member or self._only_member())
+        displayable = self._sync_views()
+        name, view = self._member_view(displayable, member)
+        composite = self._member_composite(name, displayable)
         if dim not in composite.slider_dims:
             raise ViewerError(
                 f"viewer {self.name!r} has no slider dimension {dim!r}; "
@@ -269,7 +316,8 @@ class Viewer:
         if low > high:
             raise ViewerError(f"slider range [{low}, {high}] is empty")
         view.slider_ranges[dim] = (float(low), float(high))
-        self._notify_moved(member)
+        self._notify_moved(name)
+        return name, view
 
     # Deprecated direct-mutation surface.  Demands now route through the
     # protocol layer (``Session.pan`` and friends build Command dataclasses
@@ -313,10 +361,15 @@ class Viewer:
         self._set_slider(dim, low, high, member)
 
     def slider_dims(self, member: str | None = None) -> tuple[str, ...]:
-        return self._member_composite(member or self._only_member()).slider_dims
+        return self._addressed_composite(member).slider_dims
 
-    def _notify_moved(self, member: str | None) -> None:
-        member = member or self.member_names()[0]
+    def _addressed_composite(self, member: str | None) -> Composite:
+        """The composite of ``member``, or of the only member."""
+        displayable = self.displayable()
+        return self._member_composite(
+            member or self._only_member(displayable), displayable)
+
+    def _notify_moved(self, member: str) -> None:
         for callback in list(self.moved_callbacks):
             callback(self, member)
 
@@ -325,7 +378,8 @@ class Viewer:
     # ------------------------------------------------------------------
 
     def render(
-        self, cull: bool = True, trace: "Tracer | bool | None" = None
+        self, cull: bool = True, trace: "Tracer | bool | None" = None,
+        displayable: Displayable | None = None,
     ) -> RenderResult:
         """Render the current input through the current position(s).
 
@@ -334,17 +388,19 @@ class Viewer:
         :class:`~repro.obs.Tracer` to append to.  With ``trace=None`` the
         ambient tracer applies (enabled by ``REPRO_TRACE=1`` or
         :func:`repro.obs.push_tracer`, a no-op otherwise).
+
+        ``displayable`` is the input as the caller already demanded it in
+        this command (the dispatcher's frame key does); None demands it.
         """
         if trace is not None:
             tracer = Tracer(enabled=True) if trace is True else trace
             with push_tracer(tracer):
-                result = self.render(cull=cull)
+                result = self.render(cull=cull, displayable=displayable)
             result.tracer = tracer
             return result
         tracer = current_tracer()
         with tracer.span("viewer.render", viewer=self.name, cull=cull) as span:
-            self._sync_views()
-            displayable = self.displayable()
+            displayable = self._sync_views(displayable)
             canvas = Canvas(self.width, self.height)
             stats = SceneStats()
             if isinstance(displayable, Group):
@@ -449,7 +505,13 @@ class Viewer:
         "For a group displayable, a viewer shows an elevation map for only
         one member of the group at a time" — callers cycle through members.
         """
-        return self._member_composite(member or self._only_member()).elevation_map()
+        return self._addressed_composite(member).elevation_map()
 
     def __repr__(self) -> str:
         return f"Viewer({self.name!r}, {self.width}x{self.height})"
+
+
+def _member_names(displayable: Displayable) -> list[str]:
+    if isinstance(displayable, Group):
+        return displayable.member_names()
+    return [MAIN_MEMBER]

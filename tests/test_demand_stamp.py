@@ -10,11 +10,15 @@ which the stamp must not change.
 
 from __future__ import annotations
 
+import gc
+import random
+import weakref
+
 import pytest
 
 from repro.core.scenarios import FIGURES
 from repro.data.weather import build_weather_database
-from repro.dataflow.boxes_db import AddTableBox, ProjectBox, RestrictBox
+from repro.dataflow.boxes_db import AddTableBox, ProjectBox, RestrictBox, TBox
 from repro.dataflow.engine import Engine
 from repro.dataflow.graph import Edge, Program
 from repro.dbms.catalog import Database
@@ -77,18 +81,31 @@ class TestRepeatDemand:
         assert engine.stats.hits[tail] == 5
         assert engine.stats.total_fires() == 3
 
-    def test_stamp_hit_keeps_the_span_and_the_hit_event(self, db):
+    def test_forced_stamp_hit_is_a_lookup_without_span_or_event(self, db):
         program = Program()
-        *__, tail = chain(program)
+        src, mid, tail = chain(program)
         engine = Engine(program, db)
-        engine.output_of(tail)
+        first = engine.output_of(tail)
+        fires = dict(engine.stats.fires)
+        hits = dict(engine.stats.hits)
         with tracing() as tracer:
-            engine.output_of(tail)
-        (demand,) = tracer.finished("engine.demand")
-        assert demand.attrs["box"] == tail
-        hits = [e for e in tracer.events if e.name == "engine.cache.hit"]
-        assert [e.attrs["box"] for e in hits] == [tail]
+            again = engine.output_of(tail)
+        assert again is first
         assert tracer.finished("engine.fire") == []
+        assert tracer.finished("engine.demand") == []
+        assert [e for e in tracer.events if e.name == "engine.cache.hit"] == []
+        assert tracer.finished() == []
+        assert dict(engine.stats.fires) == fires
+        assert engine.stats.hits[tail] == hits.get(tail, 0) + 1
+        assert {box: count for box, count in engine.stats.hits.items()
+                if box != tail} == {box: count for box, count in hits.items()
+                                    if box != tail}
+        # Unnamed port: the single output resolves as before.
+        with tracing() as tracer:
+            assert engine.output_of(tail, None) is first
+            assert engine.output_of(tail, "out") is first
+        assert tracer.finished() == []
+        assert engine.stats.hits[tail] == hits.get(tail, 0) + 3
 
     def test_stale_stamp_rechecks_by_signature_then_restamps(
             self, db, monkeypatch):
@@ -104,6 +121,164 @@ class TestRepeatDemand:
         assert names(engine.output_of(tail)) == ["b"]
         assert calls[0] == walked  # re-stamped: the next demand is a lookup
         assert engine.stats.total_fires() == 3
+
+
+def demands_traced(engine: Engine, box_id: int) -> int:
+    """Demand ``box_id`` under a tracer; the number of ``engine.demand``
+    spans it opened (1 when the demand ran, 0 for a lookup)."""
+    with tracing() as tracer:
+        engine.output_of(box_id)
+    return len(tracer.finished("engine.demand"))
+
+
+class TestLookupIsNotTaken:
+    """Every change a signature can see sends the next demand down the
+    evaluating path (one ``engine.demand`` span); the demand after that is
+    a lookup again."""
+
+    @pytest.mark.parametrize("change", [
+        "param", "rewire", "update_read", "update_absorbed",
+        "create_table", "drop_table", "invalidate_box", "invalidate_all",
+    ])
+    def test_after_change(self, db, change):
+        program = Program()
+        src, mid, tail = chain(program)
+        engine = Engine(program, db)
+        engine.output_of(tail)
+        assert demands_traced(engine, tail) == 0
+        expected = ["b"]
+        if change == "param":
+            program.box(mid).set_param("predicate", "value > 0")
+            expected = ["a", "b"]
+        elif change == "rewire":
+            program.disconnect(Edge(mid, "out", tail, "in"))
+            program.connect(src, "out", tail, "in")
+            expected = ["a", "b"]
+        elif change == "update_read":
+            _generic_update(program, db, {})
+            expected = ["a", "b"]
+        elif change == "update_absorbed":
+            # U is not read: T's signature absorbs the epoch, so the entry
+            # is re-stamped without firing.
+            _insert_unread(program, db, {})
+        elif change == "create_table":
+            db.create_table("V", SCHEMA)
+        elif change == "drop_table":
+            db.drop_table("U")
+        elif change == "invalidate_box":
+            engine.invalidate(mid)
+        else:
+            engine.invalidate()
+        fires = engine.stats.total_fires()
+        assert demands_traced(engine, tail) == 1
+        assert names(engine.output_of(tail)) == expected
+        assert names(engine.output_of(tail)) == fresh(program, db, tail)
+        assert demands_traced(engine, tail) == 0
+        if change in ("update_absorbed", "create_table", "drop_table"):
+            assert engine.stats.total_fires() == fires
+
+    def test_restamped_entry_returns_the_same_value(self, db):
+        program = Program()
+        *__, tail = chain(program)
+        engine = Engine(program, db)
+        first = engine.output_of(tail)
+        _insert_unread(program, db, {})
+        assert engine.output_of(tail) is first
+        assert demands_traced(engine, tail) == 0
+
+    def test_failed_force_raises_again(self, db):
+        from repro.errors import EvaluationError
+
+        program = Program()
+        src = program.add_box(AddTableBox(table="T"))
+        # Row a (value 1) passes; row b (value 2) divides by zero.
+        bad = program.add_box(RestrictBox(predicate="value / (2 - value) > 0"))
+        program.connect(src, "out", bad, "in")
+        engine = Engine(program, db)
+        with pytest.raises(EvaluationError):
+            engine.output_of(bad)
+        fires = engine.stats.total_fires()
+        for __ in range(2):
+            with tracing() as tracer:
+                with pytest.raises(EvaluationError):
+                    engine.output_of(bad)
+            assert len(tracer.finished("engine.demand")) == 1
+        assert engine.stats.total_fires() == fires
+
+    def test_refired_upstream_starts_unmarked(self, db):
+        # mid re-fires as tail's upstream after the update; its new output
+        # was streamed by tail's plan but never demanded (forced) itself.
+        program = Program()
+        src, mid, tail = chain(program)
+        engine = Engine(program, db)
+        engine.output_of(mid)
+        engine.output_of(tail)
+        _generic_update(program, db, {})
+        engine.output_of(tail)
+        assert demands_traced(engine, mid) == 1
+        value = engine.output_of(mid)
+        assert value.rows.is_materialized
+        assert names(value) == ["a", "b"]
+
+    def test_other_ports_are_demanded_on_their_own(self, db):
+        program = Program()
+        src = program.add_box(AddTableBox(table="T"))
+        tee = program.add_box(TBox())
+        program.connect(src, "out", tee, "in")
+        engine = Engine(program, db)
+        engine.output_of(tee, "out1")
+        assert demands_traced_port(engine, tee, "out1") == 0
+        assert demands_traced_port(engine, tee, "out2") == 1
+        assert demands_traced_port(engine, tee, "out2") == 0
+
+
+def demands_traced_port(engine: Engine, box_id: int, port: str) -> int:
+    with tracing() as tracer:
+        engine.output_of(box_id, port)
+    return len(tracer.finished("engine.demand"))
+
+
+def test_why_after_a_lookup_reaches_the_same_base_rows():
+    from repro.obs.lineage import why
+
+    db = build_weather_database(extra_stations=5, every_days=120)
+    session = FIGURES["fig7"](db).session
+    session.engine = Engine(session.program, db, lineage=True)
+    session.render_frame("map", format="png")
+    item = session.window("map").viewer.last_result.all_items()[0]
+    px = (item.bbox[0] + item.bbox[2]) / 2
+    py = (item.bbox[1] + item.bbox[3]) / 2
+    before = why(session.window("map"), px, py)
+    assert before["picked"] and before["complete"] and before["rows"]
+    with tracing() as tracer:
+        session.render_frame("map", format="png")
+    assert tracer.finished("engine.demand") == []
+    after = why(session.window("map"), px, py)
+    assert after["rows"] == before["rows"]
+    assert after["mark"] == before["mark"]
+
+
+def test_superseded_outputs_die_over_200_series_updates(monkeypatch):
+    """Forced marks live in the memo entry, so a re-fire drops them with
+    the outputs they name: nothing keeps a superseded output alive."""
+    db = build_weather_database(extra_stations=5, every_days=120)
+    session = FIGURES["fig8"](db).session
+    observations = db.table("Observations")
+    la_rows = [pos for pos, row in enumerate(observations)
+               if row["station_id"] <= 18]
+    viewer = session.window("tempseries").viewer
+    rng = random.Random(29)
+    outputs = []
+    for __ in range(200):
+        row = observations.snapshot()[rng.choice(la_rows)]
+        answers = {"temperature": str(round(rng.uniform(40.0, 89.0), 1))}
+        assert generic_update(observations, row,
+                              ScriptedDialog(answers)).applied
+        session.render_frame("tempseries", format="png")
+        session.render_frame("tempseries", format="png")  # a lookup
+        outputs.append(weakref.ref(viewer.displayable().rows))
+    gc.collect()
+    assert sum(ref() is not None for ref in outputs) <= 2
 
 
 def _set_param(program, db, ids):

@@ -81,9 +81,24 @@ class TestColdRenderSpanNesting:
         assert viewer.attrs["draw_ops"] > 0
 
     def test_warm_render_hits_cache_instead_of_firing(self, weather_db):
-        tracer = render_figure_traced(weather_db, "fig4", cold=False)
+        # A warm demand is a memo lookup: no fire, no demand span and no
+        # hit event, but the hit is counted in engine.cache.hits.
+        scenario = cli._FIGURES["fig4"](weather_db)
+        session = scenario.session
+        hits = session.engine.stats.registry.counter("engine.cache.hits")
+        before = dict(hits.values)
+        tracer = Tracer(enabled=True)
+        with push_tracer(tracer):
+            for window_name in sorted(session.windows):
+                session.window(window_name).render()
+        assert tracer.finished("viewer.render")
         assert tracer.finished("engine.fire") == []
-        assert any(e.name == "engine.cache.hit" for e in tracer.events)
+        assert tracer.finished("engine.demand") == []
+        assert not any(e.name == "engine.cache.hit" for e in tracer.events)
+        after = dict(hits.values)
+        assert sum(after.values()) == sum(before.values()) + len(
+            session.windows)
+        assert {box for box in after if after[box] != before.get(box, 0)}
 
 
 @pytest.mark.parametrize("figure", sorted(cli._FIGURES))
