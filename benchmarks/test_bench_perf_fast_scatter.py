@@ -11,12 +11,11 @@ tests/test_fast_scatter.py.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from cull_reference import reference_culling
+from repro.data.workloads import build_points_database
 from repro.dataflow.boxes_attr import AddAttributeBox, SetAttributeBox
 from repro.dataflow.boxes_db import AddTableBox
 from repro.dataflow.engine import Engine
@@ -26,7 +25,10 @@ from repro.render.scene import SceneStats, ViewState, render_composite
 
 
 @pytest.fixture(scope="module")
-def scatter(points_db_20k):
+def scatter():
+    """The scatter over its own 20k points.  The session's
+    ``points_db_20k`` snapshot may carry a column batch left by another
+    module's plans, and the scatter renders a different path over it."""
     program = Program()
     src = program.add_box(AddTableBox(table="Points"))
     set_x = program.add_box(SetAttributeBox(name="x", definition="x_pos"))
@@ -41,7 +43,8 @@ def scatter(points_db_20k):
     program.connect(set_x, "out", set_y, "in")
     program.connect(set_y, "out", display, "in")
     program.connect(display, "out", slider, "in")
-    return Engine(program, points_db_20k).output_of(slider)
+    return Engine(program, build_points_database(20_000, seed=3)).output_of(
+        slider)
 
 
 VIEWS = {
@@ -75,12 +78,15 @@ def test_perf_cull_kernel(benchmark, scatter, where, path):
 # Location memo: repeated pan/zoom renders over one row set
 # ---------------------------------------------------------------------------
 
-_ARMS = {"cold": False, "warm": True}    # arm -> location memo kept?
 _RENDERS = 10   # re-renders of one viewport (the pan-and-return pattern)
-_ROUNDS = 5
+
+#: Median cold / warm time of ten deep-zoom renders.  On a 2-vCPU VM it
+#: read 7.4-8.0 over six runs, also after the columnar module, and
+#: 3.8-4.0 with the warm arm planted to run twice.
+SCATTER_MEMO_MIN_SPEEDUP = 5.5
 
 
-def test_perf_scatter_cache_speedup(scatter, record_parallel):
+def test_perf_scatter_cache_speedup(scatter, median_ratio):
     """Re-rendering one viewport must reuse the memoized location columns,
     pixel-identically.
 
@@ -88,34 +94,26 @@ def test_perf_scatter_cache_speedup(scatter, record_parallel):
     so each render converts the x, y and slider columns again; the warm arm
     converts them once and then only masks.  Deep zoom is the
     representative view: culling 20k tuples dominates, drawing the few
-    survivors is cheap.  Rounds alternate the arms, so a host slowdown
-    lands on both rather than skewing the speedup.
+    survivors is cheap.
     """
     view = VIEWS["deep-zoom"]
     rows = scatter.rows
-    best = dict.fromkeys(_ARMS, float("inf"))
-    canvases: dict[str, Canvas] = {}
-    for __ in range(_ROUNDS):
-        for arm, kept in _ARMS.items():
+
+    def arm(kept):
+        def run():
             rows.location_memo = None
-            start = time.perf_counter()
             for __ in range(_RENDERS):
                 if not kept:
                     rows.location_memo = None
                 canvas = Canvas(320, 240)
                 render_composite(canvas, scatter, view, stats=SceneStats())
-            best[arm] = min(best[arm], time.perf_counter() - start)
-            canvases[arm] = canvas
-    arms = {arm: {"memo": kept, "seconds": round(best[arm], 6)}
-            for arm, kept in _ARMS.items()}
+            return canvas
+        return run
+
+    cold, warm = arm(False)(), arm(True)()
     assert len(rows.location_memo) == 1    # one key: the memo engaged
-    assert np.array_equal(canvases["cold"].pixels, canvases["warm"].pixels)
-    speedup = arms["cold"]["seconds"] / arms["warm"]["seconds"]
-    record_parallel({
-        "name": "scatter_repeated_renders",
-        "workload": {"points": 20_000, "renders": _RENDERS,
-                     "viewport": [320, 240]},
-        "arms": arms,
-        "speedup": round(speedup, 2),
-    })
-    assert speedup >= 1.8
+    assert np.array_equal(cold.pixels, warm.pixels)
+    ratio, rounds = median_ratio(arm(False), arm(True))
+    assert ratio >= SCATTER_MEMO_MIN_SPEEDUP, (
+        f"cold / warm deep-zoom render time {ratio:.2f} < "
+        f"{SCATTER_MEMO_MIN_SPEEDUP} (rounds {rounds})")

@@ -8,8 +8,6 @@ and converge.
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.data.workloads import build_pairs_tables
@@ -78,9 +76,12 @@ def test_perf_join_strategies_agree(benchmark):
 # Result cache: slaved viewers sharing one join through the result cache
 # ---------------------------------------------------------------------------
 
-_ARMS = {"cold": False, "warm": True}    # arm -> result cache on?
 _VIEWERS = 8    # independent engines demanding the same join (slaving model)
-_ROUNDS = 5
+
+#: Median cold / warm time of the slaved-viewer join.  On a 2-vCPU VM it
+#: read 7.8-8.5 over six runs, and 3.8-4.2 with the warm arm planted to
+#: run twice.
+JOIN_CACHE_MIN_SPEEDUP = 5.5
 
 
 def _slaved_join_workload():
@@ -109,40 +110,28 @@ def _run_viewers(db, program, box_id, cache: bool):
     return rows
 
 
-def test_perf_join_cache_speedup(record_parallel):
+def test_perf_join_cache_speedup(median_ratio):
     """Repeated demands of one join: the shared result cache must win big.
 
     The cold arm (cache off) re-executes the join per viewer; the warm arm
     (cache on) pays one miss and then shares the materialization, which is
     where the paper's slaved-viewer interaction pattern gets its speedup.
-    Rounds alternate the arms, so a host slowdown lands on both rather than
-    skewing the speedup.
     """
     db, program, box_id = _slaved_join_workload()
     cache = result_cache()
-    best = dict.fromkeys(_ARMS, float("inf"))
-    baseline = None
-    for __ in range(_ROUNDS):
-        for arm, enabled in _ARMS.items():
+    cache.clear()
+    baseline = _run_viewers(db, program, box_id, False)
+    cache.clear()
+    assert _run_viewers(db, program, box_id, True) == baseline
+    assert cache.stats()["hits"] >= _VIEWERS - 1    # the cache engaged
+
+    def arm(enabled):
+        def run():
             cache.clear()
-            start = time.perf_counter()
-            rows = _run_viewers(db, program, box_id, enabled)
-            best[arm] = min(best[arm], time.perf_counter() - start)
-            if baseline is None:
-                baseline = rows
-            else:
-                assert rows == baseline    # every arm computes the same join
-    arms = {arm: {"cache": enabled, "seconds": round(best[arm], 6)}
-            for arm, enabled in _ARMS.items()}
-    stats = cache.stats()
-    assert stats["hits"] >= _VIEWERS - 1    # the cache actually engaged
-    speedup = arms["cold"]["seconds"] / arms["warm"]["seconds"]
-    record_parallel({
-        "name": "join_slaved_viewers",
-        "workload": {"left_rows": 800, "right_rows": 6400,
-                     "viewers": _VIEWERS},
-        "arms": arms,
-        "speedup": round(speedup, 2),
-        "cache": {"hits": stats["hits"], "misses": stats["misses"]},
-    })
-    assert speedup >= 1.8
+            _run_viewers(db, program, box_id, enabled)
+        return run
+
+    ratio, rounds = median_ratio(arm(False), arm(True), best_of=1)
+    assert ratio >= JOIN_CACHE_MIN_SPEEDUP, (
+        f"cold / warm slaved-viewer join time {ratio:.2f} < "
+        f"{JOIN_CACHE_MIN_SPEEDUP} (rounds {rounds})")

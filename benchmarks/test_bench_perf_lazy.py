@@ -4,7 +4,8 @@ the demanded visualization" (§2).
 A program with several expensive branches but only one demanded viewer.
 Lazy demand fires the demanded path only; the eager ablation fires every
 box.  The shape claim: lazy work (and time) is proportional to the demanded
-path, not to program size.
+path, not to program size.  Two same-process ratios gate it: eager over
+lazy demand time, and a fresh lazy demand over a memoized re-demand.
 """
 
 from __future__ import annotations
@@ -82,3 +83,61 @@ def test_perf_memoized_redemand(benchmark, weather_db):
     result = benchmark(engine.output_of, demanded)
     assert engine.stats.total_fires() == fires  # zero new fires
     assert len(result.rows) == 18
+
+
+#: Calls per timed arm of the ratios below, so each arm runs for
+#: milliseconds; the ratios compare time per call.
+_LAZY_CALLS = 100
+_REDEMAND_CALLS = 5000
+
+#: Median eager / lazy time per call.  On a 2-vCPU VM it read 40.4-43.2
+#: over six runs, and 19.9-23.3 with the lazy arm planted to run twice.
+EAGER_LAZY_MIN_RATIO = 30.0
+
+#: Median fresh-lazy / memoized re-demand time per call.  On a 2-vCPU VM
+#: it read 78-88 over six runs, and 35-44 with the re-demand planted to
+#: run twice.
+LAZY_REDEMAND_MIN_RATIO = 60.0
+
+
+def _demands(program, db, box, calls):
+    def run():
+        for __ in range(calls):
+            Engine(program, db).output_of(box)
+    return run
+
+
+def test_perf_lazy_vs_eager_ratio(weather_db, median_ratio):
+    """Evaluating every box costs many lazy demands of one viewer."""
+    program, demanded = branchy_program()
+
+    def eager():
+        Engine(program, weather_db).evaluate_all()
+
+    ratio, rounds = median_ratio(
+        eager, _demands(program, weather_db, demanded, _LAZY_CALLS),
+        calls=(1, _LAZY_CALLS))
+    assert ratio >= EAGER_LAZY_MIN_RATIO, (
+        f"eager / lazy demand time {ratio:.1f} < {EAGER_LAZY_MIN_RATIO} "
+        f"(rounds {rounds})")
+
+
+def test_perf_lazy_vs_memoized_redemand_ratio(weather_db, median_ratio):
+    """A re-demand of an unchanged program is a lookup: far cheaper than
+    the lazy demand that filled the memo."""
+    program, demanded = branchy_program()
+    engine = Engine(program, weather_db)
+    engine.output_of(demanded)
+    fires = engine.stats.total_fires()
+
+    def redemand():
+        for __ in range(_REDEMAND_CALLS):
+            engine.output_of(demanded)
+
+    ratio, rounds = median_ratio(
+        _demands(program, weather_db, demanded, _LAZY_CALLS), redemand,
+        calls=(_LAZY_CALLS, _REDEMAND_CALLS))
+    assert engine.stats.total_fires() == fires
+    assert ratio >= LAZY_REDEMAND_MIN_RATIO, (
+        f"lazy / memoized re-demand time {ratio:.1f} < "
+        f"{LAZY_REDEMAND_MIN_RATIO} (rounds {rounds})")

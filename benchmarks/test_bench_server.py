@@ -3,17 +3,17 @@
 Every viewer walks the *same* deterministic demand script (pan to a shared
 sequence of world positions, render after each move), so sessions collide
 on the shared result cache exactly the way slaved viewers do in the paper:
-the first session to reach a view pays the miss, the other 49 hit.  The
-benchmark records request→frame latency quantiles across all viewers plus
-command throughput and cache counters into ``BENCH_server.json``
-(``repro.bench.server/1``), which CI diffs against the committed baseline.
+the first session to reach a view pays the miss, the other 49 hit.
 
-The in-test assertions are deliberately lenient (a loaded CI box jitters);
-the regression gate is ``repro bench-diff`` over the recorded quantiles.
+After that cold walk, each round times the script twice on the same
+server and sessions: one viewer walking it alone, then all 50 at once.
+The gate is the median round's 50-viewer over 1-viewer request→frame p50,
+a ratio in which host speed cancels out.
 """
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 
@@ -24,6 +24,15 @@ from repro.server import ServerThread, connect
 
 VIEWERS = 50
 RENDERS_PER_VIEWER = 6
+ROUNDS = 5
+#: Walks of the script by the lone viewer per round, for a p50 over as
+#: many frames as one loaded viewer sees.
+SOLO_WALKS = 5
+
+#: Median 50-viewer / 1-viewer render p50 over the rounds.  On a 2-vCPU VM
+#: it read 22.4-25.1 over six runs, and 50-56 with each loaded viewer's
+#: render planted to be requested twice.
+LOAD_MAX_RATIO = 36.0
 
 #: Shared world positions every viewer pans to, in order.  Identical across
 #: sessions so their render plans share result-cache entries.
@@ -31,35 +40,49 @@ _SCRIPT = [(-95.0 + 6.0 * step, 38.0 + 1.5 * step)
            for step in range(RENDERS_PER_VIEWER)]
 
 
-def _viewer(url: str, latencies: list[float], frames: list[int],
+def _walk(client, latencies: list[float], hits: list[int]) -> None:
+    """Pan and render through the script once."""
+    for cx, cy in _SCRIPT:
+        client.request(PanTo(window="stations", cx=cx, cy=cy))
+        started = time.perf_counter()
+        frame = client.request(Render(window="stations", format="png"))
+        latencies.append(time.perf_counter() - started)
+        assert isinstance(frame, FrameReply), frame
+        assert frame.data_bytes().startswith(b"\x89PNG")
+        hits.append(frame.cache_hits)
+        time.sleep(0.01)        # think time between interactions
+
+
+def _viewer(index: int, url: str, cold: tuple[list, list],
+            solo: list[list[float]], loaded: list[list[float]],
             errors: list[str], barrier: threading.Barrier) -> None:
     try:
         with connect(url, timeout=120.0) as client:
             assert client.request(OpenProgram(name="fig4")).ok
             barrier.wait(timeout=60)    # all viewers start demanding at once
-            for cx, cy in _SCRIPT:
-                client.request(PanTo(window="stations", cx=cx, cy=cy))
-                started = time.perf_counter()
-                frame = client.request(Render(window="stations",
-                                              format="png"))
-                latencies.append(time.perf_counter() - started)
-                assert isinstance(frame, FrameReply), frame
-                assert frame.data_bytes().startswith(b"\x89PNG")
-                frames.append(frame.cache_hits)
-                time.sleep(0.01)        # think time between interactions
+            _walk(client, *cold)
+            for round_ in range(ROUNDS):
+                barrier.wait(timeout=60)
+                if index == 0:
+                    for __ in range(SOLO_WALKS):
+                        _walk(client, solo[round_], [])
+                barrier.wait(timeout=60)
+                _walk(client, loaded[round_], [])
     except Exception as exc:  # noqa: BLE001 - surfaced by the main thread
         errors.append(repr(exc))
+        barrier.abort()
 
 
-def _quantile(sorted_values: list[float], q: float) -> float:
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
+def _quantile(values: list[float], q: float) -> float:
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
-def test_server_load_fig4_50_viewers(record_server):
+def test_server_load_fig4_50_viewers():
     registry = MetricsRegistry()
-    latencies: list[float] = []
-    frame_hits: list[int] = []
+    cold: tuple[list[float], list[int]] = ([], [])
+    solo: list[list[float]] = [[] for __ in range(ROUNDS)]
+    loaded: list[list[float]] = [[] for __ in range(ROUNDS)]
     errors: list[str] = []
     barrier = threading.Barrier(VIEWERS)
 
@@ -69,51 +92,31 @@ def test_server_load_fig4_50_viewers(record_server):
         threads = [
             threading.Thread(
                 target=_viewer,
-                args=(url, latencies, frame_hits, errors, barrier),
+                args=(index, url, cold, solo, loaded, errors, barrier),
             )
-            for _ in range(VIEWERS)
+            for index in range(VIEWERS)
         ]
-        started = time.perf_counter()
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(300)
-        wall = time.perf_counter() - started
-        commands = registry.counter("server.commands").total()
         dropped = registry.counter("server.frames_dropped").total()
 
     assert not errors, errors[:3]
+    latencies, hits = cold
     assert len(latencies) == VIEWERS * RENDERS_PER_VIEWER
-
-    ordered = sorted(latencies)
-    p50 = _quantile(ordered, 0.50)
-    p99 = _quantile(ordered, 0.99)
-    cache = server.database  # keep the database alive until counters read
-    del cache
-    hits = sum(frame_hits)
-
-    record_server({
-        "name": "fig4_ws_load",
-        "viewers": VIEWERS,
-        "renders_per_viewer": RENDERS_PER_VIEWER,
-        "latency": {
-            "p50_s": round(p50, 6),
-            "p99_s": round(p99, 6),
-            "mean_s": round(sum(ordered) / len(ordered), 6),
-            "max_s": round(ordered[-1], 6),
-        },
-        "throughput_cps": round(commands / wall, 2),
-        "frames": {
-            "delivered": len(latencies),
-            "dropped": int(dropped),
-        },
-        "cache": {"hits": hits},
-    })
-
     # Request/reply pacing means no frame may ever be coalesced away.
     assert dropped == 0
     # Cross-session sharing must engage: 50 sessions render 6 shared views,
     # so far more frames hit the cache than miss.
-    assert hits >= VIEWERS * RENDERS_PER_VIEWER // 2
-    # Generous wall-clock ceiling; the real gate is bench-diff on quantiles.
+    assert sum(hits) >= VIEWERS * RENDERS_PER_VIEWER // 2
+    # Generous wall-clock ceiling on the cold walk.
+    p99 = _quantile(latencies, 0.99)
     assert p99 < 1.5, f"p99 {p99:.3f}s"
+
+    ratios = [_quantile(loaded[r], 0.5) / _quantile(solo[r], 0.5)
+              for r in range(ROUNDS)]
+    ratio = statistics.median(ratios)
+    assert ratio <= LOAD_MAX_RATIO, (
+        f"50-viewer / 1-viewer render p50 {ratio:.2f} > {LOAD_MAX_RATIO} "
+        f"(rounds {[round(r, 2) for r in ratios]})")

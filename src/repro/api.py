@@ -29,9 +29,8 @@ identical rows, order, and pixels, large speedups on scans/filters/joins
 Also new: time-series telemetry and the self-hosted dashboard.
 :class:`MetricsRecorder` samples the process metrics into ring-buffer
 series (JSON + Prometheus exposition), :class:`FlightRecorder` keeps a
-JSONL black box of recent spans that auto-dumps on engine errors,
-:func:`diff_bench` gates performance regressions between two
-``BENCH_*.json`` files, and :func:`build_telemetry_dashboard` /
+JSONL black box of recent spans that auto-dumps on engine errors, and
+:func:`build_telemetry_dashboard` /
 :func:`render_dashboard` visualize recorded engine telemetry with a
 Tioga-2 program — see ``docs/OBSERVABILITY.md`` and ``docs/DASHBOARD.md``.
 
@@ -145,8 +144,6 @@ from repro.obs import (
     configure_logging,
     current_trace_context,
     default_lineage_config,
-    diff_bench,
-    diff_bench_files,
     get_logger,
     install_flight_recorder,
     lineage_capture,
@@ -211,13 +208,11 @@ __all__ = [
     "explain_data",
     # Result cache
     "result_cache",
-    # Observability: time series, flight recorder, bench gate, dashboard
+    # Observability: time series, flight recorder, dashboard
     "MetricsRecorder",
     "TimeSeries",
     "FlightRecorder",
     "install_flight_recorder",
-    "diff_bench",
-    "diff_bench_files",
     # Request observability: tracing, profiling, structured logs
     "TraceContext",
     "current_trace_context",

@@ -13,7 +13,6 @@
     python -m repro.cli trace fig4                        # Chrome trace_event
     python -m repro.cli stats --figure fig4 [--json]      # metrics snapshot
     python -m repro.cli why --figure fig4 --px 504 --py 352   # why-provenance
-    python -m repro.cli bench-diff baselines/BENCH_parallel.json BENCH_parallel.json
     python -m repro.cli dashboard --out-dir dash/         # self-hosted telemetry
 
 ``lint`` runs the static program checker (``repro.analyze``) over a saved
@@ -31,8 +30,7 @@ tracer with a cold engine cache and writes the spans as Chrome
 see engine fires, plan-node execution, and render passes nested on one
 timeline.  ``stats`` prints the run-summary dict (span rollups plus the
 metrics registry) for a figure render; ``--check`` verifies the
-process-wide metric declarations are conflict-free and ``--validate-bench``
-schema-checks a ``BENCH_obs.json`` produced by the benchmark suite.
+process-wide metric declarations are conflict-free.
 ``lint --timing`` and ``explain --timing`` print a span-tree timing
 breakdown of the analysis itself.  ``why`` renders a figure scenario,
 picks the mark under a pixel, and walks its lineage back to the base-table
@@ -40,9 +38,6 @@ rows — a human provenance tree, or the ``repro.lineage/1`` document with
 ``--json`` (``--strict`` exits 1 when provenance is incomplete).  See
 ``docs/OBSERVABILITY.md``.
 
-``bench-diff`` compares two ``BENCH_*.json`` files (routing on their schema
-tag) and exits nonzero when any metric regresses past its threshold — the
-perf-regression gate CI runs against ``benchmarks/baselines/``.
 ``dashboard`` records telemetry from a real figure render and renders the
 self-hosted telemetry dashboard (``repro.obs.dashboard``) headless — the
 reproduction visualizing its own engine; see ``docs/DASHBOARD.md``.
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats = commands.add_parser(
         "stats", parents=[common],
         help="run-summary telemetry for a figure render (span rollups + "
-        "metrics registry), declaration checks, bench-file validation",
+        "metrics registry) and declaration checks",
     )
     stats.add_argument(
         "--figure", choices=sorted(_FIGURES), default="fig4",
@@ -270,12 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify process-wide metric declarations are conflict-free "
         "(exit 1 on a kind conflict)",
     )
-    stats.add_argument(
-        "--validate-bench", metavar="PATH",
-        help="schema-check a BENCH_obs.json or BENCH_parallel.json "
-        "written by the benchmark suite",
-    )
-
     why = commands.add_parser(
         "why", parents=[common],
         help="why-provenance drill-down: pick the mark under a pixel of a "
@@ -293,30 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     why.add_argument(
         "--window", default=None,
         help="window name within the scenario (default: first window)",
-    )
-
-    bench_diff = commands.add_parser(
-        "bench-diff", parents=[common],
-        help="compare two BENCH_*.json files (schema-tag routed) and exit "
-        "nonzero on perf regressions past the threshold",
-    )
-    bench_diff.add_argument("baseline", help="baseline BENCH_*.json path")
-    bench_diff.add_argument("current", help="current BENCH_*.json path")
-    bench_diff.add_argument(
-        "--threshold", type=float, default=None, metavar="FRACTION",
-        help="relative-change threshold for every metric (default: "
-        "per-metric, 0.25)",
-    )
-    bench_diff.add_argument(
-        "--min-seconds", type=float, default=None, metavar="S",
-        help="ignore wall-time regressions when both sides are under S "
-        "seconds (micro-benchmark noise floor, default 0.005)",
-    )
-    bench_diff.add_argument(
-        "--update-baselines", action="store_true",
-        help="schema-validate the current BENCH file and copy it over the "
-        "baseline path instead of diffing (refreshes "
-        "benchmarks/baselines/)",
     )
 
     dashboard = commands.add_parser(
@@ -757,22 +722,7 @@ def _cmd_stats(args) -> int:
         global_registry,
         push_tracer,
         run_summary,
-        validate_any_bench,
     )
-
-    if args.validate_bench:
-        payload = json_module.loads(Path(args.validate_bench).read_text())
-        # Route by the payload's own schema tag: BENCH_obs.json carries
-        # repro.bench/1, BENCH_parallel.json repro.bench.parallel/1,
-        # BENCH_columnar.json repro.bench.columnar/1.
-        try:
-            validate_any_bench(payload)
-        except ObservabilityError as exc:
-            print(f"invalid bench summary: {exc}", file=sys.stderr)
-            return 1
-        print(f"{args.validate_bench}: ok "
-              f"({len(payload.get('benchmarks', []))} benchmarks)")
-        return 0
 
     # Pre-register the execution counter set (cache.hit/miss/evict via the
     # process-wide ResultCache; the columnar pair explicitly) so one
@@ -847,59 +797,6 @@ def _cmd_stats(args) -> int:
     if args.strict and tracer.dropped:
         print(f"strict: {tracer.dropped} spans dropped (buffer full)",
               file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_diff(args) -> int:
-    import json as json_module
-
-    from repro.obs.benchdiff import diff_bench_files, render_diff
-
-    if args.update_baselines:
-        # Refresh the committed baseline from a current run: the current
-        # file must validate against its own schema before it can replace
-        # the baseline — a malformed artifact never becomes the gate.
-        from repro.obs import ObservabilityError, validate_any_bench
-
-        try:
-            payload = json_module.loads(Path(args.current).read_text())
-            validate_any_bench(payload)
-        except ObservabilityError as exc:
-            print(f"invalid bench file {args.current}: {exc}",
-                  file=sys.stderr)
-            return 1
-        baseline_path = Path(args.baseline)
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        baseline_path.write_text(
-            json_module.dumps(payload, indent=1, sort_keys=True) + "\n"
-        )
-        print(f"baseline updated: {args.current} "
-              f"({payload.get('schema')}, "
-              f"{len(payload.get('benchmarks', []))} benchmarks) "
-              f"-> {baseline_path}")
-        return 0
-
-    kwargs = {}
-    if args.threshold is not None:
-        kwargs["threshold"] = args.threshold
-    if args.min_seconds is not None:
-        kwargs["min_seconds"] = args.min_seconds
-    report = diff_bench_files(args.baseline, args.current, **kwargs)
-    if args.as_json:
-        print(json_module.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(render_diff(report))
-    if report["regressions"]:
-        for row in report["regressions"]:
-            print(f"regression: {row['name']} {row['metric']} "
-                  f"{row['baseline']:.6g} -> {row['current']:.6g} "
-                  f"(x{row['ratio']:.3g}, threshold "
-                  f"{row['threshold']:.0%})", file=sys.stderr)
-        return 1
-    if args.strict and report["missing"]:
-        print(f"strict: benchmarks missing from current run: "
-              f"{', '.join(report['missing'])}", file=sys.stderr)
         return 1
     return 0
 
@@ -1178,7 +1075,6 @@ _HANDLERS = {
     "profile": _cmd_profile,
     "stats": _cmd_stats,
     "why": _cmd_why,
-    "bench-diff": _cmd_bench_diff,
     "dashboard": _cmd_dashboard,
     "render": _cmd_render,
     "serve": _cmd_serve,

@@ -15,27 +15,13 @@ run with ``repro trace`` / ``--timing``, or process-wide with
 """
 
 from repro.errors import ObservabilityError
-from repro.obs.benchdiff import (
-    DIFF_SCHEMA,
-    diff_bench,
-    diff_bench_files,
-    render_diff,
-)
 from repro.obs.export import (
     BENCH_SCHEMA,
-    COLUMNAR_BENCH_SCHEMA,
-    PARALLEL_BENCH_SCHEMA,
-    SERVER_BENCH_SCHEMA,
     chrome_trace,
     empty_run_summary,
     render_tree,
     run_summary,
-    validate_any_bench,
-    validate_bench_summary,
     validate_chrome_trace,
-    validate_columnar_bench,
-    validate_parallel_bench,
-    validate_server_bench,
     write_chrome_trace,
 )
 from repro.obs.flightrec import (
@@ -109,14 +95,10 @@ from repro.obs.trace import (
 __all__ = [
     "ACCESS_LOGGER",
     "BENCH_SCHEMA",
-    "COLUMNAR_BENCH_SCHEMA",
     "DEFAULT_SLO_MS",
-    "DIFF_SCHEMA",
     "FLIGHT_SCHEMA",
     "LINEAGE_SCHEMA",
-    "PARALLEL_BENCH_SCHEMA",
     "PROFILE_SCHEMA",
-    "SERVER_BENCH_SCHEMA",
     "SLOWREQ_SCHEMA",
     "TIMESERIES_SCHEMA",
     "Counter",
@@ -149,8 +131,6 @@ __all__ = [
     "declarations",
     "declare",
     "default_lineage_config",
-    "diff_bench",
-    "diff_bench_files",
     "empty_run_summary",
     "get_logger",
     "global_registry",
@@ -160,7 +140,6 @@ __all__ = [
     "lineage_config_from_env",
     "note_engine_error",
     "push_tracer",
-    "render_diff",
     "render_tree",
     "render_why",
     "resolve_lineage_config",
@@ -170,11 +149,6 @@ __all__ = [
     "thread_trace_contexts",
     "tracing",
     "why",
-    "validate_any_bench",
-    "validate_bench_summary",
-    "validate_columnar_bench",
-    "validate_parallel_bench",
-    "validate_server_bench",
     "validate_chrome_trace",
     "validate_timeseries",
     "write_chrome_trace",

@@ -9,11 +9,10 @@ Three consumers, three formats:
 * :func:`render_tree` — an indented wall-clock tree for terminals, the
   ``--timing`` output.
 * :func:`run_summary` — a stable, JSON-ready dict combining span rollups and
-  a metrics snapshot; the benchmark telemetry pipeline aggregates these into
-  ``BENCH_obs.json``.
+  a metrics snapshot; the ``stats`` command and wire reply carry one.
 
-:func:`validate_chrome_trace` and :func:`validate_bench_summary` are the
-schema guards used by the tests and the CI telemetry job.
+:func:`validate_chrome_trace` is the schema guard used by the tests and
+``repro trace``.
 """
 
 from __future__ import annotations
@@ -33,28 +32,11 @@ __all__ = [
     "run_summary",
     "empty_run_summary",
     "validate_chrome_trace",
-    "validate_bench_summary",
-    "validate_parallel_bench",
-    "validate_columnar_bench",
-    "validate_server_bench",
-    "validate_any_bench",
     "BENCH_SCHEMA",
-    "PARALLEL_BENCH_SCHEMA",
-    "COLUMNAR_BENCH_SCHEMA",
-    "SERVER_BENCH_SCHEMA",
 ]
 
 BENCH_SCHEMA = "repro.bench/1"
-"""Schema tag stamped into ``BENCH_obs.json``."""
-
-PARALLEL_BENCH_SCHEMA = "repro.bench.parallel/1"
-"""Schema tag stamped into ``BENCH_parallel.json``."""
-
-COLUMNAR_BENCH_SCHEMA = "repro.bench.columnar/1"
-"""Schema tag stamped into ``BENCH_columnar.json``."""
-
-SERVER_BENCH_SCHEMA = "repro.bench.server/1"
-"""Schema tag stamped into ``BENCH_server.json``."""
+"""Schema tag stamped into run summaries (the ``stats`` reply carries one)."""
 
 _PID = 1  # single-process traces; Chrome requires *a* pid
 
@@ -324,251 +306,3 @@ def validate_chrome_trace(obj: Any) -> list[dict[str, Any]]:
                 f"traceEvents[{index}] 'args' must be an object"
             )
     return events
-
-
-def validate_bench_summary(obj: Any) -> dict[str, Any]:
-    """Check a ``BENCH_obs.json`` payload; returns it on success."""
-    if not isinstance(obj, dict):
-        raise ObservabilityError("bench summary must be an object")
-    if obj.get("schema") != BENCH_SCHEMA:
-        raise ObservabilityError(
-            f"bench summary schema must be {BENCH_SCHEMA!r}, "
-            f"got {obj.get('schema')!r}"
-        )
-    benchmarks = obj.get("benchmarks")
-    if not isinstance(benchmarks, list):
-        raise ObservabilityError("bench summary needs a 'benchmarks' list")
-    for index, entry in enumerate(benchmarks):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ObservabilityError(
-                f"benchmarks[{index}] must be an object with a 'name'"
-            )
-        timing = entry.get("timing")
-        if timing is not None:
-            if not isinstance(timing, dict):
-                raise ObservabilityError(
-                    f"benchmarks[{index}] 'timing' must be an object"
-                )
-            for key in ("mean_s", "rounds"):
-                if key not in timing:
-                    raise ObservabilityError(
-                        f"benchmarks[{index}] timing missing {key!r}"
-                    )
-        telemetry = entry.get("telemetry")
-        if telemetry is not None and not isinstance(telemetry, dict):
-            raise ObservabilityError(
-                f"benchmarks[{index}] 'telemetry' must be an object"
-            )
-    metrics = obj.get("metric_declarations")
-    if metrics is not None and not isinstance(metrics, dict):
-        raise ObservabilityError("'metric_declarations' must be an object")
-    return obj
-
-
-def validate_parallel_bench(obj: Any) -> dict[str, Any]:
-    """Check a ``BENCH_parallel.json`` payload; returns it on success.
-
-    Each benchmark compares timing arms on one workload — the result
-    cache off (``cold``) and on (``warm``)::
-
-        {"schema": "repro.bench.parallel/1",
-         "benchmarks": [
-             {"name": "join_slaved_viewers",
-              "arms": {"cold": {"cache": false, "seconds": 0.41},
-                       "warm": {"cache": true, "seconds": 0.11}},
-              "speedup": 3.7,
-              "cache": {"hits": 7, "misses": 1}}]}
-    """
-    if not isinstance(obj, dict):
-        raise ObservabilityError("parallel bench summary must be an object")
-    if obj.get("schema") != PARALLEL_BENCH_SCHEMA:
-        raise ObservabilityError(
-            f"parallel bench schema must be {PARALLEL_BENCH_SCHEMA!r}, "
-            f"got {obj.get('schema')!r}"
-        )
-    benchmarks = obj.get("benchmarks")
-    if not isinstance(benchmarks, list):
-        raise ObservabilityError(
-            "parallel bench summary needs a 'benchmarks' list"
-        )
-    for index, entry in enumerate(benchmarks):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ObservabilityError(
-                f"benchmarks[{index}] must be an object with a 'name'"
-            )
-        arms = entry.get("arms")
-        if not isinstance(arms, dict) or not arms:
-            raise ObservabilityError(
-                f"benchmarks[{index}] needs a non-empty 'arms' object"
-            )
-        for arm_name, arm in arms.items():
-            if not isinstance(arm, dict):
-                raise ObservabilityError(
-                    f"benchmarks[{index}] arm {arm_name!r} must be an object"
-                )
-            seconds = arm.get("seconds")
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                raise ObservabilityError(
-                    f"benchmarks[{index}] arm {arm_name!r} needs "
-                    "non-negative numeric 'seconds'"
-                )
-        speedup = entry.get("speedup")
-        if speedup is not None and (
-            not isinstance(speedup, (int, float)) or speedup <= 0
-        ):
-            raise ObservabilityError(
-                f"benchmarks[{index}] 'speedup' must be positive"
-            )
-        cache = entry.get("cache")
-        if cache is not None and not isinstance(cache, dict):
-            raise ObservabilityError(
-                f"benchmarks[{index}] 'cache' must be an object"
-            )
-    return obj
-
-
-def validate_columnar_bench(obj: Any) -> dict[str, Any]:
-    """Check a ``BENCH_columnar.json`` payload; returns it on success.
-
-    Each benchmark compares timing arms (row vs columnar backend) on one
-    workload::
-
-        {"schema": "repro.bench.columnar/1",
-         "benchmarks": [
-             {"name": "fast_scatter_restrict",
-              "arms": {"row": {"seconds": 0.52},
-                       "columnar": {"seconds": 0.03}},
-              "speedup": 17.3,
-              "counters": {"columnar.batches": 12,
-                           "columnar.fallback": 0}}]}
-    """
-    if not isinstance(obj, dict):
-        raise ObservabilityError("columnar bench summary must be an object")
-    if obj.get("schema") != COLUMNAR_BENCH_SCHEMA:
-        raise ObservabilityError(
-            f"columnar bench schema must be {COLUMNAR_BENCH_SCHEMA!r}, "
-            f"got {obj.get('schema')!r}"
-        )
-    benchmarks = obj.get("benchmarks")
-    if not isinstance(benchmarks, list):
-        raise ObservabilityError(
-            "columnar bench summary needs a 'benchmarks' list"
-        )
-    for index, entry in enumerate(benchmarks):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ObservabilityError(
-                f"benchmarks[{index}] must be an object with a 'name'"
-            )
-        arms = entry.get("arms")
-        if not isinstance(arms, dict) or not arms:
-            raise ObservabilityError(
-                f"benchmarks[{index}] needs a non-empty 'arms' object"
-            )
-        for arm_name, arm in arms.items():
-            if not isinstance(arm, dict):
-                raise ObservabilityError(
-                    f"benchmarks[{index}] arm {arm_name!r} must be an object"
-                )
-            seconds = arm.get("seconds")
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                raise ObservabilityError(
-                    f"benchmarks[{index}] arm {arm_name!r} needs "
-                    "non-negative numeric 'seconds'"
-                )
-        speedup = entry.get("speedup")
-        if speedup is not None and (
-            not isinstance(speedup, (int, float)) or speedup <= 0
-        ):
-            raise ObservabilityError(
-                f"benchmarks[{index}] 'speedup' must be positive"
-            )
-        counters = entry.get("counters")
-        if counters is not None and not isinstance(counters, dict):
-            raise ObservabilityError(
-                f"benchmarks[{index}] 'counters' must be an object"
-            )
-    return obj
-
-
-def validate_server_bench(obj: Any) -> dict[str, Any]:
-    """Check a ``BENCH_server.json`` payload; returns it on success.
-
-    Each benchmark is one concurrent-viewer load run against a hosted
-    program::
-
-        {"schema": "repro.bench.server/1",
-         "benchmarks": [
-             {"name": "fig4_ws_load",
-              "viewers": 50,
-              "renders_per_viewer": 6,
-              "latency": {"p50_s": 0.011, "p99_s": 0.18,
-                          "mean_s": 0.02, "max_s": 0.21},
-              "throughput_cps": 410.0,
-              "frames": {"delivered": 300, "dropped": 0},
-              "cache": {"hits": 620, "misses": 9}}]}
-    """
-    if not isinstance(obj, dict):
-        raise ObservabilityError("server bench summary must be an object")
-    if obj.get("schema") != SERVER_BENCH_SCHEMA:
-        raise ObservabilityError(
-            f"server bench schema must be {SERVER_BENCH_SCHEMA!r}, "
-            f"got {obj.get('schema')!r}"
-        )
-    benchmarks = obj.get("benchmarks")
-    if not isinstance(benchmarks, list):
-        raise ObservabilityError(
-            "server bench summary needs a 'benchmarks' list"
-        )
-    for index, entry in enumerate(benchmarks):
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ObservabilityError(
-                f"benchmarks[{index}] must be an object with a 'name'"
-            )
-        viewers = entry.get("viewers")
-        if not isinstance(viewers, int) or viewers <= 0:
-            raise ObservabilityError(
-                f"benchmarks[{index}] needs a positive integer 'viewers'"
-            )
-        latency = entry.get("latency")
-        if not isinstance(latency, dict):
-            raise ObservabilityError(
-                f"benchmarks[{index}] needs a 'latency' object"
-            )
-        for quantile in ("p50_s", "p99_s"):
-            value = latency.get(quantile)
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ObservabilityError(
-                    f"benchmarks[{index}] latency needs non-negative "
-                    f"numeric {quantile!r}"
-                )
-        throughput = entry.get("throughput_cps")
-        if throughput is not None and (
-            not isinstance(throughput, (int, float)) or throughput < 0
-        ):
-            raise ObservabilityError(
-                f"benchmarks[{index}] 'throughput_cps' must be non-negative"
-            )
-        for section in ("frames", "cache"):
-            value = entry.get(section)
-            if value is not None and not isinstance(value, dict):
-                raise ObservabilityError(
-                    f"benchmarks[{index}] {section!r} must be an object"
-                )
-    return obj
-
-
-def validate_any_bench(obj: Any) -> dict[str, Any]:
-    """Validate a bench payload, routing on its own schema tag.
-
-    Used by ``repro stats --validate-bench`` and
-    ``repro bench-diff --update-baselines``, which accept any of the four
-    ``BENCH_*.json`` artifact kinds.
-    """
-    schema = obj.get("schema") if isinstance(obj, dict) else None
-    if schema == PARALLEL_BENCH_SCHEMA:
-        return validate_parallel_bench(obj)
-    if schema == COLUMNAR_BENCH_SCHEMA:
-        return validate_columnar_bench(obj)
-    if schema == SERVER_BENCH_SCHEMA:
-        return validate_server_bench(obj)
-    return validate_bench_summary(obj)

@@ -157,16 +157,25 @@ class CommandExecutor:
         spans attach to one connected request tree either way.  Disabled
         tracers pay a single attribute check.
         """
+        tracer = current_tracer()
+        if not tracer.enabled:
+            return self._handler(command)(self, command)
+        return self._run_traced(command, tracer,
+                                self.trace_context_for(command, tracer))
+
+    def _handler(self, command: Command):
         handler = self._HANDLERS.get(type(command))
         if handler is None:
             raise ProtocolError(
                 f"unknown command kind {getattr(command, 'kind', None)!r}",
                 code="T2-E511",
             )
-        tracer = current_tracer()
-        if not tracer.enabled:
-            return handler(self, command)
-        ctx = self.trace_context_for(command, tracer)
+        return handler
+
+    def _run_traced(self, command: Command, tracer,
+                    ctx: TraceContext) -> Any:
+        """:meth:`run` under ``ctx``, in a ``request.<kind>`` span."""
+        handler = self._handler(command)
         attrs: dict[str, Any] = {"command": command.kind}
         if ctx.session is not None:
             attrs["session"] = ctx.session
@@ -196,25 +205,20 @@ class CommandExecutor:
         for Tioga-level failures — they become :class:`ErrorReply`).
 
         Responses carry the request's ``trace_id`` so remote clients can
-        quote it back at ``/debug/trace`` (and correlate their own logs)."""
+        quote it back at ``/debug/trace`` (and correlate their own logs).
+        The context is resolved and adopted once, by the traced run."""
         tracer = current_tracer()
-        trace_id: str | None = None
-        if tracer.enabled:
-            # Resolve (and adopt) the context up front so the id stamped on
-            # the response is the one run() traces under.
-            ctx = self.trace_context_for(command, tracer)
-            trace_id = ctx.trace_id
-            with tracer.adopt(ctx):
-                response = self._execute_raw(command)
-        else:
-            response = self._execute_raw(command)
-        if trace_id is not None:
-            response = dataclasses.replace(response, trace_id=trace_id)
-        return response
+        if not tracer.enabled:
+            return self._execute_raw(command, self.run)
+        ctx = self.trace_context_for(command, tracer)
+        response = self._execute_raw(
+            command, lambda command: self._run_traced(command, tracer, ctx))
+        return dataclasses.replace(response, trace_id=ctx.trace_id)
 
-    def _execute_raw(self, command: Command) -> Response:
+    def _execute_raw(self, command: Command,
+                     run: Callable[[Command], Any]) -> Response:
         try:
-            result = self.run(command)
+            result = run(command)
             wire = self._WIRE.get(type(command), CommandExecutor._wire_reply)
             return wire(self, command, result)
         except TiogaError as exc:

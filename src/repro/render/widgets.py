@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from repro.display.displayable import Group
 from repro.display.elevation import ElevationMap
 from repro.render.canvas import Canvas
 
@@ -134,25 +135,24 @@ def render_window_frame(window, cull: bool = True) -> Canvas:
 
     ``window`` is a :class:`repro.ui.session.CanvasWindow`.  The data range
     for each slider bar comes from the visible composite's actual values.
+    The viewer's input is demanded once and shared by every part.
     """
-    content = window.render(cull=cull)
     viewer = window.viewer
-    emap = window.elevation_map()
-
+    displayable = viewer.displayable()
+    content = window.render(cull=cull, displayable=displayable)
     member = None
-    if viewer.is_group():
-        names = viewer.member_names()
+    if isinstance(displayable, Group):
+        names = displayable.member_names()
         member = names[window._elevation_map_member % len(names)]
-    view = viewer.view(member) if not viewer.is_group() or member else None
-    elevation = (view.elevation if view is not None
-                 else viewer.view(member).elevation)
+    member, view = viewer._member_view(displayable, member)
+    composite = viewer._member_composite(member, displayable)
 
     map_width = 130
     map_canvas = render_elevation_map(
-        emap, elevation, width=map_width, height=min(200, content.height)
+        composite.elevation_map(), view.elevation, width=map_width,
+        height=min(200, content.height)
     )
 
-    composite = viewer._member_composite(member or viewer.member_names()[0])
     slider_dims = composite.slider_dims
     slider_h = 20
     total_w = content.width + map_width + 8
@@ -163,11 +163,8 @@ def render_window_frame(window, cull: bool = True) -> Canvas:
     frame.draw_rect(0, 0, content.width - 1, content.height - 1, _AXIS)
     frame.blit(map_canvas, content.width + 6, 0)
 
-    current_view = viewer.view(member) if member or not viewer.is_group() \
-        else None
     for pos, dim in enumerate(slider_dims):
-        bounds = (current_view.slider_ranges.get(dim, (-math.inf, math.inf))
-                  if current_view is not None else (-math.inf, math.inf))
+        bounds = view.slider_ranges.get(dim, (-math.inf, math.inf))
         data_values = []
         for entry in composite.entries:
             if dim not in entry.relation.slider_dims:

@@ -108,31 +108,6 @@ class TestStrictSemantics:
         capsys.readouterr()
 
 
-class TestValidateBenchRouting:
-    def test_parallel_schema_routed_by_payload(self, capsys, tmp_path):
-        payload = {
-            "schema": "repro.bench.parallel/1",
-            "benchmarks": [{
-                "name": "demo",
-                "arms": {"cold": {"cache": False, "seconds": 0.5},
-                         "warm": {"cache": True, "seconds": 0.1}},
-                "speedup": 5.0,
-            }],
-        }
-        path = tmp_path / "BENCH_parallel.json"
-        path.write_text(json.dumps(payload))
-        assert main(["stats", "--validate-bench", str(path)]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_invalid_parallel_payload_rejected(self, capsys, tmp_path):
-        payload = {"schema": "repro.bench.parallel/1",
-                   "benchmarks": [{"name": "demo", "arms": {}}]}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
-        assert main(["stats", "--validate-bench", str(path)]) == 1
-        capsys.readouterr()
-
-
 class TestStatsJsonSchema:
     def test_pinned_shape_with_cache_counters(self, capsys):
         """The `stats --json` contract: a repro.bench/1 summary whose

@@ -115,3 +115,17 @@ def test_view_commands_on_an_unchanged_program_open_no_engine_span(
         engine_events = [event.name for event in tracer.events
                          if event.name.startswith("engine.")]
         assert engine_spans == [] and engine_events == [], name
+
+
+@pytest.mark.parametrize("figure,window", WINDOWS,
+                         ids=[f"{f}-{w}" for f, w in WINDOWS])
+def test_window_frame_demands_the_input_once(db, demands, figure, window):
+    """The full window image (canvas, elevation map, slider bars) shares
+    one demand of the input across its parts."""
+    session = FIGURES[figure](db).session
+    box = input_box(session, window)
+    for call in ("first", "repeat"):
+        demands.clear()
+        frame = session.window(window).render_window()
+        assert demands.get(box, 0) == 1, call
+        assert frame.width > session.window(window).viewer.width

@@ -9,19 +9,12 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.obs import (
     BENCH_SCHEMA,
-    COLUMNAR_BENCH_SCHEMA,
-    PARALLEL_BENCH_SCHEMA,
-    SERVER_BENCH_SCHEMA,
     MetricsRegistry,
     Tracer,
     chrome_trace,
     render_tree,
     run_summary,
-    validate_any_bench,
-    validate_bench_summary,
     validate_chrome_trace,
-    validate_columnar_bench,
-    validate_server_bench,
     write_chrome_trace,
 )
 
@@ -173,176 +166,3 @@ class TestExportersWithoutTracer:
 
     def test_render_tree_none_is_empty_string(self):
         assert render_tree(None) == ""
-
-
-class TestValidateBenchSummary:
-    def good(self):
-        return {
-            "schema": BENCH_SCHEMA,
-            "benchmarks": [
-                {"name": "bench::one",
-                 "timing": {"mean_s": 0.1, "rounds": 5},
-                 "telemetry": {"spans": {}}},
-                {"name": "bench::disabled", "timing": None},
-            ],
-            "metric_declarations": {"engine.box.fires": "counter"},
-        }
-
-    def test_accepts_good_payload(self):
-        payload = self.good()
-        assert validate_bench_summary(payload) is payload
-
-    def test_rejects_wrong_schema_tag(self):
-        payload = self.good()
-        payload["schema"] = "repro.bench/0"
-        with pytest.raises(ObservabilityError, match="schema"):
-            validate_bench_summary(payload)
-
-    def test_rejects_missing_benchmarks(self):
-        with pytest.raises(ObservabilityError, match="benchmarks"):
-            validate_bench_summary({"schema": BENCH_SCHEMA})
-
-    def test_rejects_nameless_entry(self):
-        payload = self.good()
-        payload["benchmarks"].append({"timing": None})
-        with pytest.raises(ObservabilityError, match="name"):
-            validate_bench_summary(payload)
-
-    def test_rejects_timing_without_mean(self):
-        payload = self.good()
-        payload["benchmarks"][0]["timing"] = {"rounds": 5}
-        with pytest.raises(ObservabilityError, match="mean_s"):
-            validate_bench_summary(payload)
-
-
-class TestValidateColumnarBench:
-    def good(self):
-        return {
-            "schema": COLUMNAR_BENCH_SCHEMA,
-            "benchmarks": [{
-                "name": "fast_scatter_cull_restrict",
-                "arms": {
-                    "row": {"seconds": 0.52},
-                    "columnar": {"seconds": 0.03},
-                },
-                "speedup": 17.3,
-                "counters": {"columnar.batches": 12,
-                             "columnar.fallback": 0},
-            }],
-        }
-
-    def test_accepts_good_payload(self):
-        payload = self.good()
-        assert validate_columnar_bench(payload) is payload
-
-    def test_speedup_and_counters_are_optional(self):
-        payload = self.good()
-        del payload["benchmarks"][0]["speedup"]
-        del payload["benchmarks"][0]["counters"]
-        validate_columnar_bench(payload)
-
-    def test_rejects_wrong_schema_tag(self):
-        payload = self.good()
-        payload["schema"] = BENCH_SCHEMA
-        with pytest.raises(ObservabilityError, match="schema"):
-            validate_columnar_bench(payload)
-
-    def test_rejects_empty_arms(self):
-        payload = self.good()
-        payload["benchmarks"][0]["arms"] = {}
-        with pytest.raises(ObservabilityError, match="arm"):
-            validate_columnar_bench(payload)
-
-    def test_rejects_negative_seconds(self):
-        payload = self.good()
-        payload["benchmarks"][0]["arms"]["row"]["seconds"] = -1.0
-        with pytest.raises(ObservabilityError, match="seconds"):
-            validate_columnar_bench(payload)
-
-    def test_rejects_nonpositive_speedup(self):
-        payload = self.good()
-        payload["benchmarks"][0]["speedup"] = 0.0
-        with pytest.raises(ObservabilityError, match="speedup"):
-            validate_columnar_bench(payload)
-
-
-class TestValidateServerBench:
-    def good(self):
-        return {
-            "schema": SERVER_BENCH_SCHEMA,
-            "benchmarks": [{
-                "name": "fig4_ws_load",
-                "viewers": 50,
-                "renders_per_viewer": 6,
-                "latency": {"p50_s": 0.02, "p99_s": 0.07,
-                            "mean_s": 0.03, "max_s": 0.08},
-                "throughput_cps": 1000.0,
-                "frames": {"delivered": 300, "dropped": 0},
-                "cache": {"hits": 300},
-            }],
-        }
-
-    def test_accepts_good_payload(self):
-        payload = self.good()
-        assert validate_server_bench(payload) is payload
-
-    def test_throughput_and_sections_are_optional(self):
-        payload = self.good()
-        del payload["benchmarks"][0]["throughput_cps"]
-        del payload["benchmarks"][0]["frames"]
-        del payload["benchmarks"][0]["cache"]
-        validate_server_bench(payload)
-
-    def test_rejects_wrong_schema_tag(self):
-        payload = self.good()
-        payload["schema"] = BENCH_SCHEMA
-        with pytest.raises(ObservabilityError, match="schema"):
-            validate_server_bench(payload)
-
-    def test_rejects_missing_viewers(self):
-        payload = self.good()
-        del payload["benchmarks"][0]["viewers"]
-        with pytest.raises(ObservabilityError, match="viewers"):
-            validate_server_bench(payload)
-
-    def test_rejects_missing_latency_quantile(self):
-        payload = self.good()
-        del payload["benchmarks"][0]["latency"]["p99_s"]
-        with pytest.raises(ObservabilityError, match="p99_s"):
-            validate_server_bench(payload)
-
-    def test_rejects_negative_latency(self):
-        payload = self.good()
-        payload["benchmarks"][0]["latency"]["p50_s"] = -0.1
-        with pytest.raises(ObservabilityError, match="p50_s"):
-            validate_server_bench(payload)
-
-    def test_rejects_negative_throughput(self):
-        payload = self.good()
-        payload["benchmarks"][0]["throughput_cps"] = -1.0
-        with pytest.raises(ObservabilityError, match="throughput_cps"):
-            validate_server_bench(payload)
-
-
-class TestValidateAnyBench:
-    def test_routes_by_schema_tag(self):
-        columnar = TestValidateColumnarBench().good()
-        assert validate_any_bench(columnar) is columnar
-        server = TestValidateServerBench().good()
-        assert validate_any_bench(server) is server
-        obs = {"schema": BENCH_SCHEMA,
-               "benchmarks": [{"name": "b", "timing": None}]}
-        assert validate_any_bench(obs) is obs
-        parallel = {
-            "schema": PARALLEL_BENCH_SCHEMA,
-            "benchmarks": [{
-                "name": "p",
-                "arms": {"cold": {"cache": False, "seconds": 1.0}},
-                "speedup": 1.0,
-            }],
-        }
-        assert validate_any_bench(parallel) is parallel
-
-    def test_unknown_schema_raises(self):
-        with pytest.raises(ObservabilityError, match="schema"):
-            validate_any_bench({"schema": "nope/1", "benchmarks": []})

@@ -242,17 +242,6 @@ class TestCli:
         assert cli.main(["stats", "--check"]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_stats_validate_bench(self, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps({
-            "schema": "repro.bench/1",
-            "benchmarks": [{"name": "b", "timing": None}],
-        }))
-        assert cli.main(["stats", "--validate-bench", str(good)]) == 0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "nope", "benchmarks": []}))
-        assert cli.main(["stats", "--validate-bench", str(bad)]) == 1
-
     def test_lint_timing(self, capsys):
         assert cli.main(["lint", "--figure", "fig4", "--timing"]) == 0
         out = capsys.readouterr().out

@@ -38,6 +38,7 @@ from repro.protocol import (
     PROTOCOL_CODES,
     PROTOCOL_VERSION,
     RESPONSE_KINDS,
+    CommandExecutor,
     ErrorReply,
     FrameReply,
     Pan,
@@ -316,6 +317,35 @@ def test_executor_stamps_reply_trace_id_under_tracing(fig4_session):
         error = fig4_session.execute(Render(window="nowhere"))
         assert isinstance(error, ErrorReply)
         assert error.trace_id
+
+
+def test_executor_resolves_and_adopts_the_context_once(fig4_session,
+                                                       monkeypatch):
+    """A traced request resolves its context once and adopts it once; the
+    reply's id is the one its ``request.*`` span ran under."""
+    calls = {"resolve": 0, "adopt": 0}
+    resolve = CommandExecutor.trace_context_for
+    adopt = Tracer.adopt
+
+    def counted_resolve(self, *args, **kwargs):
+        calls["resolve"] += 1
+        return resolve(self, *args, **kwargs)
+
+    def counted_adopt(self, *args, **kwargs):
+        calls["adopt"] += 1
+        return adopt(self, *args, **kwargs)
+
+    monkeypatch.setattr(CommandExecutor, "trace_context_for", counted_resolve)
+    monkeypatch.setattr(Tracer, "adopt", counted_adopt)
+    tracer = Tracer(enabled=True)
+    with push_tracer(tracer):
+        for command in (Stats(), Render(window="nowhere")):
+            calls.update(resolve=0, adopt=0)
+            response = fig4_session.execute(command)
+            assert calls == {"resolve": 1, "adopt": 1}, command.kind
+            request = [span for span in tracer.spans
+                       if span.name == f"request.{command.kind}"][-1]
+            assert request.trace_id == response.trace_id
 
 
 def test_executor_leaves_trace_id_none_when_tracing_off(fig4_session):
